@@ -375,17 +375,14 @@ def cmd_family(args) -> int:
         if args.k is None or args.ell is None:
             raise BraidError("lspace needs -k and --ell")
         word = _family_braid(args, default_tour=True)
-        diagram, report, additivity = surgery.lspace_family_diagram(
-            word, args.k, args.ell
+        diagram, report, additivity, axis_report, next_report = (
+            surgery.lspace_family_diagram(word, args.k, args.ell)
         )
-        _, next_report, _ = surgery.lspace_family_diagram(word, args.k, args.ell + 1)
         payload = {
             "braid": braid_mod.format_braid(word),
             "diagram": surgery.diagram_to_dict(diagram),
             "h1_orders": {
-                "axis_pair": surgery.homology(
-                    surgery.axis_surgery(word, [Fraction(args.k)])
-                ).h1_order,
+                "axis_pair": axis_report.h1_order,
                 "this_level": report.h1_order,
                 "next_level": next_report.h1_order,
             },

@@ -288,13 +288,12 @@ def theta(w: WeinsteinDiagram) -> ThetaReport:
     spheres, reported by ``complete_invariant``.
     """
     q = surgery.linking_matrix(w.base)
-    d = linalg.det(q)
-    if d == 0:
+    report = surgery.homology(w.base)
+    if report.det == 0:
         raise surgery.SingularityError("theta needs a nonsingular linking matrix")
     r = c1_pairing(w)
     x = linalg.solve_exact(q, r)
-    c1sq = sum(Fraction(ri) * xi for ri, xi in zip(r, x))
-    report = surgery.homology(w.base)
+    c1sq = sum(ri * xi for ri, xi in zip(r, x))
     value = c1sq - 2 * report.euler_char - 3 * report.signature
     return ThetaReport(
         c1_squared=c1sq,

@@ -1,9 +1,11 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines, fraction-free throughout.
 
-Everything here works over Python ints and ``fractions.Fraction``; no
-floating point is used anywhere.  The routines are sized for the small
-dense matrices produced by surgery diagrams (a handful of rows up to a
-few hundred), so clarity wins over asymptotics.
+``det`` and ``solve_exact`` share one Bareiss (1968) forward elimination
+and ``signature`` is its symmetric counterpart: stored entries stay
+minors, so every division is exact and only ints are used (``solve_exact``
+builds ``Fraction`` values for its result alone).  ``smith_normal_form``
+uses unimodular row and column operations.  Sizes are those of surgery
+diagrams: a handful of rows up to a few hundred.
 """
 
 from __future__ import annotations
@@ -14,36 +16,48 @@ from fractions import Fraction
 Matrix = list[list[int]]
 
 
-def copy_matrix(m):
+def _square(m: Matrix) -> Matrix:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     return [list(row) for row in m]
+
+
+def _eliminate(a: Matrix) -> tuple[int, Matrix]:
+    """Bareiss forward elimination of an ``n x (n + e)`` matrix, in place.
+
+    Returns the sign of the row permutation (0 if the ``n x n`` block is
+    singular) and the pivot rows ``[D_k, reduced entries right of it]``,
+    ``D_k`` the k-th leading principal minor of the row-permuted matrix.
+    """
+    sign, prev, rows = 1, 1, []
+    while a:
+        for k, r in enumerate(a):
+            if r[0]:
+                break
+        else:
+            return 0, rows
+        if k % 2:
+            sign = -sign
+        del a[k]
+        rows.append(r)
+        piv, tail = r[0], r[1:]
+        for i, row in enumerate(a):
+            f = row[0]
+            if f:
+                a[i] = [(x * piv - f * y) // prev for x, y in zip(row[1:], tail)]
+            elif piv == prev:
+                del row[0]
+            else:
+                a[i] = [x * piv // prev for x in row[1:]]
+        prev = piv
+    return sign, rows
 
 
 def det(m: Matrix) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: division is exact at every step.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    sign, rows = _eliminate(_square(m))
+    return sign * rows[-1][0] if sign and rows else sign
 
 
 def smith_normal_form(m: Matrix) -> list[int]:
@@ -52,10 +66,9 @@ def smith_normal_form(m: Matrix) -> list[int]:
     Returns nonnegative invariant factors ``d_1 | d_2 | ...`` padded with
     zeros up to ``min(rows, cols)``.
     """
-    a = copy_matrix(m)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    diag: list[int] = []
     t = 0
     while t < min(rows, cols):
         pivot = _smallest_nonzero(a, t)
@@ -88,23 +101,15 @@ def smith_normal_form(m: Matrix) -> list[int]:
                 break
         # Pivot must divide every remaining entry for d_1 | d_2 | ... ;
         # if not, fold the offending row in and redo this corner.
-        offender = None
+        p = a[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
+            if any(x % p for x in a[i][t + 1 :]):
+                for j in range(t, cols):
+                    a[t][j] += a[i][j]
                 break
-        if offender is not None:
-            for j in range(t, cols):
-                a[t][j] += a[offender][j]
-            continue
-        t += 1
-    for k in range(t):
-        diag.append(abs(a[k][k]))
-    diag.extend([0] * (min(rows, cols) - t))
-    return diag
+        else:
+            t += 1
+    return [abs(a[k][k]) for k in range(t)] + [0] * (min(rows, cols) - t)
 
 
 def _smallest_nonzero(a, t):
@@ -119,66 +124,60 @@ def _smallest_nonzero(a, t):
 def signature(m: Matrix) -> int:
     """Signature of a symmetric integer matrix.
 
-    Congruence-diagonalizes over the rationals (symmetric Gaussian
-    elimination); a zero diagonal with a nonzero off-diagonal entry is
-    exposed by adding the partner row/column, which creates a nonzero
-    pivot without leaving exact arithmetic.
+    Symmetric Bareiss elimination with diagonal pivots.  Each pivot is a
+    leading principal minor ``D_k`` of a matrix congruent to ``m``, so by
+    Sylvester's law of inertia the sign of ``D_k / D_{k-1}`` is the sign
+    of one entry of a congruent diagonal form.  When every live diagonal
+    entry is zero but an off-diagonal one is not, the unimodular
+    congruence ``x_i -> x_i + x_j`` creates a pivot; the stored entries
+    stay minors of the transformed matrix, so division remains exact.
     """
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    pos = neg = 0
-    live = list(range(n))
-    while live:
-        k = next((i for i in live if a[i][i] != 0), None)
-        if k is None:
-            pair = next(
-                ((i, j) for i in live for j in live if i != j and a[i][j] != 0),
-                None,
-            )
-            if pair is None:
+    a = _square(m)
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    sig, prev = 0, 1
+    while a:
+        for k, row in enumerate(a):
+            if row[k]:
                 break
-            i, j = pair
-            # x_i -> x_i + x_j turns the hyperbolic corner into a pivot.
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            k = i
-        d = a[k][k]
-        if d > 0:
-            pos += 1
         else:
-            neg += 1
-        live.remove(k)
-        for i in live:
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-    return pos - neg
+            k = next((i for i, row in enumerate(a) if any(row)), None)
+            if k is None:
+                break
+            j = next(j for j, x in enumerate(a[k]) if x)
+            # x_k -> x_k + x_j turns the hyperbolic corner into a pivot.
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        r = a.pop(k)
+        piv = r.pop(k)
+        sig += 1 if (piv > 0) == (prev > 0) else -1
+        for i, row in enumerate(a):
+            f = row.pop(k)
+            if f:
+                a[i] = [(x * piv - f * y) // prev for x, y in zip(row, r)]
+            elif piv != prev:
+                a[i] = [x * piv // prev for x in row]
+        prev = piv
+    return sig
 
 
-def solve_exact(m: Matrix, rhs: list) -> list[Fraction]:
-    """Solve ``m x = rhs`` exactly over the rationals.
+def solve_exact(m: Matrix, rhs: list[int]) -> list[Fraction]:
+    """Solve ``m x = rhs`` exactly for a nonsingular integer matrix.
 
-    Raises ``ZeroDivisionError`` if the matrix is singular.
+    Fraction-free back substitution on the Bareiss rows gives the
+    integer numerators ``D x_i`` over the final pivot ``D``.  Raises
+    ``ZeroDivisionError`` if the matrix is singular.
     """
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[r][n] / a[r][r] for r in range(n)]
+    a = _square(m)
+    if len(rhs) != len(a):
+        raise ValueError("right-hand side length does not match the matrix")
+    sign, rows = _eliminate([row + [b] for row, b in zip(a, rhs)])
+    if not sign:
+        raise ZeroDivisionError("singular matrix")
+    d = rows[-1][0] if rows else 1
+    nums: list[int] = []
+    for r in reversed(rows):
+        s = d * r[-1] - sum(c * x for c, x in zip(r[1:-1], reversed(nums)))
+        nums.append(s // r[0])
+    return [Fraction(x, d) for x in reversed(nums)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from . import braid as braid_mod
 from . import linalg
@@ -280,7 +281,8 @@ def h1_invariants(diagram: SurgeryDiagram) -> tuple[int, tuple[int, ...], int]:
     """(order, elementary divisors > 1, free rank) from the presentation."""
     m = h1_presentation_matrix(diagram)
     snf = linalg.smith_normal_form(m)
-    order = 0 if any(x == 0 for x in snf) else abs(linalg.det(m))
+    # |det| is the product of the invariant factors when none is zero.
+    order = prod(snf) if all(snf) else 0
     return (
         order,
         tuple(x for x in snf if x > 1),
@@ -376,13 +378,15 @@ def axis_surgery(
 
 def lspace_family_diagram(
     word: BraidWord, k: int, ell: int
-) -> tuple[SurgeryDiagram, HomologyReport, bool]:
+) -> tuple[SurgeryDiagram, HomologyReport, bool, HomologyReport, HomologyReport]:
     """The twist-family diagram: meridian of the axis, axis, closure.
 
     Framings are ``(ell, 0, k)``.  The additivity check compares the
     computed |H1| of the axis diagram, this diagram, and the diagram at
     ``ell + 1``: the three orders must satisfy
-    ``m^2 + (k + ell m^2) = k + (ell + 1) m^2``.
+    ``m^2 + (k + ell m^2) = k + (ell + 1) m^2``.  Returns the diagram,
+    its report, the check, and the reports of the axis diagram and of
+    the diagram at ``ell + 1``.
     """
     parts = braid_mod.permutation(word)
     if not parts.is_knot:
@@ -403,7 +407,7 @@ def lspace_family_diagram(
     base = homology(axis_surgery(word, [Fraction(k)]))
     bumped = homology(build(ell + 1))
     additivity = base.h1_order + report.h1_order == bumped.h1_order
-    return diagram, report, additivity
+    return diagram, report, additivity, base, bumped
 
 
 def framing_str(framing) -> str:

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: the braid
 word-problem oracle is the reduced Burau representation over exact
 Laurent polynomials (faithful on three strands), the determinant
-oracle is cofactor expansion, and the invariant-factor oracle is the
-gcd-of-minors formula.
+oracle is cofactor expansion, the invariant-factor oracle is the
+gcd-of-minors formula, and the signature and linear-solve oracles
+eliminate over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -136,3 +137,60 @@ def congruence(u, d):
         [sum(ud[i][k] * u[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def signature_rational(m) -> int:
+    """Signature by congruence diagonalization over the rationals.
+
+    A zero diagonal with a nonzero off-diagonal entry is exposed by
+    adding the partner row/column, which creates a nonzero pivot.
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    pos = neg = 0
+    live = list(range(n))
+    while live:
+        k = next((i for i in live if a[i][i] != 0), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in live for j in live if i != j and a[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                break
+            i, j = pair
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            k = i
+        if a[k][k] > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(k)
+        for i in live:
+            if a[i][k] != 0:
+                f = a[i][k] / a[k][k]
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    return pos - neg
+
+
+def solve_rational(m, rhs) -> list[Fraction]:
+    """Gauss-Jordan elimination over the rationals; singular raises."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return [a[r][n] / a[r][r] for r in range(n)]

@@ -102,7 +102,7 @@ def test_criterion_4_homology_identities():
             assert len(out.components) == 1
             assert out.components[0].framing == k + ell * m * m
             assert S.h1_order(out) == k + ell * m * m
-            _, report, additive = S.lspace_family_diagram(tour, k, ell)
+            _, report, additive, *_ = S.lspace_family_diagram(tour, k, ell)
             assert additive
             assert report.h1_order == k + ell * m * m
     print("AC4 PASS: axis determinants, twist orders, and additivity hold")

@@ -2,9 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidsurgery import linalg
-from oracles import congruence, det_cofactor, invariant_factors_by_minors, random_unimodular
+from braidsurgery import braid, linalg, surgery
+from oracles import (
+    congruence,
+    det_cofactor,
+    invariant_factors_by_minors,
+    random_unimodular,
+    signature_rational,
+    solve_rational,
+)
 
 
 def random_matrix(rng, n, lo=-6, hi=6):
@@ -24,11 +33,17 @@ def test_det_known_values():
     assert linalg.det([[0, 1], [1, -5]]) == -1
     assert linalg.det([[0, 3], [3, 7]]) == -9
     assert linalg.det([[0, 1, 0], [1, -4, 1], [0, 1, -2]]) == 2
+    anti = [[int(i + j == 3) for j in range(4)] for i in range(4)]
+    assert linalg.det(anti) == 1  # pivots found 3, 2 and 1 rows down
 
 
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        linalg.solve_exact([[1, 2]], [1])
+    with pytest.raises(ValueError):
+        linalg.solve_exact([[1, 0], [0, 1]], [1])
 
 
 def test_snf_against_minor_gcds():
@@ -79,6 +94,8 @@ def test_signature_hyperbolic_block():
 def test_signature_requires_symmetry():
     with pytest.raises(ValueError):
         linalg.signature([[0, 1], [2, 0]])
+    with pytest.raises(ValueError):
+        linalg.signature([[1, 2]])
 
 
 def test_solve_exact_roundtrip():
@@ -113,3 +130,56 @@ def test_signature_invariant_under_simultaneous_permutation():
         rng.shuffle(perm)
         permuted = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         assert linalg.signature(permuted) == linalg.signature(m)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric integer matrices, often with a zero diagonal, a
+    hyperbolic block or a repeated row."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5])
+    two_indices = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(two_indices)
+        m[i][i] = m[j][j] = 0
+        m[i][j] = m[j][i] = draw(st.sampled_from([1, -1, 3]))
+    if n >= 2 and draw(st.booleans()):
+        # Row and column i copy j: singular, still symmetric.
+        i, j = draw(two_indices)
+        for t in range(n):
+            m[i][t] = m[t][i] = m[j][t]
+        m[i][i] = m[i][j] = m[j][i] = m[j][j]
+    return m
+
+
+@given(symmetric_matrices(), st.lists(st.integers(-5, 5), min_size=8, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_rational_oracles(m, rhs):
+    n = len(m)
+    assert linalg.signature(m) == signature_rational(m)
+    d = linalg.det(m)
+    if n <= 6:
+        assert d == det_cofactor(m)
+    if d != 0:
+        assert linalg.solve_exact(m, rhs[:n]) == solve_rational(m, rhs[:n])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            linalg.solve_exact(m, rhs[:n])
+
+
+def test_kernels_match_rational_oracles_at_n41():
+    # The linking matrix of `surgery "B2 s1^5" --slopes 20`.
+    word = braid.parse_braid("B2 s1^5")
+    expanded = surgery.slam_dunk_expand(surgery.rational_surgery(word, [Fraction(20)]))
+    m = surgery.linking_matrix(expanded)
+    assert len(m) == 41
+    assert linalg.signature(m) == signature_rational(m)
+    rhs = [(-1) ** i * (i % 5) for i in range(41)]
+    assert linalg.solve_exact(m, rhs) == solve_rational(m, rhs)

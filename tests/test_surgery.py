@@ -151,6 +151,7 @@ def test_homology_zero_framing_has_free_rank():
     assert rep.det == 0
     assert rep.h1_order == 0
     assert rep.free_rank == 1
+    assert S.h1_invariants(d) == (0, (), 1)
 
 
 def test_homology_requires_integral():
@@ -175,6 +176,7 @@ def test_rational_presentation_order():
         for k in (1, 5, 9):
             d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
             assert S.h1_order(d) == k + 9 * ell
+            assert S.h1_invariants(d)[0] == k + 9 * ell
 
 
 # -- Kirby moves ---------------------------------------------------------------
@@ -222,6 +224,7 @@ def test_rolfsen_preserves_h1_invariants():
         d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
         out = S.rolfsen_twist(d, 0, t)
         assert S.h1_invariants(out) == S.h1_invariants(d)
+        assert S.h1_invariants(out)[0] == S.h1_order(out)
 
 
 def test_rolfsen_rejects_braid_component():
@@ -232,7 +235,7 @@ def test_rolfsen_rejects_braid_component():
 
 def test_slam_dunk_meridian_collapses_leaf():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    d, _, _ = S.lspace_family_diagram(w, 7, 2)
+    d, *_ = S.lspace_family_diagram(w, 7, 2)
     out = S.slam_dunk_meridian(d, 0)
     assert [c.kind for c in out.components] == [S.AXIS, S.BRAID]
     assert out.components[0].framing == Fraction(-1, 2)
@@ -241,7 +244,7 @@ def test_slam_dunk_meridian_collapses_leaf():
 
 def test_slam_dunk_meridian_guards():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    d, _, _ = S.lspace_family_diagram(w, 7, 2)
+    d, *_ = S.lspace_family_diagram(w, 7, 2)
     with pytest.raises(S.SurgeryError):
         S.slam_dunk_meridian(d, 1)  # axis is not a meridian leaf
     collapsed = S.slam_dunk_meridian(d, 0)
@@ -261,15 +264,21 @@ def test_slam_dunk_meridian_guards():
 
 def test_lspace_family_orders():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    diagram, report, additive = S.lspace_family_diagram(w, 7, 2)
+    diagram, report, additive, axis_report, next_report = S.lspace_family_diagram(
+        w, 7, 2
+    )
     assert S.linking_matrix(diagram) == [[2, 1, 0], [1, 0, 3], [0, 3, 7]]
     assert report.h1_order == 7 + 2 * 9 == 25
+    assert axis_report == S.homology(S.axis_surgery(w, [Fraction(7)]))
+    assert axis_report.h1_order == 9
+    assert next_report == S.lspace_family_diagram(w, 7, 3)[1]
+    assert next_report.h1_order == 7 + 3 * 9
     assert additive
 
 
 def test_lspace_family_small_case():
     w = B.parse_braid("B2 s1^3")
-    _, report, additive = S.lspace_family_diagram(w, 1, 1)
+    _, report, additive, *_ = S.lspace_family_diagram(w, 1, 1)
     assert report.h1_order == 1 + 4 == 5
     assert additive
 
