@@ -384,27 +384,24 @@ def is_trivial(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
     return len(handle_reduce(word, max_steps)) == 0
 
 
-def _main_generator_signs(word: BraidWord) -> tuple[int, set[int]]:
-    gens = {abs(x) for x in word.letters}
-    i = min(gens)
-    return i, {1 if x > 0 else -1 for x in word.letters if abs(x) == i}
+def _main_sign(word: BraidWord, max_steps: int) -> int:
+    """+1 / -1 when the reduced word uses its lowest generator only
+    positively / only negatively, else 0 (the trivial braid among them)."""
+    reduced = handle_reduce(word, max_steps).letters
+    if not reduced:
+        return 0
+    i = min(abs(x) for x in reduced)
+    signs = {1 if x > 0 else -1 for x in reduced if abs(x) == i}
+    return signs.pop() if len(signs) == 1 else 0
 
 
 def is_sigma_positive(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
     """Does the reduced word use its lowest generator only positively?"""
-    reduced = handle_reduce(word, max_steps)
-    if len(reduced) == 0:
-        return False
-    _, signs = _main_generator_signs(reduced)
-    return signs == {1}
+    return _main_sign(word, max_steps) == 1
 
 
 def is_sigma_negative(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
-    reduced = handle_reduce(word, max_steps)
-    if len(reduced) == 0:
-        return False
-    _, signs = _main_generator_signs(reduced)
-    return signs == {-1}
+    return _main_sign(word, max_steps) == -1
 
 
 def dehornoy_floor_at_least(

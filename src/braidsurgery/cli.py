@@ -3,7 +3,8 @@
 Every subcommand echoes its inputs, emits canonical JSON (sorted keys,
 rationals as ``p/q`` strings), and is deterministic: identical inputs
 produce byte-identical output.  Exit codes: 0 success, 2 parse error,
-3 hypothesis violation, 4 numeric precondition failure.
+3 hypothesis violation, 4 numeric precondition failure or exhausted
+handle-reduction budget.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
 from . import legendrian, limits, surgery
-from .braid import BraidError
+from .braid import BraidError, ReductionBudgetExceeded
 from .cfrac import CFracError, SlopeVector
 from .legendrian import HypothesisError, LegendrianError
 from .limits import CoeffStream, LimitsError, SignTuple
@@ -261,7 +262,7 @@ def cmd_theta(args) -> int:
         return EXIT_OK
     entries = []
     groups: dict[Fraction, list] = {}
-    for ks in _all_tuples(enum):
+    for ks in enum.tuples():
         diagram = enum.diagram_for(ks)
         report = legendrian.theta(diagram)
         entries.append(
@@ -288,13 +289,6 @@ def cmd_theta(args) -> int:
         args.table,
     )
     return EXIT_OK
-
-
-def _all_tuples(enum):
-    import itertools
-
-    ranges = [range(1, len(menu) + 1) for menu in enum.menus]
-    return itertools.product(*ranges)
 
 
 def _theta_dict(report: legendrian.ThetaReport) -> dict:
@@ -483,7 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SingularityError as exc:
+    except (SingularityError, ReductionBudgetExceeded) as exc:
         _emit_error(EXIT_NUMERIC, type(exc).__name__, str(exc))
         return EXIT_NUMERIC
     except HypothesisError as exc:

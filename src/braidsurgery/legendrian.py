@@ -192,8 +192,9 @@ def _braid_legendrians(word: BraidWord) -> tuple[LegendrianComponent, ...]:
 class WeinsteinEnumeration:
     """Lazy product of unknot menus over an expanded surgery diagram.
 
-    Iterating yields every decorated diagram, sorted by rotation tuple;
-    ``count`` is the exact cardinality without materializing anything.
+    ``tuples`` is the one product of 1-based menu picks; iterating
+    assembles its diagrams, sorted by rotation tuple, and ``count`` is
+    its exact cardinality without materializing anything.
     """
 
     def __init__(self, word: BraidWord, v: SlopeVector):
@@ -219,22 +220,18 @@ class WeinsteinEnumeration:
     def count(self) -> int:
         return math.prod(len(menu) for menu in self.menus)
 
-    def _assemble(self, picks) -> WeinsteinDiagram:
-        queue = list(picks)
-        legendrian = []
-        rotation = []
-        for c in self.base.components:
-            if c.kind == BRAID:
-                legendrian.append(self._braid_leg[c.component - 1])
-            else:
-                leg = queue.pop(0)
-                legendrian.append(leg)
-                rotation.append(leg.rot)
-        return WeinsteinDiagram(
-            base=self.base,
-            legendrian=tuple(legendrian),
-            rotation_tuple=tuple(rotation),
+    def tuples(self):
+        """Every tuple of 1-based menu picks, in lexicographic order."""
+        return itertools.product(*(range(1, len(menu) + 1) for menu in self.menus))
+
+    def _assemble(self, ks) -> WeinsteinDiagram:
+        picks = [menu[k - 1] for k, menu in zip(ks, self.menus)]
+        rest = iter(picks)
+        legendrian = tuple(
+            self._braid_leg[c.component - 1] if c.kind == BRAID else next(rest)
+            for c in self.base.components
         )
+        return WeinsteinDiagram(self.base, legendrian, tuple(p.rot for p in picks))
 
     def diagram_for(self, ks) -> WeinsteinDiagram:
         """The diagram indexed by 1-based menu picks, one per unknot."""
@@ -243,18 +240,16 @@ class WeinsteinEnumeration:
             raise LegendrianError(
                 f"tuple length {len(ks)} does not match {len(self.menus)} unknots"
             )
-        picks = []
         for k, menu in zip(ks, self.menus):
             if not 1 <= k <= len(menu):
                 raise LegendrianError(
                     f"tuple entry {k} outside menu of size {len(menu)}"
                 )
-            picks.append(menu[k - 1])
-        return self._assemble(picks)
+        return self._assemble(ks)
 
     def __iter__(self):
-        for choice in itertools.product(*self.menus):
-            yield self._assemble(choice)
+        for ks in self.tuples():
+            yield self._assemble(ks)
 
 
 def enumerate_weinstein(word: BraidWord, v: SlopeVector) -> WeinsteinEnumeration:

@@ -121,7 +121,7 @@ class SignTuple:
     def validate(self, stream: CoeffStream, through: int | None = None) -> None:
         """Check ``1 <= k_i <= |a_i + 1|`` explicitly up to ``through``
         and symbolically over one combined period of the tails."""
-        end = self._symbolic_horizon(stream) if through is None else through + 1
+        end = self._symbolic_horizon(stream)[1] if through is None else through + 1
         for i in range(end):
             k = self.value(i, stream)
             if not 1 <= k <= stream.menu_size(i):
@@ -129,7 +129,9 @@ class SignTuple:
                     f"k_{i} = {k} outside menu of size {stream.menu_size(i)}"
                 )
 
-    def _symbolic_horizon(self, stream: CoeffStream) -> int:
+    def _symbolic_horizon(self, stream: CoeffStream) -> tuple[int, int]:
+        """``(start, end)``: one combined period of both tails from where
+        both prefixes have ended."""
         start = max(len(self.prefix), len(stream.prefix))
         if not stream.is_infinite:
             raise LimitsError("sign tuples need an infinite coefficient stream")
@@ -137,7 +139,7 @@ class SignTuple:
             len(stream.cycle),
             len(self.tail_pattern) if self.tail == TAIL_PERIODIC else 1,
         )
-        return start + period
+        return start, start + period
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,8 @@ def block_decomposition(stream: CoeffStream, k: SignTuple, n: int) -> BlockDecom
 
     An ``a_i = -2`` level yields an empty block and forces ``k_i = 1``.
     """
+    if n < 0:
+        raise LimitsError("level must be >= 0")
     k.validate(stream, through=n)
     blocks = []
     for i in range(n + 1):
@@ -238,18 +242,9 @@ def end_slope(stream: CoeffStream, n: int) -> Fraction:
 def _eventual_flags(stream: CoeffStream, k: SignTuple) -> tuple[bool, bool]:
     """Whether ``k_i`` is eventually the menu maximum / eventually 1."""
     k.validate(stream)
-    start = max(len(k.prefix), len(stream.prefix))
-    period = lcm(
-        len(stream.cycle),
-        len(k.tail_pattern) if k.tail == TAIL_PERIODIC else 1,
-    )
-    plus_hold = all(
-        k.value(i, stream) == stream.menu_size(i)
-        for i in range(start, start + period)
-    )
-    minus_hold = all(
-        k.value(i, stream) == 1 for i in range(start, start + period)
-    )
+    period = range(*k._symbolic_horizon(stream))
+    plus_hold = all(k.value(i, stream) == stream.menu_size(i) for i in period)
+    minus_hold = all(k.value(i, stream) == 1 for i in period)
     return plus_hold, minus_hold
 
 

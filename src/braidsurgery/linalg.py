@@ -4,13 +4,15 @@
 and ``signature`` is its symmetric counterpart: stored entries stay
 minors, so every division is exact and only ints are used (``solve_exact``
 builds ``Fraction`` values for its result alone).  ``smith_normal_form``
-uses unimodular row and column operations.  Sizes are those of surgery
-diagrams: a handful of rows up to a few hundred.
+uses Euclidean row and column operations, modulo ``|det|`` when that is
+nonzero.  Sizes are those of surgery diagrams: a handful of rows up to a
+few hundred.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 Matrix = list[list[int]]
@@ -64,61 +66,59 @@ def smith_normal_form(m: Matrix) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns nonnegative invariant factors ``d_1 | d_2 | ...`` padded with
-    zeros up to ``min(rows, cols)``.
+    zeros up to ``min(rows, cols)``.  Each step moves the smallest entry
+    of the remaining block to its corner and clears that entry's column
+    and row by Euclidean row operations, transposing the block between
+    the two.  A square input with ``D = |det| != 0`` is worked modulo
+    ``D``: its column lattice contains ``D Z^n``, so entries are kept in
+    ``(-D/2, D/2]`` (unreduced, they can grow without bound), a cleared
+    corner ``p`` stands for ``gcd(p, D)``, and a block that vanishes mod
+    ``D`` contributes factors ``D``.
     """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    t = 0
-    while t < min(rows, cols):
-        pivot = _smallest_nonzero(a, t)
-        if pivot is None:
+    b = [list(row) for row in m]
+    cols = len(b[0]) if b else 0
+    size = min(len(b), cols)
+    d = abs(det(b)) if len(b) == cols else 0
+    b = [_mod(row, d) for row in b]
+    out: list[int] = []
+    while len(out) < size:
+        live = [(min(map(abs, filter(None, r))), i) for i, r in enumerate(b) if any(r)]
+        if not live:
             break
-        i, j = pivot
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
+        v, i = min(live)
+        j = b[i].index(v) if v in b[i] else b[i].index(-v)
+        b[0], b[i] = b[i], b[0]
+        for row in b:
+            row[0], row[j] = row[j], row[0]
         while True:
-            reduced = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                    reduced = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j] != 0:
-                        for i in range(rows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                    reduced = True
-            if not reduced:
+            for i in range(1, len(b)):
+                while b[i][0]:
+                    q = b[i][0] // b[0][0]
+                    b[i] = _mod([x - q * y for x, y in zip(b[i], b[0])], d)
+                    if b[i][0]:
+                        b[0], b[i] = b[i], b[0]
+            if not any(b[0][1:]):
                 break
-        # Pivot must divide every remaining entry for d_1 | d_2 | ... ;
+            b = [list(col) for col in zip(*b)]
+        p = gcd(b[0][0], d)
+        # The corner must divide every remaining entry for d_1 | d_2 | ... ;
         # if not, fold the offending row in and redo this corner.
-        p = a[t][t]
-        for i in range(t + 1, rows):
-            if any(x % p for x in a[i][t + 1 :]):
-                for j in range(t, cols):
-                    a[t][j] += a[i][j]
-                break
+        rest = [row[1:] for row in b[1:]]
+        bad = p > 1 and next((r for r in rest if gcd(*r) % p), None)
+        if not bad:
+            out.append(p)
+            b = rest
         else:
-            t += 1
-    return [abs(a[k][k]) for k in range(t)] + [0] * (min(rows, cols) - t)
+            b[0] = [p] + bad
+    return out + [d] * (size - len(out))
 
 
-def _smallest_nonzero(a, t):
-    best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
+def _mod(row: list[int], d: int) -> list[int]:
+    """Entries reduced into ``(-d/2, d/2]``; unchanged when ``d`` is 0."""
+    h = (d - 1) // 2
+    if not d or -h <= min(row) and max(row) <= d - 1 - h:
+        return row
+    return [(x + h) % d - h for x in row]
 
 
 def signature(m: Matrix) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from . import braid as braid_mod
@@ -119,6 +119,45 @@ class SurgeryDiagram:
             return 1
         return 0
 
+    # Diagrams are frozen, so each memo below is computed at most once.
+
+    @cached_property
+    def _matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Presentation matrix of H1, built once; see :func:`h1_presentation_matrix`."""
+        comps = self.components
+        if any(isinstance(c.framing, _Infinity) for c in comps):
+            raise SurgeryError("empty filling has no relation; delete it first")
+        n = len(comps)
+        m = [[0] * n for _ in range(n)]
+        for i, c in enumerate(comps):
+            m[i][i] = c.framing.numerator
+            for j in range(i + 1, n):
+                lk = self.linking(i, j)
+                m[i][j] = c.framing.denominator * lk
+                m[j][i] = comps[j].framing.denominator * lk
+        return tuple(map(tuple, m))
+
+    @cached_property
+    def _invariants(self) -> tuple[int, tuple[int, ...], int]:
+        snf = linalg.smith_normal_form(self._matrix)
+        # |H1| is the product of the invariant factors: 0 when H1 is infinite.
+        return prod(snf), tuple(x for x in snf if x > 1), snf.count(0)
+
+    @cached_property
+    def _homology(self) -> HomologyReport:
+        order, divisors, free_rank = self._invariants
+        n = len(self.components)
+        sigma = linalg.signature(self._matrix)
+        return HomologyReport(
+            # Sylvester: det has the sign of (-1)^(negative eigenvalues).
+            det=(-1) ** ((n - sigma) // 2) * order,
+            h1_order=order,
+            elementary_divisors=divisors,
+            free_rank=free_rank,
+            signature=sigma,
+            euler_char=1 + n,
+        )
+
 
 def rational_surgery(word: BraidWord, v: SlopeVector) -> SurgeryDiagram:
     """One framed braid-closure component per slope."""
@@ -212,13 +251,7 @@ def linking_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     numbers off it.  Requires an integral diagram."""
     if not diagram.is_integral:
         raise SurgeryError("linking matrix needs an integral diagram")
-    n = len(diagram.components)
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = int(diagram.components[i].framing)
-        for j in range(i + 1, n):
-            m[i][j] = m[j][i] = diagram.linking(i, j)
-    return m
+    return h1_presentation_matrix(diagram)
 
 
 @dataclass(frozen=True)
@@ -241,17 +274,7 @@ class HomologyReport:
 def homology(diagram: SurgeryDiagram) -> HomologyReport:
     if not diagram.is_integral:
         raise SurgeryError("homology report needs an integral diagram")
-    m = linking_matrix(diagram)
-    d = linalg.det(m)
-    snf = linalg.smith_normal_form(m)
-    return HomologyReport(
-        det=d,
-        h1_order=abs(d),
-        elementary_divisors=tuple(x for x in snf if x > 1),
-        free_rank=sum(1 for x in snf if x == 0),
-        signature=linalg.signature(m),
-        euler_char=1 + len(diagram.components),
-    )
+    return diagram._homology
 
 
 def h1_presentation_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
@@ -260,34 +283,17 @@ def h1_presentation_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     Row ``i`` encodes the filling relation ``p_i mu_i + q_i lambda_i``;
     for an integral diagram this is the linking matrix.
     """
-    n = len(diagram.components)
-    m = [[0] * n for _ in range(n)]
-    for i, c in enumerate(diagram.components):
-        if isinstance(c.framing, _Infinity):
-            raise SurgeryError("empty filling has no relation; delete it first")
-        m[i][i] = c.framing.numerator
-        for j in range(n):
-            if j != i:
-                m[i][j] = c.framing.denominator * diagram.linking(i, j)
-    return m
+    return [list(row) for row in diagram._matrix]
 
 
 def h1_order(diagram: SurgeryDiagram) -> int:
     """|H1| of the presented manifold (0 for infinite), any framings."""
-    return abs(linalg.det(h1_presentation_matrix(diagram)))
+    return h1_invariants(diagram)[0]
 
 
 def h1_invariants(diagram: SurgeryDiagram) -> tuple[int, tuple[int, ...], int]:
     """(order, elementary divisors > 1, free rank) from the presentation."""
-    m = h1_presentation_matrix(diagram)
-    snf = linalg.smith_normal_form(m)
-    # |det| is the product of the invariant factors when none is zero.
-    order = prod(snf) if all(snf) else 0
-    return (
-        order,
-        tuple(x for x in snf if x > 1),
-        sum(1 for x in snf if x == 0),
-    )
+    return diagram._invariants
 
 
 def _reindex_parent(parent: int | None, removed: int) -> int | None:

@@ -140,3 +140,43 @@ def test_theta_group_values_match_report():
     assert sorted(map(tuple, data["theta_groups"][0]["tuples"])) == [
         (1,), (2,), (3,), (4,)
     ]
+
+
+def test_exit_code_reduction_budget_exceeded(monkeypatch):
+    from braidsurgery import braid
+
+    def exhausted(word, max_steps=braid.DEFAULT_STEP_BUDGET):
+        raise braid.ReductionBudgetExceeded("no reduced form within 0 handle reductions")
+
+    monkeypatch.setattr(braid, "handle_reduce", exhausted)
+    code, out = run_cli(["analyze", "B3 s1^7 s2^-1"])
+    assert code == cli.EXIT_NUMERIC
+    error = json.loads(out)["error"]
+    assert error["code"] == cli.EXIT_NUMERIC
+    assert error["type"] == "ReductionBudgetExceeded"
+
+
+def test_limits_rejects_negative_levels():
+    code, out = run_cli(["limits", "--coeffs=-3,-2", "--cycle=-2", "-n", "-1"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "LimitsError"
+
+
+def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
+    from braidsurgery import linalg
+
+    calls = {"smith_normal_form": 0, "signature": 0, "solve_exact": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    code, out = run_cli(["theta", "B2 s1^5", "--slope", "2/7"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "theta_groups.txt").read_text()
+    count = json.loads(out)["count"]
+    assert count > 1
+    assert calls == {"smith_normal_form": 1, "signature": 1, "solve_exact": count}

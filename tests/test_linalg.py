@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -159,14 +160,30 @@ def symmetric_matrices(draw):
     return m
 
 
-@given(symmetric_matrices(), st.lists(st.integers(-5, 5), min_size=8, max_size=8))
+dense_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(
+    symmetric_matrices(),
+    st.lists(st.integers(-5, 5), min_size=8, max_size=8),
+    dense_matrices,
+)
 @settings(max_examples=300, deadline=None)
-def test_kernels_match_rational_oracles(m, rhs):
+def test_kernels_match_rational_oracles(m, rhs, dense):
     n = len(m)
-    assert linalg.signature(m) == signature_rational(m)
+    sig = linalg.signature(m)
+    assert sig == signature_rational(m)
     d = linalg.det(m)
     if n <= 6:
         assert d == det_cofactor(m)
+    # Sylvester's law of inertia: det has the sign of (-1)^(negative eigenvalues).
+    assert d == (-1) ** ((n - sig) // 2) * prod(linalg.smith_normal_form(m))
+    # Dense, usually nonsingular: the Smith form is taken modulo |det|.
+    assert linalg.smith_normal_form(dense) == invariant_factors_by_minors(dense)
     if d != 0:
         assert linalg.solve_exact(m, rhs[:n]) == solve_rational(m, rhs[:n])
     else:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidsurgery import braid as B
+from braidsurgery import linalg
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, neg_cfrac
 
@@ -306,3 +307,19 @@ def test_diagram_to_dict_round_trip_fields():
     assert [c["kind"] for c in data["components"]] == ["braid", "chain", "chain"]
     assert [c["framing"] for c in data["components"]] == ["0/1", "-4/1", "-2/1"]
     assert [c["parent"] for c in data["components"]] == [None, 0, 1]
+
+
+def test_seven_component_homology_matches_dense_kernels():
+    # Unreduced, the Smith form of this 61x61 matrix grew entries past 10^70.
+    word = B.parse_braid(
+        "B7 " + " ".join(["s2 s6^-1 s2^-2 s6 s4^2 s5 s6 s4 s5^-1 s2 s1^-1 s3 s4 s1"] * 5)
+    )
+    slopes = SlopeVector(tuple(map(Fraction, (6, 1, 1, 4, 8, 5, 2))))
+    e = S.slam_dunk_expand(S.rational_surgery(word, slopes))
+    m = S.linking_matrix(e)
+    report = S.homology(e)
+    assert len(m) == 61
+    assert report.det == linalg.det(m) == -23995178814630002688
+    assert report.signature == linalg.signature(m) == -49
+    assert report.h1_order == abs(report.det) == S.h1_order(e)
+    assert report.elementary_divisors[-3:] == (4, 24, 888)
