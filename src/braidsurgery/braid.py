@@ -21,9 +21,9 @@ position.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class BraidError(ValueError):
@@ -38,6 +38,14 @@ class ReductionBudgetExceeded(RuntimeError):
 # but the known worst-case bound is exponential in word length; the cap
 # exists so a pathological input fails loudly instead of spinning.
 DEFAULT_STEP_BUDGET = 2_000_000
+
+# Longest word parse_braid, power and garside build; BraidError beyond it.
+MAX_WORD_LENGTH = 1_000_000
+
+
+def _check_length(length: int, what: str) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise BraidError(f"{what} would have {length} letters, cap {MAX_WORD_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,8 @@ def parse_braid(text: str) -> BraidWord:
     """Parse ``B<m> s<g>^<e> ...`` into a :class:`BraidWord`.
 
     Exponents expand into repeated letters carrying the exponent's
-    sign; ``s<g>`` alone means exponent 1.
+    sign; ``s<g>`` alone means exponent 1.  The expanded length is
+    checked against ``MAX_WORD_LENGTH`` before any letter is built.
     """
     tokens = text.split()
     if not tokens or not re.fullmatch(r"B(\d+)", tokens[0]):
@@ -156,7 +165,7 @@ def parse_braid(text: str) -> BraidWord:
     strands = int(tokens[0][1:])
     if strands < 2:
         raise BraidError(f"strand count must be >= 2, got {strands}")
-    letters: list[int] = []
+    runs: list[tuple[int, int]] = []
     for pos, tok in enumerate(tokens[1:], start=1):
         match = _TOKEN.match(tok)
         if match is None:
@@ -170,7 +179,9 @@ def parse_braid(text: str) -> BraidWord:
             )
         if exp == 0:
             raise BraidError(f"zero exponent in token {tok!r} at position {pos}")
-        letters.extend([gen if exp > 0 else -gen] * abs(exp))
+        runs.append((gen if exp > 0 else -gen, abs(exp)))
+    _check_length(sum(n for _, n in runs), f"B{strands} word")
+    letters = itertools.chain.from_iterable([x] * n for x, n in runs)
     return BraidWord(strands, tuple(letters))
 
 
@@ -181,17 +192,9 @@ def format_braid(word: BraidWord) -> str:
     ``s<g>^<e>`` token; a bare ``s<g>`` is used for exponent 1.
     """
     parts = [f"B{word.strands}"]
-    i = 0
-    letters = word.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        run = j - i
-        gen = abs(letters[i])
-        exp = run if letters[i] > 0 else -run
-        parts.append(f"s{gen}" if exp == 1 else f"s{gen}^{exp}")
-        i = j
+    for x, run in itertools.groupby(word.letters):
+        exp = len(list(run)) * (1 if x > 0 else -1)
+        parts.append(f"s{abs(x)}" if exp == 1 else f"s{abs(x)}^{exp}")
     return " ".join(parts)
 
 
@@ -272,12 +275,11 @@ def crossing_stats(word: BraidWord) -> CrossingStats:
         for j in range(1, ncomp + 1):
             if i == j:
                 continue
-            lk = Fraction(signed_inter[i][j], 2)
-            if lk.denominator != 1:
+            if signed_inter[i][j] % 2:
                 raise BraidError(
                     f"non-integral linking number between components {i}, {j}"
                 )
-            linking[i - 1][j - 1] = int(lk)
+            linking[i - 1][j - 1] = signed_inter[i][j] // 2
     return CrossingStats(
         c_plus=word.c_plus,
         c_minus=word.c_minus,
@@ -297,6 +299,7 @@ def garside(m: int) -> BraidWord:
     """The positive half twist on ``m`` strands, length ``m(m-1)/2``."""
     if m < 2:
         raise BraidError(f"half twist needs at least 2 strands, got {m}")
+    _check_length(m * (m - 1) // 2, f"half twist on {m} strands")
     letters: list[int] = []
     for k in range(m - 1, 0, -1):
         letters.extend(range(1, k + 1))
@@ -316,9 +319,10 @@ def inverse(word: BraidWord) -> BraidWord:
 
 
 def power(word: BraidWord, k: int) -> BraidWord:
+    _check_length(len(word) * abs(k), f"power {k} of a {len(word)}-letter word")
     if k < 0:
         return power(inverse(word), -k)
-    return BraidWord(word.strands, word.letters * k)
+    return BraidWord(word.strands, word.letters * k if word.letters else ())
 
 
 def delta_squared_times(word: BraidWord, ell: int) -> BraidWord:
@@ -335,48 +339,45 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
     is the strategy with guaranteed termination; ``max_steps`` bounds
     the number of reductions and overflow raises
     :class:`ReductionBudgetExceeded` rather than returning a wrong
-    answer.
+    answer.  One scan moves letters from ``rest`` to ``out`` and keeps a
+    stack of ``out`` positions per generator index.  A reduction at ``s``
+    keeps the handle-free ``out[:s]``, drops the positions ``>= s`` (only
+    indices ``>= i`` have any) and pushes the replacement back onto
+    ``rest``, so the cost is linear in the letters scanned.
     """
-    w = list(word.letters)
+    rest = list(reversed(word.letters))
+    out: list[int] = []
+    stacks: list[list[int]] = [[] for _ in range(word.strands)]
     steps = 0
-    while True:
-        found = _first_handle(w)
-        if found is None:
-            return BraidWord(word.strands, tuple(w))
-        steps += 1
-        if steps > max_steps:
-            raise ReductionBudgetExceeded(
-                f"no reduced form within {max_steps} handle reductions"
-            )
-        s, t = found
-        i = abs(w[s])
-        e = 1 if w[s] > 0 else -1
-        replacement: list[int] = []
-        for x in w[s + 1 : t]:
-            if abs(x) == i + 1:
-                d = 1 if x > 0 else -1
-                replacement.extend([-e * (i + 1), d * i, e * (i + 1)])
-            else:
-                replacement.append(x)
-        w[s : t + 1] = replacement
-
-
-def _first_handle(w: list[int]) -> tuple[int, int] | None:
-    """Position pair of the earliest-closing handle, or None.
-
-    ``last[g]`` tracks the most recent letter with generator index
-    ``g``; a letter closes a handle when it cancels the last letter of
-    its own index and no lower index occurred in between.
-    """
-    last: dict[int, int] = {}
-    for t, x in enumerate(w):
+    while rest:
+        x = rest.pop()
         i = abs(x)
-        s = last.get(i)
-        if s is not None and (w[s] > 0) != (x > 0):
-            if all(last.get(j, -1) < s for j in range(1, i)):
-                return s, t
-        last[i] = t
-    return None
+        own = stacks[i]
+        if own and (out[own[-1]] > 0) != (x > 0):
+            s = own[-1]
+            if all(not stacks[j] or stacks[j][-1] < s for j in range(1, i)):
+                steps += 1
+                if steps > max_steps:
+                    raise ReductionBudgetExceeded(
+                        f"no reduced form within {max_steps} handle reductions"
+                        f" ({word.strands} strands, input {len(word)} letters,"
+                        f" word now {len(out) + 1 + len(rest)} letters)"
+                    )
+                e = 1 if out[s] > 0 else -1
+                for y in reversed(out[s + 1 :]):
+                    if abs(y) == i + 1:
+                        d = 1 if y > 0 else -1
+                        rest.extend([e * (i + 1), d * i, -e * (i + 1)])
+                    else:
+                        rest.append(y)
+                del out[s:]
+                for stack in stacks[i:]:
+                    while stack and stack[-1] >= s:
+                        stack.pop()
+                continue
+        own.append(len(out))
+        out.append(x)
+    return BraidWord(word.strands, tuple(out))
 
 
 def is_trivial(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
@@ -433,7 +434,6 @@ def check_hypothesis(word: BraidWord, hyperbolic_asserted: bool = False) -> Hypo
     recorded from the caller, never derived.
     """
     stats = crossing_stats(word)
-    parts = permutation(word)
     m = word.strands
     per_cond = tuple(
         cp - 2 * cm - dm - mi >= 1
@@ -442,7 +442,7 @@ def check_hypothesis(word: BraidWord, hyperbolic_asserted: bool = False) -> Hypo
         )
     )
     return HypothesisReport(
-        is_knot=parts.is_knot,
+        is_knot=len(stats.axis_linking) == 1,
         cond_tb=stats.c_plus - 2 * stats.c_minus - m >= 1,
         cond_parity=(stats.c_plus + stats.c_minus) % 2 == (m + 1) % 2,
         per_component_cond=per_cond,

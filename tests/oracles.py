@@ -5,7 +5,8 @@ word-problem oracle is the reduced Burau representation over exact
 Laurent polynomials (faithful on three strands), the determinant
 oracle is cofactor expansion, the invariant-factor oracle is the
 gcd-of-minors formula, and the signature and linear-solve oracles
-eliminate over ``Fraction``.
+eliminate over ``Fraction``.  ``handle_reduce_rescan`` is the plain
+handle reducer that rescans the word from index 0 after every step.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from braidsurgery.braid import DEFAULT_STEP_BUDGET, BraidWord, ReductionBudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +197,59 @@ def solve_rational(m, rhs) -> list[Fraction]:
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[r][n] / a[r][r] for r in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Handle reduction that rescans the word from index 0 after every step.
+
+def handle_reduce_rescan(word, max_steps=DEFAULT_STEP_BUDGET):
+    """Handle-free word representing the same braid element.
+
+    Repeatedly reduces the first handle (the earliest-closing subword
+    ``s_i^e ... s_i^-e`` whose interior only uses higher-index
+    generators).  The first handle never contains another handle, which
+    is the strategy with guaranteed termination; ``max_steps`` bounds
+    the number of reductions and overflow raises
+    :class:`ReductionBudgetExceeded` rather than returning a wrong
+    answer.
+    """
+    w = list(word.letters)
+    steps = 0
+    while True:
+        found = _first_handle(w)
+        if found is None:
+            return BraidWord(word.strands, tuple(w))
+        steps += 1
+        if steps > max_steps:
+            raise ReductionBudgetExceeded(
+                f"no reduced form within {max_steps} handle reductions"
+            )
+        s, t = found
+        i = abs(w[s])
+        e = 1 if w[s] > 0 else -1
+        replacement: list[int] = []
+        for x in w[s + 1 : t]:
+            if abs(x) == i + 1:
+                d = 1 if x > 0 else -1
+                replacement.extend([-e * (i + 1), d * i, e * (i + 1)])
+            else:
+                replacement.append(x)
+        w[s : t + 1] = replacement
+
+
+def _first_handle(w: list[int]) -> tuple[int, int] | None:
+    """Position pair of the earliest-closing handle, or None.
+
+    ``last[g]`` tracks the most recent letter with generator index
+    ``g``; a letter closes a handle when it cancels the last letter of
+    its own index and no lower index occurred in between.
+    """
+    last: dict[int, int] = {}
+    for t, x in enumerate(w):
+        i = abs(x)
+        s = last.get(i)
+        if s is not None and (w[s] > 0) != (x > 0):
+            if all(last.get(j, -1) < s for j in range(1, i)):
+                return s, t
+        last[i] = t
+    return None

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
-from oracles import burau3, burau3_is_identity
+from oracles import burau3, burau3_is_identity, handle_reduce_rescan
 
 
 def word(strands, *letters):
@@ -147,6 +147,19 @@ def test_garside_rejects_small():
         B.garside(1)
 
 
+def test_word_length_cap(monkeypatch):
+    monkeypatch.setattr(B, "MAX_WORD_LENGTH", 6)
+    assert len(B.parse_braid("B3 s1^4 s2^-2")) == 6
+    assert len(B.power(B.parse_braid("B2 s1^2"), -3)) == 6
+    assert len(B.garside(4)) == 6
+    with pytest.raises(B.BraidError, match="B3 word would have 7 letters, cap 6"):
+        B.parse_braid("B3 s1^4 s2^-3")
+    with pytest.raises(B.BraidError, match="power -4 of a 2-letter word would have 8"):
+        B.power(B.parse_braid("B2 s1^2"), -4)
+    with pytest.raises(B.BraidError, match="half twist on 5 strands would have 10"):
+        B.garside(5)
+
+
 def test_compose_power_inverse():
     w = word(2, 1)
     assert B.power(w, 2).letters == (1, 1)
@@ -234,8 +247,59 @@ def test_exponent_sum_obstruction_in_b2():
 
 def test_budget_cap_raises():
     w = B.power(B.parse_braid("B4 s1 s2 s3 s1^-1 s2^-1 s3^-1"), 6)
-    with pytest.raises(B.ReductionBudgetExceeded):
+    with pytest.raises(B.ReductionBudgetExceeded) as info:
         B.handle_reduce(w, max_steps=2)
+    assert str(info.value) == (
+        "no reduced form within 2 handle reductions"
+        " (4 strands, input 36 letters, word now 36 letters)"
+    )
+
+
+def signed_letters(gens, max_size):
+    letter = st.sampled_from(gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    return st.lists(letter, max_size=max_size)
+
+
+@st.composite
+def reducer_cases(draw):
+    """Mixed-sign words on 2..6 strands, mostly with one generator index
+    that occurs only in a short run at the far left."""
+    m = draw(st.integers(2, 6))
+    if m > 2 and draw(st.integers(0, 2)):
+        k = draw(st.integers(1, m - 1))
+        head = draw(st.lists(st.sampled_from([k, -k]), min_size=1, max_size=3))
+        others = [g for g in range(1, m) if g != k]
+        letters = head + draw(signed_letters(others, 57))
+    else:
+        letters = draw(signed_letters(list(range(1, m)), 60))
+    return B.BraidWord(m, tuple(letters)), draw(st.integers(0, 12))
+
+
+def _reduce_or_overrun(reducer, w, max_steps):
+    try:
+        return reducer(w, max_steps).letters
+    except B.ReductionBudgetExceeded:
+        return "overrun"
+
+
+@given(reducer_cases())
+@settings(max_examples=300, deadline=None)
+def test_reduction_matches_rescanning_oracle(case):
+    w, small_budget = case
+    for max_steps in (small_budget, 20_000):
+        assert _reduce_or_overrun(B.handle_reduce, w, max_steps) == (
+            _reduce_or_overrun(handle_reduce_rescan, w, max_steps)
+        )
+
+
+def test_reduction_is_linear_when_an_index_occurs_only_far_left():
+    # s1 . u u^-1 with u over s2..s4: every reduction is a cancellation
+    # at the middle, so rescanning from index 0 is quadratic here
+    rng = random.Random(4)
+    u = [rng.choice([2, 3, 4]) for _ in range(20_000)]
+    w = B.BraidWord(5, tuple([1] + u + [-x for x in reversed(u)]))
+    assert len(w) == 40_001
+    assert B.format_braid(B.handle_reduce(w)) == "B5 s1"
 
 
 def test_sigma_signs():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -154,6 +155,46 @@ def test_exit_code_reduction_budget_exceeded(monkeypatch):
     error = json.loads(out)["error"]
     assert error["code"] == cli.EXIT_NUMERIC
     assert error["type"] == "ReductionBudgetExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze", "B3 s1^1000000000"], "B3 word would have 1000000000 letters"),
+        (
+            ["family", "power", "--braid", "B2 s1", "-k", "1000000000"],
+            "power 1000000000 of a 1-letter word would have 1000000000 letters",
+        ),
+        (
+            ["family", "delta2l", "--braid", "B2000 s1", "-l", "1"],
+            "half twist on 2000 strands would have 1999000 letters",
+        ),
+    ],
+)
+def test_words_over_the_length_cap_are_parse_errors(argv, message):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "BraidError"
+    assert error["message"] == f"{message}, cap 1000000"
+
+
+def test_power_of_the_empty_word_has_no_length_limit():
+    code, out = run_cli(["family", "power", "--braid", "B2", "-k", str(10**30)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["braid"] == "B2"
+
+
+def test_floor_probes_on_long_trivial_word():
+    # u u^-1 with u positive over s1..s4: 20,000 letters, the trivial braid
+    rng = random.Random(9)
+    u = [rng.randint(1, 4) for _ in range(10_000)]
+    text = " ".join(["B5"] + [f"s{g}" for g in u] + [f"s{g}^-1" for g in reversed(u)])
+    code, out = run_cli(["analyze", text])
+    assert code == cli.EXIT_OK
+    data = json.loads(out)
+    assert data["braid"]["length"] == 20_000
+    assert data["dehornoy_floor_at_least"] == {"1": False, "2": False, "3": False}
 
 
 def test_limits_rejects_negative_levels():
