@@ -40,12 +40,19 @@ class ReductionBudgetExceeded(RuntimeError):
 DEFAULT_STEP_BUDGET = 2_000_000
 
 # Longest word parse_braid, power and garside build; BraidError beyond it.
+# It also caps the strand count and the crossing tables of crossing_stats.
 MAX_WORD_LENGTH = 1_000_000
 
 
 def _check_length(length: int, what: str) -> None:
     if length > MAX_WORD_LENGTH:
         raise BraidError(f"{what} would have {length} letters, cap {MAX_WORD_LENGTH}")
+
+
+def check_strands(strands: int) -> None:
+    """Strand counts share the word-length cap: closures build per-strand lists."""
+    if strands > MAX_WORD_LENGTH:
+        raise BraidError(f"braid on {strands} strands, cap {MAX_WORD_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,9 @@ def parse_braid(text: str) -> BraidWord:
     """Parse ``B<m> s<g>^<e> ...`` into a :class:`BraidWord`.
 
     Exponents expand into repeated letters carrying the exponent's
-    sign; ``s<g>`` alone means exponent 1.  The expanded length is
-    checked against ``MAX_WORD_LENGTH`` before any letter is built.
+    sign; ``s<g>`` alone means exponent 1.  The strand count and the
+    expanded length are checked against ``MAX_WORD_LENGTH`` before any
+    letter is built.
     """
     tokens = text.split()
     if not tokens or not re.fullmatch(r"B(\d+)", tokens[0]):
@@ -165,6 +173,7 @@ def parse_braid(text: str) -> BraidWord:
     strands = int(tokens[0][1:])
     if strands < 2:
         raise BraidError(f"strand count must be >= 2, got {strands}")
+    check_strands(strands)
     runs: list[tuple[int, int]] = []
     for pos, tok in enumerate(tokens[1:], start=1):
         match = _TOKEN.match(tok)
@@ -246,6 +255,11 @@ def crossing_stats(word: BraidWord) -> CrossingStats:
     m = word.strands
     parts = permutation(word)
     ncomp = parts.num_components
+    if ncomp * ncomp > MAX_WORD_LENGTH:
+        raise BraidError(
+            f"closure has {ncomp} components; its {ncomp}x{ncomp} crossing"
+            f" tables exceed cap {MAX_WORD_LENGTH}"
+        )
     comp_of = (0,) + parts.component_of  # 1-based strand -> component
     per_plus = [0] * (ncomp + 1)
     per_minus = [0] * (ncomp + 1)

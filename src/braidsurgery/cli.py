@@ -3,8 +3,9 @@
 Every subcommand echoes its inputs, emits canonical JSON (sorted keys,
 rationals as ``p/q`` strings), and is deterministic: identical inputs
 produce byte-identical output.  Exit codes: 0 success, 2 parse error,
-3 hypothesis violation, 4 numeric precondition failure or exhausted
-handle-reduction budget.
+3 hypothesis violation, 4 numeric precondition failure, exhausted
+handle-reduction budget, or a ``theta`` sweep over more than
+``MAX_THETA_TUPLES`` tuples.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERIC = 4
+
+# Most tuples theta visits without --tuple; TupleBudgetExceeded beyond it.
+MAX_THETA_TUPLES = 100_000
+
+
+class TupleBudgetExceeded(RuntimeError):
+    """An all-tuples sweep would visit more tuples than its budget."""
 
 
 def parse_slope(text: str) -> Fraction:
@@ -227,15 +235,29 @@ def cmd_enumerate(args) -> int:
         emit(envelope, True)
     else:
         print(json.dumps(jsonify(envelope), sort_keys=True, separators=(",", ":")))
-    for diagram in enum:
-        if not legendrian.validate_weinstein(diagram):
-            raise LegendrianError("enumeration produced an invalid diagram")
-        print(
-            json.dumps(
-                jsonify(legendrian.weinstein_to_dict(diagram)),
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+    # Each line is the compact sorted-key JSON of weinstein_to_dict(diagram),
+    # joined from text serialized once: the shared base and each menu pick.
+    # Every pick of a menu has one tb, as enum checked tb - 1 == framing.
+    base = jsonify(surgery.diagram_to_dict(enum.base))
+    head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
+    closure = enum.braid_legendrian
+    braid_rot, braid_neg, braid_pos = (
+        ",".join(str(getattr(l, field)) for l in closure)
+        for field in ("rot", "stab_neg", "stab_pos")
+    )
+    tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in enum.menus))
+    menus = [
+        [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
+        for menu in enum.menus
+    ]
+    write = sys.stdout.write
+    for ks in enum.tuples():
+        picks = [menu[k - 1] for menu, k in zip(menus, ks)]
+        rot, neg, pos = ("".join(p[i] for p in picks) for i in range(3))
+        write(
+            f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
+            f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
+            f'"tb":[{tb}]}}\n'
         )
     return EXIT_OK
 
@@ -260,6 +282,12 @@ def cmd_theta(args) -> int:
             args.table,
         )
         return EXIT_OK
+    if enum.count > MAX_THETA_TUPLES:
+        raise TupleBudgetExceeded(
+            f"theta over all tuples would visit {enum.count} tuples, cap"
+            f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
+            " enumerate --count-only"
+        )
     entries = []
     groups: dict[Fraction, list] = {}
     for ks in enum.tuples():
@@ -401,6 +429,7 @@ def _family_braid(args, default_tour: bool = False) -> braid_mod.BraidWord:
         return braid_mod.parse_braid(args.braid)
     if default_tour:
         strands = args.strands or 3
+        braid_mod.check_strands(strands)
         return braid_mod.BraidWord(strands, tuple(range(1, strands)))
     raise BraidError(f"{args.kind} needs --braid")
 
@@ -477,7 +506,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SingularityError, ReductionBudgetExceeded) as exc:
+    except (SingularityError, ReductionBudgetExceeded, TupleBudgetExceeded) as exc:
         _emit_error(EXIT_NUMERIC, type(exc).__name__, str(exc))
         return EXIT_NUMERIC
     except HypothesisError as exc:

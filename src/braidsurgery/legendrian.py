@@ -195,6 +195,8 @@ class WeinsteinEnumeration:
     ``tuples`` is the one product of 1-based menu picks; iterating
     assembles its diagrams, sorted by rotation tuple, and ``count`` is
     its exact cardinality without materializing anything.
+    ``braid_legendrian`` holds the closure components' representatives
+    in component order, which is their order at the head of ``base``.
     """
 
     def __init__(self, word: BraidWord, v: SlopeVector):
@@ -209,12 +211,18 @@ class WeinsteinEnumeration:
         self.word = word
         self.slopes = v
         self.base = surgery.slam_dunk_expand(surgery.rational_surgery(word, v))
-        self._braid_leg = _braid_legendrians(word)
-        self.menus = [
-            unknot_menu(int(c.framing))
+        self.braid_legendrian = _braid_legendrians(word)
+        unknots = [c for c in self.base.components if c.kind != BRAID]
+        self.menus = [unknot_menu(int(c.framing)) for c in unknots]
+        # Every diagram draws each component from these picks, so checking
+        # framing = tb - 1 once per pick validates the whole product.
+        picks = [
+            (c, self.braid_legendrian[c.component - 1])
             for c in self.base.components
-            if c.kind != BRAID
-        ]
+            if c.kind == BRAID
+        ] + [(c, l) for c, menu in zip(unknots, self.menus) for l in menu]
+        if not all(c.is_integral and c.framing == l.tb - 1 for c, l in picks):
+            raise LegendrianError("enumeration produced an invalid diagram")
 
     @property
     def count(self) -> int:
@@ -228,7 +236,7 @@ class WeinsteinEnumeration:
         picks = [menu[k - 1] for k, menu in zip(ks, self.menus)]
         rest = iter(picks)
         legendrian = tuple(
-            self._braid_leg[c.component - 1] if c.kind == BRAID else next(rest)
+            self.braid_legendrian[c.component - 1] if c.kind == BRAID else next(rest)
             for c in self.base.components
         )
         return WeinsteinDiagram(self.base, legendrian, tuple(p.rot for p in picks))

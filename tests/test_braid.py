@@ -160,6 +160,20 @@ def test_word_length_cap(monkeypatch):
         B.garside(5)
 
 
+def test_strand_cap(monkeypatch):
+    monkeypatch.setattr(B, "MAX_WORD_LENGTH", 6)
+    assert B.parse_braid("B6 s5").strands == 6
+    with pytest.raises(B.BraidError, match="braid on 7 strands, cap 6"):
+        B.parse_braid("B7 s1")
+    # B3 s1: 2 components, 4 table entries; B4 s1: 3 components, 9 entries
+    assert len(B.crossing_stats(B.parse_braid("B3 s1")).linking) == 2
+    with pytest.raises(
+        B.BraidError,
+        match="closure has 3 components; its 3x3 crossing tables exceed cap 6",
+    ):
+        B.crossing_stats(B.parse_braid("B4 s1"))
+
+
 def test_compose_power_inverse():
     w = word(2, 1)
     assert B.power(w, 2).letters == (1, 1)

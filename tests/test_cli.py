@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -6,8 +8,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidsurgery import cli
+from braidsurgery import braid, cli, legendrian
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -221,3 +225,136 @@ def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     count = json.loads(out)["count"]
     assert count > 1
     assert calls == {"smith_normal_form": 1, "signature": 1, "solve_exact": count}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["analyze", "B5000 s1"],
+            "closure has 4999 components; its 4999x4999 crossing tables exceed cap",
+        ),
+        (["analyze", "B100000000 s1"], "braid on 100000000 strands, cap"),
+        (
+            ["family", "lspace", "--strands", "100000000", "-k", "1", "--ell", "1"],
+            "braid on 100000000 strands, cap",
+        ),
+    ],
+)
+def test_strand_counts_over_the_cap_are_parse_errors(argv, message):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "BraidError"
+    assert error["message"] == f"{message} 1000000"
+
+
+def test_theta_tuple_budget(monkeypatch):
+    argv = ["theta", "B2 s1^5", "--slope", "2/7"]
+    monkeypatch.setattr(cli, "MAX_THETA_TUPLES", 3)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN_DIR / "theta_groups.txt").read_text()
+    monkeypatch.setattr(cli, "MAX_THETA_TUPLES", 2)
+    built = []
+    assemble = legendrian.WeinsteinEnumeration._assemble
+
+    def recorded(self, ks):
+        built.append(ks)
+        return assemble(self, ks)
+
+    monkeypatch.setattr(legendrian.WeinsteinEnumeration, "_assemble", recorded)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(out)["error"] == {
+        "code": cli.EXIT_NUMERIC,
+        "type": "TupleBudgetExceeded",
+        "message": "theta over all tuples would visit 3 tuples, cap 2; query one"
+        " with --tuple or count them with enumerate --count-only",
+    }
+    assert built == []
+    code, out = run_cli(argv + ["--tuple", "2,1"])
+    assert code == cli.EXIT_OK
+    assert built == [(2, 1)]
+
+
+def test_theta_tuple_budget_default_is_checked_before_the_sweep():
+    # the chain -12^5: 11^5 = 161051 tuples
+    code, out = run_cli(["theta", "B2 s1^5", "--slope", "20305/241956"])
+    assert code == cli.EXIT_NUMERIC
+    assert "161051 tuples, cap 100000" in json.loads(out)["error"]["message"]
+
+
+def test_enumerate_rejects_an_invalid_menu_pick_before_the_envelope(monkeypatch):
+    unknot_menu = legendrian.unknot_menu
+
+    def skewed(framing):
+        menu = unknot_menu(framing)
+        menu[-1] = dataclasses.replace(menu[-1], tb=menu[-1].tb - 1)
+        return menu
+
+    monkeypatch.setattr(legendrian, "unknot_menu", skewed)
+    code, out = run_cli(["enumerate", "B2 s1^5", "--slopes", "2/7"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out) == {
+        "schema": 1,
+        "error": {
+            "code": cli.EXIT_PARSE,
+            "type": "LegendrianError",
+            "message": "enumeration produced an invalid diagram",
+        },
+    }
+
+
+def _bench_workloads():
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+# Unlike the bench's links, its closure components carry stab_pos != stab_neg
+# and one has rot 1.
+UNBALANCED_LINK = "B4 s2^-1 s3^7 s1^7 s2^5"
+
+
+@st.composite
+def slope_texts(draw, max_chain):
+    """A single-meridian ``1/n`` slope or a chain slope with a whole part."""
+    if draw(st.booleans()):
+        return f"1/{draw(st.integers(min_value=2, max_value=6))}"
+    coeffs = st.integers(min_value=-5, max_value=-2)
+    chain = draw(st.lists(coeffs, min_size=1, max_size=max_chain))
+    return WORKLOADS.slope_text(draw(st.integers(min_value=0, max_value=1)), chain)
+
+
+@st.composite
+def enumerations(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(WORKLOADS.KNOTS)), draw(slope_texts(3))
+    slopes = [draw(slope_texts(2)) for _ in range(2)]
+    links = WORKLOADS.LINKS + (UNBALANCED_LINK,)
+    return draw(st.sampled_from(links)), ",".join(slopes)
+
+
+@given(enumerations())
+@settings(max_examples=40, deadline=None)
+def test_streamed_lines_match_weinstein_to_dict(case):
+    braid_text, slopes = case
+    code, out = run_cli(["enumerate", braid_text, "--slopes", slopes])
+    assert code == cli.EXIT_OK
+    envelope, *lines = out.splitlines()
+    enum = legendrian.enumerate_weinstein(
+        braid.parse_braid(braid_text), cli.parse_slopes(slopes)
+    )
+    assert json.loads(envelope)["count"] == enum.count == len(lines)
+    for line, diagram in zip(lines, enum):
+        assert legendrian.validate_weinstein(diagram)
+        expected = json.dumps(
+            cli.jsonify(legendrian.weinstein_to_dict(diagram)),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert line == expected
