@@ -439,6 +439,21 @@ def dehornoy_floor_at_least(
     return not is_sigma_negative(compose(inverse(word), shift), max_steps)
 
 
+def dehornoy_floors(word: BraidWord) -> dict[int, bool]:
+    """:func:`dehornoy_floor_at_least` at depths 1, 2 and 3.
+
+    The length of every probe's full twist power is checked first, so
+    a probe over ``MAX_WORD_LENGTH`` raises its ``BraidError`` before any
+    probe word is built or reduced.
+    """
+    half = word.strands * (word.strands - 1) // 2
+    depths = (1, 2, 3)
+    for d in depths:
+        _check_length(half, f"half twist on {word.strands} strands")
+        _check_length(half * 2 * d, f"power {2 * d} of a {half}-letter word")
+    return {d: dehornoy_floor_at_least(word, d) for d in depths}
+
+
 def check_hypothesis(word: BraidWord, hyperbolic_asserted: bool = False) -> HypothesisReport:
     """Evaluate the checkable surgery-hypothesis conditions.
 

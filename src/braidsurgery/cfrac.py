@@ -85,6 +85,24 @@ def neg_cfrac(r) -> NegContFrac:
     return NegContFrac(tuple(coeffs), r)
 
 
+def neg_cfrac_length(r, limit: int) -> int:
+    """Number of coefficients of :func:`neg_cfrac` ``(r)``, or ``limit + 1``
+    when there are more.
+
+    Integer form of the ceiling step: ``x/y -> -y/(x mod y)``, so the
+    count costs at most ``limit`` steps whatever the denominator.
+    """
+    r = Fraction(r)
+    if r >= -1:
+        raise CFracError(f"expansion requires r < -1, got {r}")
+    x, y = r.numerator, r.denominator
+    count = 1
+    while x % y and count <= limit:
+        x, y = -y, x % y
+        count += 1
+    return count
+
+
 def convergents(coeff_stream, n: int) -> list[Fraction]:
     """Values of the first ``n + 1`` truncations of a coefficient stream."""
     coeffs: list[int] = []

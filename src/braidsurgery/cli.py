@@ -4,14 +4,17 @@ Every subcommand echoes its inputs, emits canonical JSON (sorted keys,
 rationals as ``p/q`` strings), and is deterministic: identical inputs
 produce byte-identical output.  Exit codes: 0 success, 2 parse error,
 3 hypothesis violation, 4 numeric precondition failure, exhausted
-handle-reduction budget, or a ``theta`` sweep over more than
-``MAX_THETA_TUPLES`` tuples.
+handle-reduction budget, a ``theta`` sweep over more than
+``MAX_THETA_TUPLES`` tuples, or an expansion past
+``surgery.MAX_COMPONENTS`` components.  A stdout closed by its reader
+ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ from .braid import BraidError, ReductionBudgetExceeded
 from .cfrac import CFracError, SlopeVector
 from .legendrian import HypothesisError, LegendrianError
 from .limits import CoeffStream, LimitsError, SignTuple
-from .surgery import SingularityError, SurgeryError
+from .surgery import ComponentBudgetExceeded, SingularityError, SurgeryError
 
 SCHEMA = 1
 
@@ -109,9 +112,7 @@ def cmd_analyze(args) -> int:
     parts = braid_mod.permutation(word)
     stats = braid_mod.crossing_stats(word)
     report = braid_mod.check_hypothesis(word, args.assert_hyperbolic)
-    floor = {
-        str(d): braid_mod.dehornoy_floor_at_least(word, d) for d in (1, 2, 3)
-    }
+    floor = {str(d): v for d, v in braid_mod.dehornoy_floors(word).items()}
     emit(
         {
             "schema": SCHEMA,
@@ -502,11 +503,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): a clean exit.  Point
+        # the descriptor at devnull so the flush at interpreter exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
-    except (SingularityError, ReductionBudgetExceeded, TupleBudgetExceeded) as exc:
+    except (
+        SingularityError,
+        ReductionBudgetExceeded,
+        TupleBudgetExceeded,
+        ComponentBudgetExceeded,
+    ) as exc:
         _emit_error(EXIT_NUMERIC, type(exc).__name__, str(exc))
         return EXIT_NUMERIC
     except HypothesisError as exc:

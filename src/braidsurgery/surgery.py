@@ -7,6 +7,21 @@ link their parent exactly once.  Everything downstream (linking matrix,
 
 Framings are exact rationals; the empty filling is the explicit
 :data:`INF` marker so Rolfsen twists can delete components cleanly.
+
+An expansion (closure components plus unknots framed ``<= -2``, each
+linking its parent once) gets its invariants by a fold that costs what
+the closure costs, not what the slopes cost.  The signature is that of
+the Schur complement onto the closure block, an integer ``k x k``
+matrix after scaling by the slope denominators, minus one per unknot.
+For the invariant factors, each stack of ``m >= 2`` leaves framed -2
+on one closure component splits off ``m - 2`` factors 2 in closed form,
+every remaining entry ``+-1`` is a unimodular pivot, and the Smith form
+of the residual (at most ``2k x 2k`` for an expansion) takes the 2s back
+in by 2-adic valuation.  Every other diagram (rational framings, the
+braid axis, an unknot framed above -2, a Schur pivot ``>= 0``) runs the
+dense kernels on the full matrix, which also serve as the test oracle.
+Expansions are capped at :data:`MAX_COMPONENTS` components, checked from
+the slopes before anything is built.
 """
 
 from __future__ import annotations
@@ -19,14 +34,22 @@ from math import prod
 from . import braid as braid_mod
 from . import linalg
 from .braid import BraidWord
-from .cfrac import SlopeVector, neg_cfrac
+from .cfrac import SlopeVector, neg_cfrac, neg_cfrac_length
 
 # Words are immutable and diagrams query pairwise linking repeatedly.
 _stats = lru_cache(maxsize=512)(braid_mod.crossing_stats)
 
+# Most components an expansion may build.  ``surgery`` prints the dense
+# n x n linking matrix, so the output size, not the invariants, sets it.
+MAX_COMPONENTS = 1_000
+
 
 class SurgeryError(ValueError):
     """Ill-formed diagram or inapplicable Kirby move."""
+
+
+class ComponentBudgetExceeded(RuntimeError):
+    """An expansion would build more than ``MAX_COMPONENTS`` components."""
 
 
 class SingularityError(SurgeryError):
@@ -138,8 +161,119 @@ class SurgeryDiagram:
         return tuple(map(tuple, m))
 
     @cached_property
+    def _folded(self) -> tuple[list[int], int] | None:
+        """(invariant factors, signature) without the dense ``n x n`` kernels.
+
+        Applies to integral diagrams of the shape :func:`_expand` builds:
+        closure components plus an unknot forest, every unknot framed
+        ``<= -2`` and linking only its parent.  ``None`` for any other
+        diagram, or when a Schur pivot of the forest is ``>= 0``; those
+        take the dense path.  The invariant factors omit the ones of
+        the eliminated rows.
+        """
+        comps = self.components
+        if not self.is_integral or any(
+            c.parent is not None if c.kind == BRAID
+            else c.kind == AXIS or c.parent is None or c.framing > -2
+            for c in comps
+        ):
+            return None
+        closures = [i for i, c in enumerate(comps) if c.kind == BRAID]
+        children: list[list[int]] = [[] for _ in comps]
+        for i, c in enumerate(comps):
+            if c.parent is not None:
+                children[c.parent].append(i)
+        order = list(closures)  # parents before children
+        for i in order:
+            order.extend(children[i])
+        if len(order) != len(comps):  # a parent cycle, not a forest
+            return None
+        unknots = order[len(closures):][::-1]  # leaves inward
+
+        # Signature: eliminating the forest from the leaves inward leaves
+        # the Schur complement on the closures, the slopes r_a on its
+        # diagonal and linking numbers off it; every unknot pivot is
+        # negative.  Congruence by the slope denominators makes it integral.
+        schur = [c.framing for c in comps]
+        for u in unknots:
+            if schur[u] >= 0:
+                return None
+            schur[comps[u].parent] -= 1 / schur[u]
+        matrix = self._matrix
+        t = [
+            [
+                schur[a].numerator * schur[a].denominator if a == b
+                else schur[a].denominator * schur[b].denominator * matrix[a][b]
+                for b in closures
+            ]
+            for a in closures
+        ]
+        sigma = linalg.signature(t) - len(unknots)
+
+        # Invariant factors, on a sparse copy of the linking matrix.
+        rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(matrix)}
+        cols = {j: set() for j in rows}
+        for i, row in rows.items():
+            for j in row:
+                cols[j].add(i)
+
+        def drop(i: int) -> dict[int, int]:
+            row = rows.pop(i)
+            for j in row:
+                cols[j].discard(i)
+            return row
+
+        # A stack of m >= 2 leaves framed -2 on closure a (the meridians of
+        # a whole part, and a 1/2) splits off m - 2 factors 2 and leaves
+        # a with its row and column doubled and diagonal 2(2 f_a + m).
+        twos = 0
+        for a in closures:
+            stack = [
+                u for u in children[a] if not children[u] and comps[u].framing == -2
+            ]
+            if len(stack) < 2:
+                continue
+            twos += len(stack) - 2
+            for u in stack:
+                drop(u)
+                del cols[u]
+                del rows[a][u]
+            for j in rows[a]:
+                rows[a][j] *= 2
+                rows[j][a] *= 2
+            rows[a][a] = 2 * (2 * comps[a].framing.numerator + len(stack))
+            cols[a].add(a)
+
+        # Every entry +-1 is a unimodular pivot: splitting it off as a
+        # factor 1 removes its row and its column.
+        pending = unknots + closures[::-1]
+        while pending:
+            for i in pending:
+                j = next((j for j, x in rows.get(i, {}).items() if x in (1, -1)), None)
+                if j is None:
+                    continue
+                pivot = drop(i)
+                s = pivot.pop(j)
+                for r in cols.pop(j):
+                    row = rows[r]
+                    f = row.pop(j) * s
+                    for c, x in pivot.items():
+                        y = row.get(c, 0) - f * x
+                        if y:
+                            row[c] = y
+                            cols[c].add(r)
+                        else:
+                            row.pop(c, None)
+                            cols[c].discard(r)
+            pending = [i for i in rows if any(x in (1, -1) for x in rows[i].values())]
+        keep = sorted(cols)
+        residual = [[rows[i].get(j, 0) for j in keep] for i in sorted(rows)]
+        return _merge_twos(linalg.smith_normal_form(residual), twos), sigma
+
+    @cached_property
     def _invariants(self) -> tuple[int, tuple[int, ...], int]:
-        snf = linalg.smith_normal_form(self._matrix)
+        folded = self._folded
+        snf = folded[0] if folded else linalg.smith_normal_form(self._matrix)
         # |H1| is the product of the invariant factors: 0 when H1 is infinite.
         return prod(snf), tuple(x for x in snf if x > 1), snf.count(0)
 
@@ -147,7 +281,8 @@ class SurgeryDiagram:
     def _homology(self) -> HomologyReport:
         order, divisors, free_rank = self._invariants
         n = len(self.components)
-        sigma = linalg.signature(self._matrix)
+        folded = self._folded
+        sigma = folded[1] if folded else linalg.signature(self._matrix)
         return HomologyReport(
             # Sylvester: det has the sign of (-1)^(negative eigenvalues).
             det=(-1) ** ((n - sigma) // 2) * order,
@@ -157,6 +292,22 @@ class SurgeryDiagram:
             signature=sigma,
             euler_char=1 + n,
         )
+
+
+def _merge_twos(snf: list[int], twos: int) -> list[int]:
+    """Invariant factors of ``diag(snf) + twos`` factors 2.
+
+    Per prime the exponents of a direct sum are the sorted union of
+    both: the 2-exponents are re-sorted with ``twos`` ones among them,
+    the odd parts keep their order behind ``twos`` ones, zeros stay last.
+    """
+    if not twos:
+        return snf
+    nonzero = [x for x in snf if x]
+    exps = [(x & -x).bit_length() - 1 for x in nonzero]
+    odd = [1] * twos + [x >> e for x, e in zip(nonzero, exps)]
+    merged = [o << e for o, e in zip(odd, sorted([1] * twos + exps))]
+    return merged + [0] * (len(snf) - len(nonzero))
 
 
 def rational_surgery(word: BraidWord, v: SlopeVector) -> SurgeryDiagram:
@@ -213,15 +364,37 @@ def _expand_component(
     return out
 
 
+def _unknot_count(framing: Fraction, single_meridian_form: bool, limit: int) -> int:
+    """Unknots :func:`_expand_component` builds for ``framing``, counted up
+    to ``limit + 1`` so that a long chain is not walked to its end."""
+    if framing <= 0:
+        return 0
+    if single_meridian_form and framing.numerator == 1 and framing < 1:
+        return 1
+    n, p = divmod(framing.numerator, framing.denominator)
+    if not p or 2 * n > limit:
+        return 2 * n
+    return 2 * n + neg_cfrac_length(Fraction(-framing.denominator, p), limit - 2 * n)
+
+
 def _expand(diagram: SurgeryDiagram, single_meridian_form: bool) -> SurgeryDiagram:
     comps: list[SurgeryComponent] = []
     for c in diagram.components:
         if c.kind != BRAID:
             raise SurgeryError("expansion expects a braid-components-only diagram")
         comps.append(replace(c, framing=Fraction(0)))
-    for idx, c in enumerate(diagram.components):
+    total = len(comps)
+    for c in diagram.components:
         if isinstance(c.framing, _Infinity):
             raise SurgeryError("cannot expand the empty filling")
+        total += _unknot_count(c.framing, single_meridian_form, MAX_COMPONENTS - total)
+        if total > MAX_COMPONENTS:
+            raise ComponentBudgetExceeded(
+                f"slope {c.framing} of closure component {c.component} would"
+                f" expand the diagram to at least {total} components,"
+                f" cap {MAX_COMPONENTS}"
+            )
+    for idx, c in enumerate(diagram.components):
         comps.extend(
             _expand_component(idx, c.framing, len(comps), single_meridian_form)
         )

@@ -121,3 +121,18 @@ def test_neg_cont_frac_invariants():
         cfrac.NegContFrac((), Fraction(-2))
     with pytest.raises(cfrac.CFracError):
         cfrac.NegContFrac((-1,), Fraction(-1))
+
+
+@given(rationals_below_minus_one, st.integers(min_value=0, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_neg_cfrac_length_counts_terms_up_to_its_limit(r, limit):
+    length = len(cfrac.neg_cfrac(r).coeffs)
+    assert cfrac.neg_cfrac_length(r, limit) == min(length, limit + 1)
+    assert cfrac.neg_cfrac_length(r, length) == length
+
+
+def test_neg_cfrac_length_stops_early_on_long_chains():
+    # -1000000/999999 expands to 999,999 coefficients -2.
+    assert cfrac.neg_cfrac_length(Fraction(-1000000, 999999), 10) == 11
+    with pytest.raises(cfrac.CFracError):
+        cfrac.neg_cfrac_length(Fraction(-1), 10)

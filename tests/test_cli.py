@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -358,3 +360,107 @@ def test_streamed_lines_match_weinstein_to_dict(case):
             separators=(",", ":"),
         )
         assert line == expected
+
+
+@pytest.mark.parametrize(
+    "slopes,total",
+    [
+        ("1000000", 2_000_001),
+        # -1000000/999999 is a chain of 999,999 terms -2; counting stops at the cap.
+        ("999999/1000000", 1_001),
+    ],
+)
+def test_component_budget(monkeypatch, slopes, total):
+    from braidsurgery import surgery
+
+    def never(*args):
+        raise AssertionError("expansion started before the budget check")
+
+    monkeypatch.setattr(surgery, "neg_cfrac", never)
+    monkeypatch.setattr(surgery, "_expand_component", never)
+    for general in ([], ["--general"]):
+        code, out = run_cli(["surgery", "B2 s1^5", "--slopes", slopes] + general)
+        assert code == cli.EXIT_NUMERIC
+        assert json.loads(out)["error"] == {
+            "code": cli.EXIT_NUMERIC,
+            "type": "ComponentBudgetExceeded",
+            "message": f"slope {slopes} of closure component 1 would expand the"
+            f" diagram to at least {total} components, cap 1000",
+        }
+
+
+def test_component_budget_boundary(monkeypatch):
+    from braidsurgery import surgery
+
+    # Two closures; 5/2 adds 4 meridians and a chain (-2), 1/3 one meridian.
+    argv = ["surgery", "B4 s1^5 s3^5 s2^-2", "--slopes", "5/2,1/3"]
+    monkeypatch.setattr(surgery, "MAX_COMPONENTS", 8)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["linking_matrix"]) == 8
+    monkeypatch.setattr(surgery, "MAX_COMPONENTS", 7)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(out)["error"]["message"] == (
+        "slope 1/3 of closure component 2 would expand the diagram to at least"
+        " 8 components, cap 7"
+    )
+    code, out = run_cli(argv + ["--general"])  # 1/3 is a chain (-3) here too
+    assert code == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize(
+    "argv,read_first",
+    [
+        # Stdout closed before the one JSON object is written.
+        (["enumerate", "B2 s1^5", "--slopes", "2/99", "--count-only"], False),
+        # About 4 MB of lines: the pipe closes in the middle of the stream.
+        (["enumerate", "B3 s1^3 s2^5", "--slopes", "9713/35369"], True),
+    ],
+)
+def test_closed_stdout_is_a_clean_exit(argv, read_first):
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidsurgery.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if read_first:
+        assert json.loads(proc.stdout.readline())["count"] == 5184
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    proc.stderr.close()
+    assert stderr == ""
+
+
+def test_floor_probes_check_every_length_before_reducing(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("a floor probe was reduced")
+
+    monkeypatch.setattr(braid, "handle_reduce", spy)
+    code, out = run_cli(["analyze", "B1000 s1"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "code": cli.EXIT_PARSE,
+        "type": "BraidError",
+        "message": "power 4 of a 499500-letter word would have 1998000 letters,"
+        " cap 1000000",
+    }
+
+
+def test_floor_probe_lengths_keep_the_probe_order(monkeypatch):
+    # Cap 6: the half twist on 4 strands (6 letters) fits, its square does not.
+    monkeypatch.setattr(braid, "MAX_WORD_LENGTH", 6)
+    word = braid.parse_braid("B4 s1")
+    with pytest.raises(braid.BraidError, match="power 2 of a 6-letter word"):
+        braid.dehornoy_floors(word)
+    with pytest.raises(braid.BraidError, match="half twist on 5 strands"):
+        braid.dehornoy_floors(braid.parse_braid("B5 s1"))
+    monkeypatch.setattr(braid, "MAX_WORD_LENGTH", 24)
+    with pytest.raises(braid.BraidError, match="power 6 of a 6-letter word"):
+        braid.dehornoy_floors(word)
+    monkeypatch.setattr(braid, "MAX_WORD_LENGTH", 36)
+    assert braid.dehornoy_floors(word) == {1: False, 2: False, 3: False}

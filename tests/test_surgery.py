@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidsurgery import braid as B
 from braidsurgery import linalg
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, neg_cfrac
+from test_cli import UNBALANCED_LINK, WORKLOADS
 
 
 KNOT = B.parse_braid("B2 s1^5")
@@ -323,3 +327,166 @@ def test_seven_component_homology_matches_dense_kernels():
     assert report.signature == linalg.signature(m) == -49
     assert report.h1_order == abs(report.det) == S.h1_order(e)
     assert report.elementary_divisors[-3:] == (4, 24, 888)
+
+
+# -- folded invariants ---------------------------------------------------------
+# Integral expansions take the fold (stacks of -2 leaves split off as
+# factors 2, unit pivots, Smith form of the small residual, Schur
+# complement signature); the dense kernels on the full matrix are the oracle.
+
+
+def dense_report(diagram):
+    m = S.linking_matrix(diagram)
+    snf = linalg.smith_normal_form(m)
+    return (
+        linalg.det(m),
+        prod(snf),
+        tuple(x for x in snf if x > 1),
+        snf.count(0),
+        linalg.signature(m),
+    )
+
+
+def folded_report(diagram):
+    assert diagram._folded is not None
+    r = S.homology(diagram)
+    return r.det, r.h1_order, r.elementary_divisors, r.free_rank, r.signature
+
+
+@st.composite
+def folded_cases(draw):
+    """A bench knot or link, each slope a whole part 0-6 plus nothing, a
+    chain or ``1/n``, under either expansion."""
+    text = draw(st.sampled_from(WORKLOADS.KNOTS + WORKLOADS.LINKS + (UNBALANCED_LINK,)))
+    word = B.parse_braid(text)
+    slopes = []
+    for _ in range(B.permutation(word).num_components):
+        whole = draw(st.integers(min_value=0, max_value=6))
+        tail = draw(st.sampled_from(["none", "chain", "meridian"]))
+        if tail == "chain":
+            coeffs = st.lists(st.integers(min_value=-6, max_value=-2), min_size=1, max_size=4)
+            frac = WORKLOADS.chain_slope(draw(coeffs))
+        elif tail == "meridian":
+            frac = Fraction(1, draw(st.integers(min_value=2, max_value=9)))
+        else:
+            frac = Fraction(0)
+        slopes.append(whole + frac or Fraction(1))
+    expand = draw(st.sampled_from([S.slam_dunk_expand, S.expand_general]))
+    return expand(S.rational_surgery(word, SlopeVector(tuple(slopes))))
+
+
+@given(folded_cases())
+@settings(max_examples=150, deadline=None)
+def test_folded_invariants_match_dense_kernels(diagram):
+    assert folded_report(diagram) == dense_report(diagram)
+
+
+@pytest.mark.parametrize(
+    "text,slopes",
+    [
+        ("B2 s1^5", "9713/35369"),
+        ("B2 s1^5", "13/3"),
+        ("B3 s1^7 s2^-1", "1/9"),
+        ("B4 s2^-1 s3^7 s1^7 s2^5", "2/5,7/3"),
+        # lk = -1 and both slopes 1: the Schur complement is singular.
+        ("B4 s1^5 s3^5 s2^-2", "1,1"),
+    ],
+)
+def test_folded_invariants_match_dense_kernels_on_fixed_cases(text, slopes):
+    v = SlopeVector(tuple(Fraction(s) for s in slopes.split(",")))
+    d = S.rational_surgery(B.parse_braid(text), v)
+    for expand in (S.slam_dunk_expand, S.expand_general):
+        e = expand(d)
+        assert folded_report(e) == dense_report(e)
+    free_rank = folded_report(S.slam_dunk_expand(d))[3]
+    assert free_rank == (1 if slopes == "1,1" else 0)
+
+
+def test_folded_divisors_pinned():
+    five_halves = S.homology(S.slam_dunk_expand(knot_slope_diagram(Fraction(5, 2))))
+    assert five_halves.elementary_divisors == (2, 2, 2, 10)
+    eighty = S.homology(S.slam_dunk_expand(knot_slope_diagram(80)))
+    assert eighty.elementary_divisors == (2,) * 158 + (320,)
+    assert eighty.h1_order == 4**80 * 80
+    assert eighty.signature == 1 - 160
+
+
+def test_merge_twos_by_two_adic_valuation():
+    assert S._merge_twos([1, 3, 12, 0], 0) == [1, 3, 12, 0]
+    # 2-exponents 0, 0, 2 and 1, 1 sorted; odd parts 1, 1 then 1, 3, 3.
+    assert S._merge_twos([1, 3, 12, 0], 2) == [1, 1, 2, 6, 12, 0]
+    assert S._merge_twos([5, 40], 3) == [1, 2, 2, 10, 40]
+    assert S._merge_twos([4], 2) == [2, 2, 4]
+    assert S._merge_twos([], 1) == [2]
+
+
+def spy_kernels(monkeypatch):
+    """Sizes of the matrices each linalg kernel is called with."""
+    sizes = {"det": [], "smith_normal_form": [], "signature": []}
+    for name, seen in sizes.items():
+        original = getattr(linalg, name)
+
+        def spy(m, _original=original, _seen=seen):
+            _seen.append(len(m))
+            return _original(m)
+
+        monkeypatch.setattr(linalg, name, spy)
+    return sizes
+
+
+def test_folded_kernels_see_at_most_2k_rows(monkeypatch):
+    sizes = spy_kernels(monkeypatch)
+    e = S.slam_dunk_expand(knot_slope_diagram(80))
+    assert len(e.components) == 161
+    S.homology(e)
+    assert sizes == {"det": [1], "smith_normal_form": [1], "signature": [1]}
+    link = B.parse_braid("B4 s1^5 s3^5 s2^-2")
+    d = S.rational_surgery(link, SlopeVector((Fraction(83, 5), Fraction(44, 7))))
+    S.homology(S.slam_dunk_expand(d))
+    assert max(sizes["smith_normal_form"] + sizes["det"]) <= 4
+    assert max(sizes["signature"]) <= 2
+
+
+def test_other_diagrams_take_the_dense_path(monkeypatch):
+    sizes = spy_kernels(monkeypatch)
+    e = S.slam_dunk_expand(knot_slope_diagram(Fraction(5, 2)))
+    twisted = S.rolfsen_twist(e, 1, 1)  # a meridian framed -2 becomes +2
+    assert twisted.is_integral
+    diagrams = [
+        S.axis_surgery(KNOT, [Fraction(7)]),
+        S.lspace_family_diagram(B.parse_braid("B3 s1 s2"), 7, 2)[0],
+        twisted,
+        # An unknot framed -2 under five leaves framed -2: Schur pivot 1/2.
+        S.SurgeryDiagram(
+            KNOT,
+            (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
+            + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
+            + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),) * 5,
+        ),
+    ]
+    for d in diagrams:
+        d = S.SurgeryDiagram(d.braid, d.components)  # no memo yet
+        sizes["smith_normal_form"].clear()
+        sizes["signature"].clear()
+        assert d._folded is None
+        S.homology(d)
+        n = len(d.components)
+        assert sizes["smith_normal_form"] == sizes["signature"] == [n]
+    rational = S.rolfsen_twist(e, 1, -1)
+    assert not rational.is_integral and rational._folded is None
+
+
+def test_folded_forest_that_is_not_a_path_matches_dense():
+    # One chain unknot framed -2 with two leaves framed -3: pivot -2 + 2/3.
+    d = S.SurgeryDiagram(
+        KNOT,
+        (
+            S.SurgeryComponent(kind=S.BRAID, framing=Fraction(1), component=1),
+            S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),
+            S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),
+            S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=0),
+            S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-3), parent=3),
+            S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-3), parent=3),
+        ),
+    )
+    assert folded_report(d) == dense_report(d)
