@@ -159,6 +159,15 @@ class HypothesisReport:
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 
 
+def _int(text: str, pos: int) -> int:
+    """``int(text)`` for a matched digit run; one too long to convert is
+    a parse error, not a crash."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BraidError(f"number with {len(text)} digits at position {pos}") from None
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse ``B<m> s<g>^<e> ...`` into a :class:`BraidWord`.
 
@@ -170,7 +179,7 @@ def parse_braid(text: str) -> BraidWord:
     tokens = text.split()
     if not tokens or not re.fullmatch(r"B(\d+)", tokens[0]):
         raise BraidError("missing strand header 'B<m>'")
-    strands = int(tokens[0][1:])
+    strands = _int(tokens[0][1:], 0)
     if strands < 2:
         raise BraidError(f"strand count must be >= 2, got {strands}")
     check_strands(strands)
@@ -179,8 +188,8 @@ def parse_braid(text: str) -> BraidWord:
         match = _TOKEN.match(tok)
         if match is None:
             raise BraidError(f"malformed token {tok!r} at position {pos}")
-        gen = int(match.group(1))
-        exp = int(match.group(2)) if match.group(2) is not None else 1
+        gen = _int(match.group(1), pos)
+        exp = _int(match.group(2), pos) if match.group(2) is not None else 1
         if not 1 <= gen <= strands - 1:
             raise BraidError(
                 f"generator index {gen} out of range for {strands} strands"
@@ -454,15 +463,21 @@ def dehornoy_floors(word: BraidWord) -> dict[int, bool]:
     return {d: dehornoy_floor_at_least(word, d) for d in depths}
 
 
-def check_hypothesis(word: BraidWord, hyperbolic_asserted: bool = False) -> HypothesisReport:
+def check_hypothesis(
+    word: BraidWord,
+    hyperbolic_asserted: bool = False,
+    stats: CrossingStats | None = None,
+) -> HypothesisReport:
     """Evaluate the checkable surgery-hypothesis conditions.
 
     ``cond_tb`` is ``c+ - 2c- - m >= 1``, ``cond_parity`` is
     ``c+ + c- == m + 1 (mod 2)``, and the per-component condition is
     ``c_{i,+} - 2c_{i,-} - d_{i,-} - m_i >= 1``.  Hyperbolicity is
-    recorded from the caller, never derived.
+    recorded from the caller, never derived.  ``stats`` is the word's
+    :func:`crossing_stats`, computed here when not passed.
     """
-    stats = crossing_stats(word)
+    if stats is None:
+        stats = crossing_stats(word)
     m = word.strands
     per_cond = tuple(
         cp - 2 * cm - dm - mi >= 1

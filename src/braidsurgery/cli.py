@@ -6,8 +6,10 @@ produce byte-identical output.  Exit codes: 0 success, 2 parse error,
 3 hypothesis violation, 4 numeric precondition failure, exhausted
 handle-reduction budget, a ``theta`` sweep over more than
 ``MAX_THETA_TUPLES`` tuples, or an expansion past
-``surgery.MAX_COMPONENTS`` components.  A stdout closed by its reader
-ends the command quietly with exit 0.
+``surgery.MAX_COMPONENTS`` components; any exception that is not one of
+the library's own errors is a bug, reported as ``InternalError`` with
+exit 4.  A stdout closed by its reader ends the command quietly with
+exit 0.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def cmd_analyze(args) -> int:
     word = braid_mod.parse_braid(args.braid)
     parts = braid_mod.permutation(word)
     stats = braid_mod.crossing_stats(word)
-    report = braid_mod.check_hypothesis(word, args.assert_hyperbolic)
+    report = braid_mod.check_hypothesis(word, args.assert_hyperbolic, stats)
     floor = {str(d): v for d, v in braid_mod.dehornoy_floors(word).items()}
     emit(
         {
@@ -155,7 +157,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cfrac(args) -> int:
-    value = Fraction(args.value)
+    try:
+        value = Fraction(args.value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CFracError(f"cannot parse {args.value!r}: {exc}") from None
     if 0 < value < 1:
         target = Fraction(-value.denominator, value.numerator)
     elif value < -1:
@@ -289,34 +294,38 @@ def cmd_theta(args) -> int:
             f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
             " enumerate --count-only"
         )
+    # Every tuple shares chi and sigma; entries are built in canonical
+    # JSON form, so the default output needs no jsonify walk.
+    report = surgery.homology(enum.base)
+    shift = 2 * report.euler_char + 3 * report.signature
     entries = []
     groups: dict[Fraction, list] = {}
-    for ks in enum.tuples():
-        diagram = enum.diagram_for(ks)
-        report = legendrian.theta(diagram)
+    for ks, rots, c1sq in enum.c1_squares():
+        value = c1sq - shift
         entries.append(
             {
-                "tuple": ks,
-                "rotation_tuple": diagram.rotation_tuple,
-                "theta": report.theta,
-                "c1_squared": report.c1_squared,
+                "tuple": list(ks),
+                "rotation_tuple": list(rots),
+                "theta": frac_str(value),
+                "c1_squared": frac_str(c1sq),
             }
         )
-        groups.setdefault(report.theta, []).append(list(ks))
-    emit(
-        {
-            "schema": SCHEMA,
-            "subcommand": "theta",
-            "inputs_echo": echo,
-            "count": enum.count,
-            "entries": entries,
-            "theta_groups": [
-                {"theta": value, "tuples": groups[value]}
-                for value in sorted(groups)
-            ],
-        },
-        args.table,
-    )
+        groups.setdefault(value, []).append(list(ks))
+    data = {
+        "schema": SCHEMA,
+        "subcommand": "theta",
+        "inputs_echo": echo,
+        "count": enum.count,
+        "entries": entries,
+        "theta_groups": [
+            {"theta": frac_str(value), "tuples": groups[value]}
+            for value in sorted(groups)
+        ],
+    }
+    if args.table:
+        emit(data, True)
+    else:
+        print(json.dumps(data, sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -529,17 +538,15 @@ def _run(args) -> int:
     except HypothesisError as exc:
         _emit_error(EXIT_HYPOTHESIS, type(exc).__name__, str(exc))
         return EXIT_HYPOTHESIS
-    except (
-        BraidError,
-        CFracError,
-        LimitsError,
-        LegendrianError,
-        SurgeryError,
-        ValueError,
-        ZeroDivisionError,
-    ) as exc:
+    except (BraidError, CFracError, LimitsError, LegendrianError, SurgeryError) as exc:
         _emit_error(EXIT_PARSE, type(exc).__name__, str(exc))
         return EXIT_PARSE
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
+        # A bug, not bad input: still one JSON error object, never a traceback.
+        _emit_error(EXIT_NUMERIC, "InternalError", f"{type(exc).__name__}: {exc}")
+        return EXIT_NUMERIC
 
 
 def _emit_error(code: int, kind: str, message: str) -> None:

@@ -6,7 +6,10 @@ the enumeration of decorated integral diagrams whose framings satisfy
 ``framing = tb - 1`` on every component.  The enumeration's rotation
 tuples feed the distinguishing invariants: the Chern pairing vector,
 the exact ``c1^2``, and the plane-field invariant
-``theta = c1^2 - 2*chi - 3*sigma``.
+``theta = c1^2 - 2*chi - 3*sigma``.  Every diagram of an enumeration
+shares one linking matrix ``Q``, so ``c1^2 = r^T adj(Q) r / det(Q)``
+comes from one memoised adjugate: an integer quadratic form in the
+rotation vector ``r``, with no linear solve per tuple.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -17,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import braid as braid_mod
-from . import linalg, surgery
+from . import surgery
 from .braid import BraidWord
 from .cfrac import SlopeVector
 from .surgery import BRAID, SurgeryDiagram
@@ -259,6 +263,50 @@ class WeinsteinEnumeration:
         for ks in self.tuples():
             yield self._assemble(ks)
 
+    def c1_squares(self):
+        """``(picks, rotation_tuple, c1^2)`` for every tuple, in the order
+        of :meth:`tuples`, without building a diagram.
+
+        The rotation vector ``r`` is the closure rots followed by the
+        picks.  The picks are fixed one unknot ``u`` at a time: choosing
+        rot ``y`` adds ``y (2 l_u + A_uu y)`` to ``r^T A r``, with
+        ``A = adj(Q)`` and ``l_u`` the row ``u`` of ``A`` against the rots
+        fixed so far, and moves every later ``l`` by ``y`` times column
+        ``u``.  Raises ``SingularityError`` when ``det(Q) == 0``.
+        """
+        _, det, adj = _inverse_form(self.base)
+        comps = self.base.components
+        fixed = [
+            (i, self.braid_legendrian[c.component - 1].rot)
+            for i, c in enumerate(comps)
+            if c.kind == BRAID
+        ]
+        unknots = [i for i, c in enumerate(comps) if c.kind != BRAID]
+        form = sum(x * adj[i][j] * y for i, x in fixed for j, y in fixed)
+        lin = [sum(adj[u][i] * x for i, x in fixed) for u in unknots]
+        states = [((), (), form, lin)]
+        for depth, (u, menu) in enumerate(zip(unknots, self.menus)):
+            states = _pick_level(
+                states,
+                [(k, l.rot) for k, l in enumerate(menu, 1)],
+                adj[u][u],
+                [adj[v][u] for v in unknots[depth + 1 :]],
+            )
+        return ((ks, rots, Fraction(form, det)) for ks, rots, form, _ in states)
+
+
+def _pick_level(states, picks, diag: int, col: list[int]):
+    """Extend every ``(picks, rots, form, lin)`` state by each menu pick."""
+    for ks, rots, form, lin in states:
+        head, rest = lin[0], lin[1:]
+        for k, y in picks:
+            yield (
+                ks + (k,),
+                rots + (y,),
+                form + y * (2 * head + diag * y),
+                [x + y * c for x, c in zip(rest, col)],
+            )
+
 
 def enumerate_weinstein(word: BraidWord, v: SlopeVector) -> WeinsteinEnumeration:
     return WeinsteinEnumeration(word, v)
@@ -282,21 +330,31 @@ class ThetaReport:
     complete_invariant: bool
 
 
+def _inverse_form(
+    base: SurgeryDiagram,
+) -> tuple[surgery.HomologyReport, int, tuple[tuple[int, ...], ...]]:
+    """The homology report of ``base`` and ``(det, adj)`` of its linking
+    matrix, both memoised on the diagram; theta needs ``det != 0``."""
+    report = surgery.homology(base)
+    if report.det == 0:
+        raise surgery.SingularityError("theta needs a nonsingular linking matrix")
+    return (report, *surgery.adjugate(base))
+
+
 def theta(w: WeinsteinDiagram) -> ThetaReport:
     """``c1^2 - 2 chi - 3 sigma`` of the presented filling.
 
-    ``c1^2`` is ``r^T Q^{-1} r`` over exact rationals for the rotation
-    vector ``r``; the linking matrix ``Q`` must be nonsingular.  The
-    value is a complete homotopy invariant only over integer homology
-    spheres, reported by ``complete_invariant``.
+    ``c1^2`` is ``r^T Q^{-1} r = r^T adj(Q) r / det(Q)`` for the rotation
+    vector ``r``, from the adjugate memoised on ``w.base`` (shared by
+    every diagram of an enumeration); the linking matrix ``Q`` must be
+    nonsingular.  The value is a complete homotopy invariant only over
+    integer homology spheres, reported by ``complete_invariant``.
     """
-    q = surgery.linking_matrix(w.base)
-    report = surgery.homology(w.base)
-    if report.det == 0:
-        raise surgery.SingularityError("theta needs a nonsingular linking matrix")
+    report, det, adj = _inverse_form(w.base)
     r = c1_pairing(w)
-    x = linalg.solve_exact(q, r)
-    c1sq = sum(ri * xi for ri, xi in zip(r, x))
+    c1sq = Fraction(
+        sum(x * sum(map(operator.mul, row, r)) for x, row in zip(r, adj)), det
+    )
     value = c1sq - 2 * report.euler_char - 3 * report.signature
     return ThetaReport(
         c1_squared=c1sq,

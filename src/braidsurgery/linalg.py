@@ -1,12 +1,14 @@
 """Exact integer matrix routines, fraction-free throughout.
 
-``det`` and ``solve_exact`` share one Bareiss (1968) forward elimination
-and ``signature`` is its symmetric counterpart: stored entries stay
-minors, so every division is exact and only ints are used (``solve_exact``
-builds ``Fraction`` values for its result alone).  ``smith_normal_form``
-uses Euclidean row and column operations, modulo ``|det|`` when that is
-nonzero.  Sizes are those of surgery diagrams: a handful of rows up to a
-few hundred.
+``det``, ``adjugate`` and ``solve_exact`` share one Bareiss (1968)
+forward elimination and ``signature`` is its symmetric counterpart:
+stored entries stay minors, so every division is exact and only ints
+are used (``solve_exact`` builds ``Fraction`` values for its result
+alone).  ``adjugate`` eliminates ``[m | I]`` once, so a quadratic form
+``x^T m^-1 x`` is ``x^T adj(m) x / det(m)`` in integers for any number
+of vectors ``x``.  ``smith_normal_form`` uses Euclidean row and column
+operations, modulo ``|det|`` when that is nonzero.  Sizes are those of
+surgery diagrams: a handful of rows up to a few hundred.
 """
 
 from __future__ import annotations
@@ -160,6 +162,34 @@ def signature(m: Matrix) -> int:
                 a[i] = [x * piv // prev for x in row]
         prev = piv
     return sig
+
+
+def adjugate(m: Matrix) -> tuple[int, Matrix]:
+    """``(det(m), adj(m))`` of a nonsingular integer matrix.
+
+    One Bareiss elimination of ``[m | I]``, then fraction-free back
+    substitution of every identity column: ``D m^-1`` is integral for
+    the final pivot ``D = +-det(m)``.  Raises ``ZeroDivisionError`` if
+    the matrix is singular.
+    """
+    a = _square(m)
+    n = len(a)
+    sign, rows = _eliminate(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    )
+    if not sign:
+        raise ZeroDivisionError("singular matrix")
+    d = rows[-1][0] if rows else 1
+    # Row k of D m^-1 from the rows below it, last row first.
+    solved: list[list[int]] = []
+    for k in range(n - 1, -1, -1):
+        r = rows[k]
+        acc = [d * x for x in r[n - k :]]
+        for c, x in zip(r[1 : n - k], reversed(solved)):
+            if c:
+                acc = [u - c * v for u, v in zip(acc, x)]
+        solved.append([u // r[0] for u in acc])
+    return sign * d, [[sign * x for x in row] for row in reversed(solved)]
 
 
 def solve_exact(m: Matrix, rhs: list[int]) -> list[Fraction]:

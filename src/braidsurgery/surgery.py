@@ -278,6 +278,12 @@ class SurgeryDiagram:
         return prod(snf), tuple(x for x in snf if x > 1), snf.count(0)
 
     @cached_property
+    def _adjugate(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det, adj) of the matrix, built once; see :func:`adjugate`."""
+        d, adj = linalg.adjugate(self._matrix)
+        return d, tuple(map(tuple, adj))
+
+    @cached_property
     def _homology(self) -> HomologyReport:
         order, divisors, free_rank = self._invariants
         n = len(self.components)
@@ -448,6 +454,17 @@ def homology(diagram: SurgeryDiagram) -> HomologyReport:
     if not diagram.is_integral:
         raise SurgeryError("homology report needs an integral diagram")
     return diagram._homology
+
+
+def adjugate(diagram: SurgeryDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(det Q, adj Q)`` of the linking matrix ``Q``, so ``Q^-1 = adj / det``.
+
+    Memoised on the diagram.  Raises ``ZeroDivisionError`` if ``Q`` is
+    singular; :func:`homology` tells that case apart first.
+    """
+    if not diagram.is_integral:
+        raise SurgeryError("adjugate needs an integral diagram")
+    return diagram._adjugate
 
 
 def h1_presentation_matrix(diagram: SurgeryDiagram) -> list[list[int]]:

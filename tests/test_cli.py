@@ -209,10 +209,64 @@ def test_limits_rejects_negative_levels():
     assert json.loads(out)["error"]["type"] == "LimitsError"
 
 
+def test_internal_errors_are_one_json_object_with_exit_4(monkeypatch):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    code, out = run_cli(["analyze", "B2 s1^5"])
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(out) == {
+        "schema": 1,
+        "error": {
+            "code": cli.EXIT_NUMERIC,
+            "type": "InternalError",
+            "message": "KeyError: 'missing'",
+        },
+    }
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "nan"])
+def test_cfrac_unparsable_value_is_a_parse_error(value):
+    code, out = run_cli(["cfrac", value])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "CFracError"
+
+
+@pytest.mark.parametrize("template", ["B{} s1", "B3 s1^{}", "B3 s{}"])
+def test_braid_numbers_too_long_to_convert_are_parse_errors(template):
+    code, out = run_cli(["analyze", template.format("9" * 5000)])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "BraidError"
+
+
+def test_analyze_computes_crossing_stats_once(monkeypatch):
+    calls = []
+    crossing_stats = braid.crossing_stats
+
+    def counted(word):
+        calls.append(word)
+        return crossing_stats(word)
+
+    monkeypatch.setattr(braid, "crossing_stats", counted)
+    code, out = run_cli(CASES["analyze_seven"])
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN_DIR / "analyze_seven.txt").read_text()
+    assert len(calls) == 1
+
+
+def test_theta_table_renders_the_json_output():
+    argv = CASES["theta_groups"]
+    _, out = run_cli(argv)
+    code, table = run_cli(argv + ["--table"])
+    assert code == cli.EXIT_OK
+    assert table.splitlines() == list(cli._table_lines(json.loads(out), ""))
+
+
 def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     from braidsurgery import linalg
 
-    calls = {"smith_normal_form": 0, "signature": 0, "solve_exact": 0}
+    calls = {"smith_normal_form": 0, "signature": 0, "solve_exact": 0, "adjugate": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -226,7 +280,12 @@ def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     assert out == (GOLDEN_DIR / "theta_groups.txt").read_text()
     count = json.loads(out)["count"]
     assert count > 1
-    assert calls == {"smith_normal_form": 1, "signature": 1, "solve_exact": count}
+    assert calls == {
+        "smith_normal_form": 1,
+        "signature": 1,
+        "solve_exact": 0,
+        "adjugate": 1,
+    }
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from braidsurgery import braid as B
 from braidsurgery import legendrian as L
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, phi_vector
+from oracles import solve_rational
+from test_cli import UNBALANCED_LINK, WORKLOADS
 
 
 KNOT = B.parse_braid("B2 s1^5")
@@ -270,6 +272,50 @@ def test_theta_invariant_under_tuple_negation():
     for tup, value in by_tuple.items():
         mirrored = tuple(-x for x in tup)
         assert by_tuple[mirrored] == value
+
+
+@st.composite
+def sweep_cases(draw):
+    """A bench knot or link, each slope a chain or ``1/n``; at most a few
+    hundred tuples."""
+    text = draw(st.sampled_from(WORKLOADS.KNOTS + WORKLOADS.LINKS + (UNBALANCED_LINK,)))
+    word = B.parse_braid(text)
+    k = B.permutation(word).num_components
+    slopes = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            slopes.append(Fraction(1, draw(st.integers(min_value=2, max_value=9))))
+        else:
+            coeffs = st.lists(
+                st.integers(min_value=-6, max_value=-2), min_size=1, max_size=4 // k
+            )
+            slopes.append(WORKLOADS.chain_slope(draw(coeffs)))
+    return word, SlopeVector(tuple(slopes))
+
+
+@given(sweep_cases())
+@settings(max_examples=40, deadline=None)
+def test_c1_squares_match_rational_solve(case):
+    enum = L.enumerate_weinstein(*case)
+    q = S.linking_matrix(enum.base)
+    swept = list(enum.c1_squares())
+    assert [ks for ks, _, _ in swept] == list(enum.tuples())
+    for ks, rots, c1sq in swept:
+        diagram = enum.diagram_for(ks)
+        r = L.c1_pairing(diagram)
+        assert rots == diagram.rotation_tuple
+        assert c1sq == sum(x * y for x, y in zip(r, solve_rational(q, r)))
+        assert L.theta(diagram).c1_squared == c1sq
+
+
+def test_c1_squares_on_a_singular_base():
+    # lk = -1 and both slopes 1: det Q = 0.
+    w = B.parse_braid("B4 s1^5 s3^5 s2^-2")
+    enum = L.enumerate_weinstein(w, SlopeVector((Fraction(1), Fraction(1))))
+    with pytest.raises(S.SingularityError):
+        enum.c1_squares()
+    with pytest.raises(S.SingularityError):
+        L.theta(next(iter(enum)))
 
 
 def test_theta_requires_nonsingular_matrix():

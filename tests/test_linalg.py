@@ -191,6 +191,44 @@ def test_kernels_match_rational_oracles(m, rhs, dense):
             linalg.solve_exact(m, rhs[:n])
 
 
+@given(
+    st.one_of(
+        symmetric_matrices().filter(lambda m: len(m) <= 6),
+        st.integers(min_value=0, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_adjugate_matches_cofactor_det(m):
+    n = len(m)
+    d = det_cofactor(m)
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.adjugate(m)
+        return
+    det, adj = linalg.adjugate(m)
+    assert det == d
+    product = [
+        [sum(m[i][t] * adj[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_adjugate_known_values():
+    assert linalg.adjugate([]) == (1, [])
+    assert linalg.adjugate([[-3]]) == (-3, [[1]])
+    # The row swap at the first pivot flips the sign of det and adj.
+    assert linalg.adjugate([[0, 1], [1, -5]]) == (-1, [[-5, -1], [-1, 0]])
+    with pytest.raises(ValueError):
+        linalg.adjugate([[1, 2]])
+
+
 def test_kernels_match_rational_oracles_at_n41():
     # The linking matrix of `surgery "B2 s1^5" --slopes 20`.
     word = braid.parse_braid("B2 s1^5")
@@ -200,3 +238,6 @@ def test_kernels_match_rational_oracles_at_n41():
     assert linalg.signature(m) == signature_rational(m)
     rhs = [(-1) ** i * (i % 5) for i in range(41)]
     assert linalg.solve_exact(m, rhs) == solve_rational(m, rhs)
+    det, adj = linalg.adjugate(m)
+    assert det == linalg.det(m)
+    assert [Fraction(x, det) for x in adj[7]] == solve_rational(m, [int(i == 7) for i in range(41)])
