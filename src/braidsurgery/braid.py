@@ -505,4 +505,5 @@ def example_braid(k: int) -> BraidWord:
     """The two-bridge family ``s1^(2k+1) s2^-1`` on three strands."""
     if k < 0:
         raise BraidError(f"family parameter must be >= 0, got {k}")
+    _check_length(2 * k + 2, f"example braid for k = {k}")
     return BraidWord(3, tuple([1] * (2 * k + 1) + [-2]))

@@ -1,15 +1,24 @@
 """Command-line front end.
 
-Every subcommand echoes its inputs, emits canonical JSON (sorted keys,
-rationals as ``p/q`` strings), and is deterministic: identical inputs
-produce byte-identical output.  Exit codes: 0 success, 2 parse error,
-3 hypothesis violation, 4 numeric precondition failure, exhausted
-handle-reduction budget, a ``theta`` sweep over more than
-``MAX_THETA_TUPLES`` tuples, or an expansion past
-``surgery.MAX_COMPONENTS`` components; any exception that is not one of
+Each ``cmd_*`` is a payload builder: it returns its payload dict and
+writes nothing (streaming ``enumerate`` also returns its iterator of
+diagram lines).  ``_run`` is the one writer: it parses the argv, adds
+the envelope (``schema``, ``subcommand`` and ``inputs_echo``, the parsed
+arguments) and passes it to :func:`emit`, which writes canonical JSON
+(sorted keys, rationals as ``p/q`` strings) or ``--table`` lines.
+Identical inputs produce byte-identical output.
+
+Parsing runs inside the same error boundary, so any argv gives JSON on
+stdout, with an ``error`` object exactly when the exit code is nonzero.
+Exit codes: 0 success, 2 parse or usage error, 3 hypothesis violation,
+4 numeric precondition failure, exhausted handle-reduction budget, a
+``theta`` sweep over more than ``MAX_THETA_TUPLES`` tuples, an expansion
+past ``surgery.MAX_COMPONENTS`` components, or unknot menus past
+``legendrian.MAX_MENU_PICKS`` unknots; any exception that is not one of
 the library's own errors is a bug, reported as ``InternalError`` with
-exit 4.  A stdout closed by its reader ends the command quietly with
-exit 0.
+exit 4.  The one output that is not JSON is ``--help``/``-h``: usage
+text on stdout with exit 0.  A stdout closed by its reader ends the
+command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -25,7 +35,7 @@ from . import cfrac as cfrac_mod
 from . import legendrian, limits, surgery
 from .braid import BraidError, ReductionBudgetExceeded
 from .cfrac import CFracError, SlopeVector
-from .legendrian import HypothesisError, LegendrianError
+from .legendrian import HypothesisError, LegendrianError, MenuBudgetExceeded
 from .limits import CoeffStream, LimitsError, SignTuple
 from .surgery import ComponentBudgetExceeded, SingularityError, SurgeryError
 
@@ -39,22 +49,50 @@ EXIT_NUMERIC = 4
 # Most tuples theta visits without --tuple; TupleBudgetExceeded beyond it.
 MAX_THETA_TUPLES = 100_000
 
+# Most decimal digits of a parsed rational's numerator, denominator or
+# exponent; Python refuses to print an integer over 4,300 digits.
+MAX_DIGITS = 1_000
+
+# Parsed arguments that are not inputs of the command.
+_NOT_ECHOED = ("func", "subcommand", "table")
+
 
 class TupleBudgetExceeded(RuntimeError):
     """An all-tuples sweep would visit more tuples than its budget."""
 
 
-def parse_slope(text: str) -> Fraction:
-    """A positive slope: ``p/q``, ``n+p/q``, or a plain integer."""
+class UsageError(ValueError):
+    """The argv does not fit the command-line grammar."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """``p/q``, ``n+p/q``, an integer or a decimal such as ``1e-3``, with at
+    most ``MAX_DIGITS`` digits in its exponent, numerator and denominator."""
     text = text.strip()
     try:
-        if "+" in text:
-            whole, frac = text.split("+", 1)
-            value = Fraction(int(whole)) + Fraction(frac)
-        else:
-            value = Fraction(text)
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise ValueError(f"a power of ten over {MAX_DIGITS} digits")
+        value = sum(map(Fraction, re.split(r"(?<=\d)\+", text, maxsplit=1)))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CFracError(f"cannot parse slope {text!r}: {exc}") from None
+        raise CFracError(f"cannot parse {text!r}: {exc}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        raise CFracError(
+            f"{text!r} has a numerator or denominator over {MAX_DIGITS} digits"
+        )
+    return value
+
+
+def parse_slope(text: str) -> Fraction:
+    """A positive slope: ``p/q``, ``n+p/q``, or a plain integer."""
+    value = parse_rational(text)
     if value <= 0:
         raise CFracError(
             f"slope {text!r} is not positive; only positive surgeries expand"
@@ -78,23 +116,25 @@ def frac_str(value: Fraction) -> str:
 
 
 def jsonify(value):
-    """Recursively rewrite values into canonical JSON form."""
+    """The ``json.dumps`` hook: a Fraction as its ``p/q`` string."""
     if isinstance(value, Fraction):
         return frac_str(value)
-    if isinstance(value, dict):
-        return {key: jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(item) for item in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def emit(data: dict, table: bool = False) -> None:
-    data = jsonify(data)
+def emit(data: dict, table: bool = False, lines=None) -> None:
+    """Write ``data`` as indented JSON, or as ``key = value`` lines with
+    ``table``; streamed ``lines`` follow a compact JSON header."""
     if table:
-        for line in _table_lines(data, ""):
-            print(line)
+        text = "\n".join(_table_lines(data, ""))
+    elif lines is None:
+        text = json.dumps(data, sort_keys=True, indent=2, default=jsonify)
     else:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=jsonify)
+    print(text)
+    write = sys.stdout.write
+    for line in lines or ():
+        write(line)
 
 
 def _table_lines(data, prefix: str):
@@ -102,149 +142,95 @@ def _table_lines(data, prefix: str):
         for key in sorted(data):
             yield from _table_lines(data[key], f"{prefix}.{key}" if prefix else key)
     else:
-        yield f"{prefix} = {json.dumps(data, sort_keys=True)}"
+        yield f"{prefix} = {json.dumps(data, sort_keys=True, default=jsonify)}"
 
 
-def _echo(args: argparse.Namespace, fields) -> dict:
-    return {name: getattr(args, name) for name in fields}
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     word = braid_mod.parse_braid(args.braid)
     parts = braid_mod.permutation(word)
     stats = braid_mod.crossing_stats(word)
     report = braid_mod.check_hypothesis(word, args.assert_hyperbolic, stats)
     floor = {str(d): v for d, v in braid_mod.dehornoy_floors(word).items()}
-    emit(
-        {
-            "schema": SCHEMA,
-            "subcommand": "analyze",
-            "inputs_echo": _echo(args, ["braid", "assert_hyperbolic"]),
-            "braid": {
-                "canonical": braid_mod.format_braid(word),
-                "strands": word.strands,
-                "length": len(word),
-                "c_plus": word.c_plus,
-                "c_minus": word.c_minus,
-                "exponent_sum": word.exponent_sum,
-            },
-            "components": {
-                "permutation": parts.permutation,
-                "component_of": parts.component_of,
-                "cycle_type": parts.cycle_type,
-                "count": parts.num_components,
-                "is_knot": parts.is_knot,
-            },
-            "crossing_stats": {
-                "per_component": stats.per_component,
-                "inter_negative": stats.inter_negative,
-                "d_minus": stats.d_minus,
-                "linking": stats.linking,
-                "axis_linking": stats.axis_linking,
-            },
-            "hypothesis": {
-                "is_knot": report.is_knot,
-                "cond_tb": report.cond_tb,
-                "cond_parity": report.cond_parity,
-                "per_component_cond": report.per_component_cond,
-                "hyperbolicity": report.hyperbolicity,
-            },
-            "dehornoy_floor_at_least": floor,
+    return {
+        "braid": {
+            "canonical": braid_mod.format_braid(word),
+            "strands": word.strands,
+            "length": len(word),
+            "c_plus": word.c_plus,
+            "c_minus": word.c_minus,
+            "exponent_sum": word.exponent_sum,
         },
-        args.table,
-    )
-    return EXIT_OK
+        "components": {
+            "permutation": parts.permutation,
+            "component_of": parts.component_of,
+            "cycle_type": parts.cycle_type,
+            "count": parts.num_components,
+            "is_knot": parts.is_knot,
+        },
+        "crossing_stats": {
+            "per_component": stats.per_component,
+            "inter_negative": stats.inter_negative,
+            "d_minus": stats.d_minus,
+            "linking": stats.linking,
+            "axis_linking": stats.axis_linking,
+        },
+        "hypothesis": vars(report),
+        "dehornoy_floor_at_least": floor,
+    }
 
 
-def cmd_cfrac(args) -> int:
-    try:
-        value = Fraction(args.value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CFracError(f"cannot parse {args.value!r}: {exc}") from None
+def cmd_cfrac(args) -> dict:
+    value = parse_rational(args.value)
     if 0 < value < 1:
         target = Fraction(-value.denominator, value.numerator)
     elif value < -1:
         target = value
     else:
-        raise CFracError(
-            f"{args.value!r} is neither below -1 nor a slope in (0, 1)"
-        )
+        raise CFracError(f"{args.value!r} is neither below -1 nor a slope in (0, 1)")
     expansion = cfrac_mod.neg_cfrac(target)
-    emit(
-        {
-            "schema": SCHEMA,
-            "subcommand": "cfrac",
-            "inputs_echo": _echo(args, ["value"]),
-            "expanded": target,
-            "coeffs": expansion.coeffs,
-            "phi": cfrac_mod.phi(expansion),
-            "convergents": cfrac_mod.convergents(
-                expansion.coeffs, len(expansion.coeffs) - 1
-            ),
-        },
-        args.table,
-    )
-    return EXIT_OK
+    return {
+        "expanded": target,
+        "coeffs": expansion.coeffs,
+        "phi": cfrac_mod.phi(expansion),
+        "convergents": cfrac_mod.convergents(
+            expansion.coeffs, len(expansion.coeffs) - 1
+        ),
+    }
 
 
-def cmd_surgery(args) -> int:
+def cmd_surgery(args) -> dict:
     word = braid_mod.parse_braid(args.braid)
     slopes = parse_slopes(args.slopes)
     rational = surgery.rational_surgery(word, slopes)
-    expanded = (
-        surgery.expand_general(rational)
-        if args.general
-        else surgery.slam_dunk_expand(rational)
-    )
-    report = surgery.homology(expanded)
-    emit(
-        {
-            "schema": SCHEMA,
-            "subcommand": "surgery",
-            "inputs_echo": _echo(args, ["braid", "slopes", "general"]),
-            "rational_diagram": surgery.diagram_to_dict(rational),
-            "expanded_diagram": surgery.diagram_to_dict(expanded),
-            "linking_matrix": surgery.linking_matrix(expanded),
-            "homology": {
-                "det": report.det,
-                "h1_order": report.h1_order,
-                "elementary_divisors": report.elementary_divisors,
-                "free_rank": report.free_rank,
-                "signature": report.signature,
-                "euler_char": report.euler_char,
-            },
-        },
-        args.table,
-    )
-    return EXIT_OK
+    expand = surgery.expand_general if args.general else surgery.slam_dunk_expand
+    expanded = expand(rational)
+    return {
+        "rational_diagram": surgery.diagram_to_dict(rational),
+        "expanded_diagram": surgery.diagram_to_dict(expanded),
+        "linking_matrix": surgery.linking_matrix(expanded),
+        "homology": vars(surgery.homology(expanded)),
+    }
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     word = braid_mod.parse_braid(args.braid)
     slopes = parse_slopes(args.slopes)
     enum = legendrian.enumerate_weinstein(word, slopes)
-    envelope = {
-        "schema": SCHEMA,
-        "subcommand": "enumerate",
-        "inputs_echo": _echo(args, ["braid", "slopes", "count_only", "isom_order"]),
-        "count": enum.count,
-        "menu_sizes": [len(menu) for menu in enum.menus],
-    }
+    payload = {"count": enum.count, "menu_sizes": [len(menu) for menu in enum.menus]}
     if args.isom_order is not None:
-        envelope["non_contactomorphic_lower_bound"] = (
+        payload["non_contactomorphic_lower_bound"] = (
             legendrian.contactomorphism_lower_bound(enum.count, args.isom_order)
         )
     if args.count_only:
-        emit(envelope, args.table)
-        return EXIT_OK
-    if args.table:
-        emit(envelope, True)
-    else:
-        print(json.dumps(jsonify(envelope), sort_keys=True, separators=(",", ":")))
+        return payload
+    return payload, _diagram_lines(enum)
+
+
+def _diagram_lines(enum: legendrian.WeinsteinEnumeration):
     # Each line is the compact sorted-key JSON of weinstein_to_dict(diagram),
     # joined from text serialized once: the shared base and each menu pick.
     # Every pick of a menu has one tb, as enum checked tb - 1 == framing.
-    base = jsonify(surgery.diagram_to_dict(enum.base))
+    base = surgery.diagram_to_dict(enum.base)
     head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
     closure = enum.braid_legendrian
     braid_rot, braid_neg, braid_pos = (
@@ -256,38 +242,26 @@ def cmd_enumerate(args) -> int:
         [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
         for menu in enum.menus
     ]
-    write = sys.stdout.write
     for ks in enum.tuples():
         picks = [menu[k - 1] for menu, k in zip(menus, ks)]
         rot, neg, pos = ("".join(p[i] for p in picks) for i in range(3))
-        write(
+        yield (
             f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
             f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
             f'"tb":[{tb}]}}\n'
         )
-    return EXIT_OK
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> dict:
     word = braid_mod.parse_braid(args.braid)
     slopes = parse_slopes(args.slope)
     enum = legendrian.enumerate_weinstein(word, slopes)
-    echo = _echo(args, ["braid", "slope", "tuple"])
     if args.tuple is not None:
-        ks = parse_int_list(args.tuple)
-        diagram = enum.diagram_for(ks)
-        report = legendrian.theta(diagram)
-        emit(
-            {
-                "schema": SCHEMA,
-                "subcommand": "theta",
-                "inputs_echo": echo,
-                "rotation_tuple": diagram.rotation_tuple,
-                "theta_report": _theta_dict(report),
-            },
-            args.table,
-        )
-        return EXIT_OK
+        diagram = enum.diagram_for(parse_int_list(args.tuple))
+        return {
+            "rotation_tuple": diagram.rotation_tuple,
+            "theta_report": vars(legendrian.theta(diagram)),
+        }
     if enum.count > MAX_THETA_TUPLES:
         raise TupleBudgetExceeded(
             f"theta over all tuples would visit {enum.count} tuples, cap"
@@ -295,7 +269,7 @@ def cmd_theta(args) -> int:
             " enumerate --count-only"
         )
     # Every tuple shares chi and sigma; entries are built in canonical
-    # JSON form, so the default output needs no jsonify walk.
+    # JSON form, so encoding them needs no hook call.
     report = surgery.homology(enum.base)
     shift = 2 * report.euler_char + 3 * report.signature
     entries = []
@@ -311,10 +285,7 @@ def cmd_theta(args) -> int:
             }
         )
         groups.setdefault(value, []).append(list(ks))
-    data = {
-        "schema": SCHEMA,
-        "subcommand": "theta",
-        "inputs_echo": echo,
+    return {
         "count": enum.count,
         "entries": entries,
         "theta_groups": [
@@ -322,25 +293,9 @@ def cmd_theta(args) -> int:
             for value in sorted(groups)
         ],
     }
-    if args.table:
-        emit(data, True)
-    else:
-        print(json.dumps(data, sort_keys=True, indent=2))
-    return EXIT_OK
 
 
-def _theta_dict(report: legendrian.ThetaReport) -> dict:
-    return {
-        "c1_squared": report.c1_squared,
-        "chi": report.chi,
-        "sigma": report.sigma,
-        "theta": report.theta,
-        "h1_order": report.h1_order,
-        "complete_invariant": report.complete_invariant,
-    }
-
-
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> dict:
     prefix = parse_int_list(args.coeffs) if args.coeffs else ()
     cycle = parse_int_list(args.cycle) if args.cycle else ()
     stream = CoeffStream(prefix, cycle)
@@ -350,11 +305,6 @@ def cmd_limits(args) -> int:
     n = args.levels
     blocks = limits.block_decomposition(stream, sign_tuple, n)
     data = {
-        "schema": SCHEMA,
-        "subcommand": "limits",
-        "inputs_echo": _echo(
-            args, ["coeffs", "cycle", "tuple_prefix", "tail", "levels", "braid"]
-        ),
         "coeffs": stream.coeffs(n),
         "sign_tuple": limits.sign_tuple_to_dict(sign_tuple),
         "tuple": sign_tuple.values(stream, n),
@@ -370,8 +320,7 @@ def cmd_limits(args) -> int:
         data["truncation_consistency"] = limits.truncation_consistency(
             word, stream, sign_tuple, n
         )
-    emit(data, args.table)
-    return EXIT_OK
+    return data
 
 
 def _parse_tail(text: str) -> tuple[str, tuple[int, ...]]:
@@ -382,56 +331,38 @@ def _parse_tail(text: str) -> tuple[str, tuple[int, ...]]:
     raise LimitsError(f"unknown tail {text!r}; use ones, max or periodic:<list>")
 
 
-def cmd_family(args) -> int:
-    echo = _echo(args, ["kind", "braid", "k", "ell", "strands"])
+def cmd_family(args) -> dict:
     if args.kind == "example420":
         if args.k is None:
             raise BraidError("example420 needs -k")
-        word = braid_mod.example_braid(args.k)
-        payload = {"braid": braid_mod.format_braid(word)}
-    elif args.kind == "power":
+        return {"braid": braid_mod.format_braid(braid_mod.example_braid(args.k))}
+    if args.kind == "power":
         word = _family_braid(args)
         if args.k is None:
             raise BraidError("power needs -k")
-        payload = {"braid": braid_mod.format_braid(braid_mod.power(word, args.k))}
-    elif args.kind == "delta2l":
+        return {"braid": braid_mod.format_braid(braid_mod.power(word, args.k))}
+    if args.kind == "delta2l":
         word = _family_braid(args)
         if args.ell is None:
             raise BraidError("delta2l needs --ell")
-        payload = {
-            "braid": braid_mod.format_braid(
-                braid_mod.delta_squared_times(word, args.ell)
-            )
-        }
-    elif args.kind == "lspace":
-        if args.k is None or args.ell is None:
-            raise BraidError("lspace needs -k and --ell")
-        word = _family_braid(args, default_tour=True)
-        diagram, report, additivity, axis_report, next_report = (
-            surgery.lspace_family_diagram(word, args.k, args.ell)
-        )
-        payload = {
-            "braid": braid_mod.format_braid(word),
-            "diagram": surgery.diagram_to_dict(diagram),
-            "h1_orders": {
-                "axis_pair": axis_report.h1_order,
-                "this_level": report.h1_order,
-                "next_level": next_report.h1_order,
-            },
-            "additivity": additivity,
-        }
-    else:
-        raise BraidError(f"unknown family kind {args.kind!r}")
-    emit(
-        {
-            "schema": SCHEMA,
-            "subcommand": "family",
-            "inputs_echo": echo,
-            **payload,
-        },
-        args.table,
+        twisted = braid_mod.delta_squared_times(word, args.ell)
+        return {"braid": braid_mod.format_braid(twisted)}
+    if args.k is None or args.ell is None:  # lspace, the last of the choices
+        raise BraidError("lspace needs -k and --ell")
+    word = _family_braid(args, default_tour=True)
+    diagram, report, additivity, axis_report, next_report = (
+        surgery.lspace_family_diagram(word, args.k, args.ell)
     )
-    return EXIT_OK
+    return {
+        "braid": braid_mod.format_braid(word),
+        "diagram": surgery.diagram_to_dict(diagram),
+        "h1_orders": {
+            "axis_pair": axis_report.h1_order,
+            "this_level": report.h1_order,
+            "next_level": next_report.h1_order,
+        },
+        "additivity": additivity,
+    }
 
 
 def _family_braid(args, default_tour: bool = False) -> braid_mod.BraidWord:
@@ -445,7 +376,7 @@ def _family_braid(args, default_tour: bool = False) -> braid_mod.BraidWord:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidsurgery",
         description="Braid closures, surgery diagrams, and Legendrian enumeration",
     )
@@ -512,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(argv)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (``| head``): a clean exit.  Point
@@ -524,42 +454,44 @@ def main(argv=None) -> int:
     return code
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
+    """Parse, run and write one command: the envelope and its payload, or
+    one ``error`` object."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        result = args.func(args)
+        payload, lines = result if isinstance(result, tuple) else (result, None)
+        echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+        payload.update(schema=SCHEMA, subcommand=args.subcommand, inputs_echo=echo)
+        emit(payload, args.table, lines)
+        return EXIT_OK
     except (
         SingularityError,
         ReductionBudgetExceeded,
         TupleBudgetExceeded,
         ComponentBudgetExceeded,
+        MenuBudgetExceeded,
     ) as exc:
-        _emit_error(EXIT_NUMERIC, type(exc).__name__, str(exc))
-        return EXIT_NUMERIC
+        code, kind, message = EXIT_NUMERIC, type(exc).__name__, str(exc)
     except HypothesisError as exc:
-        _emit_error(EXIT_HYPOTHESIS, type(exc).__name__, str(exc))
-        return EXIT_HYPOTHESIS
-    except (BraidError, CFracError, LimitsError, LegendrianError, SurgeryError) as exc:
-        _emit_error(EXIT_PARSE, type(exc).__name__, str(exc))
-        return EXIT_PARSE
+        code, kind, message = EXIT_HYPOTHESIS, type(exc).__name__, str(exc)
+    except (
+        UsageError,
+        BraidError,
+        CFracError,
+        LimitsError,
+        LegendrianError,
+        SurgeryError,
+    ) as exc:
+        code, kind, message = EXIT_PARSE, type(exc).__name__, str(exc)
     except BrokenPipeError:
         raise
     except Exception as exc:
         # A bug, not bad input: still one JSON error object, never a traceback.
-        _emit_error(EXIT_NUMERIC, "InternalError", f"{type(exc).__name__}: {exc}")
-        return EXIT_NUMERIC
-
-
-def _emit_error(code: int, kind: str, message: str) -> None:
-    print(
-        json.dumps(
-            {
-                "schema": SCHEMA,
-                "error": {"code": code, "type": kind, "message": message},
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+        code, kind = EXIT_NUMERIC, "InternalError"
+        message = f"{type(exc).__name__}: {exc}"
+    emit({"schema": SCHEMA, "error": {"code": code, "type": kind, "message": message}})
+    return code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,15 @@ class HypothesisError(ValueError):
     """The braid fails a checkable hypothesis required by an operation."""
 
 
+class MenuBudgetExceeded(RuntimeError):
+    """The unknot menus of an enumeration would hold too many unknots."""
+
+
+# Most Legendrian unknots the menus of one enumeration may hold: an unknot
+# framed f has a menu of |f + 1| of them, and a slope 1/n frames it -n.
+MAX_MENU_PICKS = 100_000
+
+
 @dataclass(frozen=True)
 class LegendrianComponent:
     """tb/rot state of one Legendrian component plus its stabilization history."""
@@ -83,7 +92,7 @@ def link_front_stats(word: BraidWord) -> tuple[LegendrianComponent, ...]:
     inter-component negative crossing land on the lower-indexed
     component, which also fixes the rot parity deterministically.
     """
-    stats = braid_mod.crossing_stats(word)
+    stats = surgery.closure_stats(word)
     ncomp = len(stats.axis_linking)
     out = []
     for i in range(ncomp):
@@ -204,7 +213,7 @@ class WeinsteinEnumeration:
     """
 
     def __init__(self, word: BraidWord, v: SlopeVector):
-        report = braid_mod.check_hypothesis(word)
+        report = braid_mod.check_hypothesis(word, stats=surgery.closure_stats(word))
         if not all(report.per_component_cond):
             failing = [
                 i + 1 for i, ok in enumerate(report.per_component_cond) if not ok
@@ -217,6 +226,12 @@ class WeinsteinEnumeration:
         self.base = surgery.slam_dunk_expand(surgery.rational_surgery(word, v))
         self.braid_legendrian = _braid_legendrians(word)
         unknots = [c for c in self.base.components if c.kind != BRAID]
+        total = sum(-int(c.framing) - 1 for c in unknots)
+        if total > MAX_MENU_PICKS:
+            raise MenuBudgetExceeded(
+                f"the unknot menus would hold {total} Legendrian unknots,"
+                f" cap {MAX_MENU_PICKS}"
+            )
         self.menus = [unknot_menu(int(c.framing)) for c in unknots]
         # Every diagram draws each component from these picks, so checking
         # framing = tb - 1 once per pick validates the whole product.

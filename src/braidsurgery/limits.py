@@ -26,6 +26,13 @@ TAIL_ONES = "ones"
 TAIL_MAX = "max"
 TAIL_PERIODIC = "periodic"
 
+# Most levels, and most basic slices over those levels, that a block
+# decomposition reads.  The end slope of every level and the normal form
+# of every block are printed; together the caps keep each end slope under
+# about 2,000 digits.
+MAX_LEVELS = 1_000
+MAX_SLICES = 100_000
+
 
 @dataclass(frozen=True)
 class CoeffStream:
@@ -163,10 +170,15 @@ def block_decomposition(stream: CoeffStream, k: SignTuple, n: int) -> BlockDecom
     """
     if n < 0:
         raise LimitsError("level must be >= 0")
+    if n > MAX_LEVELS:
+        raise LimitsError(f"level {n} is over the cap {MAX_LEVELS}")
     k.validate(stream, through=n)
     blocks = []
     for i in range(n + 1):
         blocks.append((abs(stream.coeff(i) + 2), k.value(i, stream) - 1))
+    slices = sum(length for length, _ in blocks)
+    if slices > MAX_SLICES:
+        raise LimitsError(f"levels 0..{n} hold {slices} basic slices, cap {MAX_SLICES}")
     return BlockDecomposition(tuple(blocks))
 
 

@@ -36,8 +36,9 @@ from . import linalg
 from .braid import BraidWord
 from .cfrac import SlopeVector, neg_cfrac, neg_cfrac_length
 
-# Words are immutable and diagrams query pairwise linking repeatedly.
-_stats = lru_cache(maxsize=512)(braid_mod.crossing_stats)
+# Words are immutable: diagrams query pairwise linking repeatedly, and an
+# enumeration's hypothesis check and fronts read the same stats.
+closure_stats = lru_cache(maxsize=512)(braid_mod.crossing_stats)
 
 # Most components an expansion may build.  ``surgery`` prints the dense
 # n x n linking matrix, so the output size, not the invariants, sets it.
@@ -112,7 +113,7 @@ class SurgeryDiagram:
     components: tuple[SurgeryComponent, ...]
 
     def __post_init__(self):
-        stats = _stats(self.braid)
+        stats = closure_stats(self.braid)
         ncomp = len(stats.axis_linking)
         for c in self.components:
             if c.kind == BRAID and not 1 <= (c.component or 0) <= ncomp:
@@ -132,11 +133,11 @@ class SurgeryDiagram:
             raise SurgeryError("self-linking is the framing, not a linking number")
         a, b = self.components[i], self.components[j]
         if a.kind == BRAID and b.kind == BRAID:
-            stats = _stats(self.braid)
+            stats = closure_stats(self.braid)
             return stats.linking[a.component - 1][b.component - 1]
         for x, y in ((a, b), (b, a)):
             if x.kind == AXIS and y.kind == BRAID:
-                stats = _stats(self.braid)
+                stats = closure_stats(self.braid)
                 return stats.axis_linking[y.component - 1]
         if (a.parent == j) or (b.parent == i):
             return 1

@@ -399,6 +399,12 @@ def test_example_braid():
         B.example_braid(-1)
 
 
+def test_example_braid_checks_the_length_cap_first():
+    # 2k + 2 letters: the cap is checked before the word is allocated.
+    with pytest.raises(B.BraidError, match="would have 2000000000002 letters"):
+        B.example_braid(10**12)
+
+
 def test_relation_insertion_preserves_element():
     # words differing by one inserted relation or far commutation stay equal
     rng = random.Random(23)

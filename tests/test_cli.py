@@ -7,13 +7,15 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsurgery import braid, cli, legendrian
+from braidsurgery import braid, cli, legendrian, surgery
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -174,6 +176,10 @@ def test_exit_code_reduction_budget_exceeded(monkeypatch):
         (
             ["family", "delta2l", "--braid", "B2000 s1", "-l", "1"],
             "half twist on 2000 strands would have 1999000 letters",
+        ),
+        (
+            ["family", "example420", "-k", "600000"],
+            "example braid for k = 600000 would have 1200002 letters",
         ),
     ],
 )
@@ -414,9 +420,10 @@ def test_streamed_lines_match_weinstein_to_dict(case):
     for line, diagram in zip(lines, enum):
         assert legendrian.validate_weinstein(diagram)
         expected = json.dumps(
-            cli.jsonify(legendrian.weinstein_to_dict(diagram)),
+            legendrian.weinstein_to_dict(diagram),
             sort_keys=True,
             separators=(",", ":"),
+            default=cli.jsonify,
         )
         assert line == expected
 
@@ -523,3 +530,264 @@ def test_floor_probe_lengths_keep_the_probe_order(monkeypatch):
         braid.dehornoy_floors(word)
     monkeypatch.setattr(braid, "MAX_WORD_LENGTH", 36)
     assert braid.dehornoy_floors(word) == {1: False, 2: False, 3: False}
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["--bogus"], "braidsurgery: the following arguments are required: subcommand"),
+        (["surgery"], "braidsurgery surgery: the following arguments are required"),
+        (
+            ["enumerate", "B2 s1^5", "--slopes", "1", "--isom-order", "x"],
+            "argument --isom-order: invalid int value: 'x'",
+        ),
+    ],
+)
+def test_argv_errors_are_one_json_error_with_exit_2(argv, fragment):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_PARSE
+    data = json.loads(out)
+    assert set(data) == {"schema", "error"}
+    assert data["error"]["code"] == cli.EXIT_PARSE
+    assert data["error"]["type"] == "UsageError"
+    assert fragment in data["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["theta", "-h"]])
+def test_help_is_the_one_text_output(argv):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert out.startswith("usage: braidsurgery")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cfrac", "1e-9999"],
+        ["surgery", "B2 s1^5", "--slopes", "1e-9999"],
+        # The power of ten is never built.
+        ["cfrac", "1e-100000000000000"],
+        ["cfrac", "1/1" + "0" * cli.MAX_DIGITS],
+        ["theta", "B2 s1^5", "--slope", "2+1/1" + "0" * cli.MAX_DIGITS],
+    ],
+)
+def test_values_too_long_to_print_are_parse_errors(argv):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "CFracError"
+
+
+def test_exponents_are_checked_before_the_power_is_built(monkeypatch):
+    def never(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(cli, "Fraction", never)
+    with pytest.raises(cli.CFracError, match="a power of ten over 1000 digits"):
+        cli.parse_rational(f"1e-{cli.MAX_DIGITS + 1}")
+
+
+def test_rationals_up_to_the_digit_cap_parse():
+    q = "9" * cli.MAX_DIGITS
+    assert cli.parse_rational(f"1/{q}") == Fraction(1, int(q))
+    assert cli.parse_rational(f"1e-{cli.MAX_DIGITS - 1}") == Fraction(
+        1, 10 ** (cli.MAX_DIGITS - 1)
+    )
+    assert cli.parse_rational("2+1/2") == cli.parse_rational("2.5") == Fraction(5, 2)
+    assert cli.parse_rational("-1e+5") == -(10**5)
+    code, out = run_cli(["cfrac", f"1/{q}"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["coeffs"] == [-int(q)]
+
+
+def test_menu_budget(monkeypatch):
+    code, out = run_cli(["enumerate", "B2 s1^5", "--slopes", "1e-999", "--count-only"])
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(out)["error"]["type"] == "MenuBudgetExceeded"
+    # 1/11 puts one unknot framed -11 on the closure: a menu of 10.
+    monkeypatch.setattr(legendrian, "MAX_MENU_PICKS", 10)
+    code, out = run_cli(["theta", "B2 s1^5", "--slope", "1/11"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["count"] == 10
+    code, out = run_cli(["theta", "B2 s1^5", "--slope", "1/12"])
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(out)["error"] == {
+        "code": cli.EXIT_NUMERIC,
+        "type": "MenuBudgetExceeded",
+        "message": "the unknot menus would hold 11 Legendrian unknots, cap 10",
+    }
+
+
+def test_limits_levels_are_capped_before_any_level_is_read():
+    argv = ["limits", "--coeffs=-3", "--cycle=-2", "-n", "1000000000"]
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_PARSE
+    message = json.loads(out)["error"]["message"]
+    assert message == "level 1000000000 is over the cap 1000"
+
+
+def test_limits_cap_boundaries(monkeypatch):
+    argv = ["limits", "--coeffs=-5", "--cycle=-4", "-n"]
+    monkeypatch.setattr(cli.limits, "MAX_LEVELS", 3)
+    assert run_cli(argv + ["3"])[0] == cli.EXIT_OK
+    code, out = run_cli(argv + ["4"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["message"] == "level 4 is over the cap 3"
+    # Levels 0..2 have the coefficients -5, -4, -4: blocks of 3, 2 and 2 slices.
+    monkeypatch.setattr(cli.limits, "MAX_SLICES", 7)
+    assert run_cli(argv + ["2"])[0] == cli.EXIT_OK
+    monkeypatch.setattr(cli.limits, "MAX_SLICES", 6)
+    code, out = run_cli(argv + ["2"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["message"] == (
+        "levels 0..2 hold 7 basic slices, cap 6"
+    )
+
+
+def test_enumeration_computes_crossing_stats_once(monkeypatch):
+    calls = []
+    crossing_stats = braid.crossing_stats
+
+    def counted(word):
+        calls.append(word)
+        return crossing_stats(word)
+
+    monkeypatch.setattr(braid, "crossing_stats", counted)
+    monkeypatch.setattr(surgery, "closure_stats", lru_cache(maxsize=None)(counted))
+    code, out = run_cli(CASES["theta_groups"])
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN_DIR / "theta_groups.txt").read_text()
+    assert len(calls) == 1
+
+
+def test_commands_return_payloads_and_write_nothing():
+    envelope = {"schema", "subcommand", "inputs_echo"}
+    for name, argv in CASES.items():
+        if name == "error_parse":
+            continue
+        args = cli.build_parser().parse_args(argv)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            result = args.func(args)
+            payload, lines = result if isinstance(result, tuple) else (result, None)
+            lines = "".join(lines or ())
+        assert buf.getvalue() == ""
+        assert not envelope & set(payload)
+        _, out = run_cli(argv)
+        if "--table" in argv:
+            continue
+        head, _, rest = out.partition("\n") if lines else (out, "", "")
+        expected = json.loads(head)
+        assert {k for k in expected if k not in payload} == envelope
+        assert json.loads(json.dumps(payload, default=cli.jsonify)) == {
+            k: v for k, v in expected.items() if k not in envelope
+        }
+        assert lines == rest
+
+
+# Argv for the contract property: braid words with huge strand counts and
+# exponents (which must hit the caps before allocating), slopes that are
+# 0, negative, p/0, powers of ten or in exponent form, and each flag.
+HUGE = [str(10**6 + 1), str(10**12), "9" * 5000]
+argv_braids = st.one_of(
+    st.sampled_from(
+        WORKLOADS.KNOTS
+        + WORKLOADS.LINKS
+        + ("B3 s1^3 s2^-1", "B2", "B1 s1", "B3 s0", "", "B2 s1^x", "s1")
+    ),
+    st.builds(
+        lambda m, word: " ".join([f"B{m}"] + [f"s{g}^{e}" for g, e in word]),
+        st.integers(2, 5) | st.sampled_from(HUGE),
+        st.lists(
+            st.tuples(
+                st.integers(1, 5),
+                st.integers(-9, 9) | st.sampled_from(HUGE + ["-1000000000"]),
+            ),
+            max_size=4,
+        ),
+    ),
+)
+argv_slopes = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 30), st.integers(0, 30)),
+    st.builds(lambda k: str(10**k), st.integers(0, 7)),
+    st.builds(lambda k: f"1e{k}", st.integers(-9, 9) | st.sampled_from([-9999, 9999])),
+    st.sampled_from(["2+1/2", "2.5", "0", "-1/2", "7/0", "x", "", "1/" + "9" * 5000]),
+)
+argv_slope_lists = st.lists(argv_slopes, min_size=1, max_size=2).map(",".join)
+ints = st.integers(-2, 6) | st.sampled_from(HUGE + ["x", ""])
+int_lists = st.sampled_from(
+    ["-3,-2", "-2", "-5,-9", "-1", "x", "2", "1,1", "-1000000000", "-" + "9" * 4000]
+)
+
+
+def _option(draw, flag, values):
+    return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+
+@st.composite
+def argvs(draw):
+    subcommands = ["analyze", "cfrac", "surgery", "enumerate", "theta", "limits"]
+    sub = draw(st.sampled_from(subcommands + ["family", "x"]))
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    table = flag("--table")
+    if sub == "analyze":
+        return [sub, draw(argv_braids)] + flag("--assert-hyperbolic") + table
+    if sub == "cfrac":
+        return [sub] + flag("--") + [draw(argv_slopes | st.just("-7/2"))] + table
+    if sub == "surgery":
+        rest = ["--slopes", draw(argv_slope_lists)] + flag("--general")
+        return [sub, draw(argv_braids)] + rest + table
+    if sub == "enumerate":
+        rest = ["--slopes", draw(argv_slope_lists)] + flag("--count-only")
+        rest += _option(draw, "--isom-order", ints)
+        return [sub, draw(argv_braids)] + rest + table
+    if sub == "theta":
+        tuples = st.sampled_from(["1", "2", "1,1", "2,3", "0", "x", str(10**30)])
+        rest = ["--slope", draw(argv_slope_lists)] + _option(draw, "--tuple", tuples)
+        return [sub, draw(argv_braids)] + rest + table
+    if sub == "limits":
+        tails = st.sampled_from(["ones", "max", "periodic:1,2", "periodic:", "x"])
+        return (
+            [sub]
+            + _option(draw, "--coeffs", int_lists)
+            + _option(draw, "--cycle", int_lists)
+            + _option(draw, "--tuple-prefix", int_lists)
+            + _option(draw, "--tail", tails)
+            + _option(draw, "-n", ints | st.just(cli.limits.MAX_LEVELS + 1))
+            + _option(draw, "--braid", argv_braids)
+            + table
+        )
+    if sub == "family":
+        kind = draw(st.sampled_from(["delta2l", "power", "example420", "lspace", "x"]))
+        return (
+            [sub, kind]
+            + _option(draw, "--braid", argv_braids)
+            + _option(draw, "-k", ints)
+            + _option(draw, "--ell", ints)
+            + _option(draw, "--strands", ints)
+            + table
+        )
+    return [sub] + flag("--bogus")
+
+
+# Derandomized: the same cases every run keep the property's time stable.
+@given(argvs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_argv_keeps_the_json_contract(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    out = buf.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_NUMERIC)
+    if code == cli.EXIT_OK and "--table" in argv:
+        for line in out.splitlines():
+            key, sep, value = line.partition(" = ")
+            json.loads(value if sep else line)
+            assert key != "error"
+        return
+    first = primary_object(out)
+    assert ("error" in first) == (code != cli.EXIT_OK)
+    if code != cli.EXIT_OK:
+        assert first["error"]["code"] == code
