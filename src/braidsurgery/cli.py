@@ -13,8 +13,9 @@ stdout, with an ``error`` object exactly when the exit code is nonzero.
 Exit codes: 0 success, 2 parse or usage error, 3 hypothesis violation,
 4 numeric precondition failure, exhausted handle-reduction budget, a
 ``theta`` sweep over more than ``MAX_THETA_TUPLES`` tuples, an expansion
-past ``surgery.MAX_COMPONENTS`` components, or unknot menus past
-``legendrian.MAX_MENU_PICKS`` unknots; any exception that is not one of
+past ``surgery.MAX_COMPONENTS`` components, unknot menus past
+``legendrian.MAX_MENU_PICKS`` unknots, or an output integer too long for
+Python to print (``DigitLimitExceeded``); any exception that is not one of
 the library's own errors is a bug, reported as ``InternalError`` with
 exit 4.  The one output that is not JSON is ``--help``/``-h``: usage
 text on stdout with exit 0.  A stdout closed by its reader ends the
@@ -24,11 +25,13 @@ command quietly with exit 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
@@ -59,6 +62,14 @@ _NOT_ECHOED = ("func", "subcommand", "table")
 
 class TupleBudgetExceeded(RuntimeError):
     """An all-tuples sweep would visit more tuples than its budget."""
+
+
+class DigitLimitExceeded(RuntimeError):
+    """An output integer has more digits than Python converts to text."""
+
+    def __str__(self):
+        limit = sys.get_int_max_str_digits()
+        return f"an output integer is over Python's {limit}-digit limit"
 
 
 class UsageError(ValueError):
@@ -112,7 +123,10 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # over the interpreter's digit limit
+        raise DigitLimitExceeded from None
 
 
 def jsonify(value):
@@ -123,18 +137,50 @@ def jsonify(value):
 
 
 def emit(data: dict, table: bool = False, lines=None) -> None:
-    """Write ``data`` as indented JSON, or as ``key = value`` lines with
-    ``table``; streamed ``lines`` follow a compact JSON header."""
-    if table:
-        text = "\n".join(_table_lines(data, ""))
-    elif lines is None:
-        text = json.dumps(data, sort_keys=True, indent=2, default=jsonify)
-    else:
-        text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=jsonify)
+    """Write ``data`` as ``json.dumps(data, sort_keys=True, indent=2,
+    default=jsonify)`` would (see :func:`_indented`), as ``key = value``
+    lines with ``table``, or as a compact line before the streamed
+    ``lines``, one ``write`` each.  Nothing is written if an integer of
+    ``data`` is too long to print: that raises :class:`DigitLimitExceeded`.
+    """
+    try:
+        if table:
+            text = "\n".join(_table_lines(data, ""))
+        elif lines is None:
+            text = _indented(data, "\n")
+        else:
+            text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=jsonify)
+    except ValueError:  # over the interpreter's digit limit
+        raise DigitLimitExceeded from None
     print(text)
     write = sys.stdout.write
     for line in lines or ():
         write(line)
+
+
+# The JSON text of a scalar, by its exact type.
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get}
+_SCALARS[type(None)] = {None: "null"}.get
+
+
+def _indented(value, pad: str) -> str:
+    """``value`` as indent-2 JSON with sorted string keys, its lines
+    continued by ``pad`` (a newline and the indent of ``value``)."""
+    encode = _SCALARS.get(type(value))
+    if encode:
+        return encode(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())]
+        body = f",{inner}".join(items)
+        return f"{{{inner}{body}{pad}}}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(encode, value) if encode else [_indented(v, inner) for v in value]
+        body = f",{inner}".join(items)
+        return f"[{inner}{body}{pad}]" if value else "[]"
+    return _indented(jsonify(value), pad)
 
 
 def _table_lines(data, prefix: str):
@@ -227,9 +273,10 @@ def cmd_enumerate(args):
 
 
 def _diagram_lines(enum: legendrian.WeinsteinEnumeration):
-    # Each line is the compact sorted-key JSON of weinstein_to_dict(diagram),
-    # joined from text serialized once: the shared base and each menu pick.
-    # Every pick of a menu has one tb, as enum checked tb - 1 == framing.
+    # Each line is the compact sorted-key JSON of weinstein_to_dict(diagram).
+    # Its rot, stab_neg and stab_pos texts grow one menu at a time, as in
+    # legendrian._pick_level.  Every pick of a menu has one tb, as enum
+    # checked tb - 1 == framing.
     base = surgery.diagram_to_dict(enum.base)
     head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
     closure = enum.braid_legendrian
@@ -238,18 +285,39 @@ def _diagram_lines(enum: legendrian.WeinsteinEnumeration):
         for field in ("rot", "stab_neg", "stab_pos")
     )
     tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in enum.menus))
-    menus = [
-        [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
-        for menu in enum.menus
-    ]
-    for ks in enum.tuples():
-        picks = [menu[k - 1] for menu, k in zip(menus, ks)]
-        rot, neg, pos = ("".join(p[i] for p in picks) for i in range(3))
-        yield (
-            f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
-            f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
-            f'"tb":[{tb}]}}\n'
-        )
+    # A menu of one pick joins the text of the level before it, so each
+    # level at least doubles the lines; ``fixed`` ends as the text before all.
+    fixed, levels = ("", "", ""), []
+    for menu in reversed(enum.menus):
+        texts = [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
+        texts = [tuple(map(str.__add__, t, fixed)) for t in texts]
+        if len(texts) == 1:
+            fixed = texts[0]
+        else:
+            fixed, levels = ("", "", ""), [texts, *levels]
+    # One generator frame per level: the picks of all but the last _NESTED
+    # levels (each at least 2^_NESTED lines apart) come from a product,
+    # joined once per prefix.
+    for prefix in itertools.product(*levels[:-_NESTED]):
+        states = iter([tuple(map("".join, zip(fixed, *prefix)))])
+        for texts in levels[-_NESTED:]:
+            states = _extend(states, texts)
+        for rot, neg, pos in states:
+            yield (
+                f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
+                f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
+                f'"tb":[{tb}]}}\n'
+            )
+
+
+_NESTED = 64  # well inside the recursion limit
+
+
+def _extend(states, texts):
+    """Extend every ``(rot, stab_neg, stab_pos)`` text by each menu pick."""
+    for rot, neg, pos in states:
+        for r, n, p in texts:
+            yield rot + r, neg + n, pos + p
 
 
 def cmd_theta(args) -> dict:
@@ -311,7 +379,7 @@ def cmd_limits(args) -> dict:
         "menus": [stream.menu_size(i) for i in range(n + 1)],
         "blocks": blocks.blocks,
         "normal_form": limits.shuffle_normal_form(blocks),
-        "end_slopes": [limits.end_slope(stream, i) for i in range(n + 1)],
+        "end_slopes": limits.end_slopes(stream, n),
     }
     if stream.is_infinite:
         data["sign"] = limits.sign_of(stream, sign_tuple)
@@ -471,6 +539,7 @@ def _run(argv) -> int:
         TupleBudgetExceeded,
         ComponentBudgetExceeded,
         MenuBudgetExceeded,
+        DigitLimitExceeded,
     ) as exc:
         code, kind, message = EXIT_NUMERIC, type(exc).__name__, str(exc)
     except HypothesisError as exc:

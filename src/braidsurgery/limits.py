@@ -233,22 +233,29 @@ def _mat_inv_unimodular(x):
     return ((d, -b), (-c, a))
 
 
-def end_slope(stream: CoeffStream, n: int) -> Fraction:
-    """Dividing slope of the level-``n`` torus in the end's reference basis.
+def end_slopes(stream: CoeffStream, n: int) -> list[Fraction]:
+    """Dividing slope of the level-``i`` torus for every ``i <= n``, in the
+    end's reference basis, from one running product of gluing matrices.
 
     The reference slope at the outermost level is the meridian
     direction, normalized so that level 0 reads ``a_0``; pushing it
     through the inverse gluing matrices gives exactly the value of the
-    truncated expansion ``[a_0, ..., a_n]``.
+    truncated expansion ``[a_0, ..., a_i]``.
     """
     if n < 0:
         raise LimitsError("level must be >= 0")
     acc = ((1, 0), (0, 1))
+    out = []
     for i in range(n + 1):
         acc = _mat_mul(acc, _mat_inv_unimodular(gluing_matrix(stream.coeff(i))))
-    # Mobius action on the meridian direction 1/0.
-    num, den = acc[0][0], acc[1][0]
-    return Fraction(num, den)
+        # Mobius action on the meridian direction 1/0.
+        out.append(Fraction(acc[0][0], acc[1][0]))
+    return out
+
+
+def end_slope(stream: CoeffStream, n: int) -> Fraction:
+    """Dividing slope of the level-``n`` torus; see :func:`end_slopes`."""
+    return end_slopes(stream, n)[-1]
 
 
 def _eventual_flags(stream: CoeffStream, k: SignTuple) -> tuple[bool, bool]:

@@ -127,21 +127,28 @@ class SurgeryDiagram:
     def is_integral(self) -> bool:
         return all(c.is_integral for c in self.components)
 
-    def linking(self, i: int, j: int) -> int:
-        """Linking number between components ``i`` and ``j`` of the diagram."""
-        if i == j:
-            raise SurgeryError("self-linking is the framing, not a linking number")
-        a, b = self.components[i], self.components[j]
-        if a.kind == BRAID and b.kind == BRAID:
-            stats = closure_stats(self.braid)
-            return stats.linking[a.component - 1][b.component - 1]
-        for x, y in ((a, b), (b, a)):
-            if x.kind == AXIS and y.kind == BRAID:
-                stats = closure_stats(self.braid)
-                return stats.axis_linking[y.component - 1]
-        if (a.parent == j) or (b.parent == i):
-            return 1
-        return 0
+    def _linking_numbers(self) -> list[list[int]]:
+        """Linking number of every pair of components, off the diagonal.
+
+        Meridians and chains link their parent once, closure components
+        link by the closure's linking matrix and the axis links each
+        closure component by its strand count; the last two override a
+        ``parent`` between such components.
+        """
+        comps = self.components
+        stats, n = closure_stats(self.braid), len(comps)
+        lk = [[0] * n for _ in range(n)]
+        for i, c in enumerate(comps):
+            if c.parent is not None:
+                lk[i][c.parent] = lk[c.parent][i] = 1
+        block = [(i, c.component - 1) for i, c in enumerate(comps) if c.kind == BRAID]
+        for i, a in block:
+            for j, b in block:
+                lk[i][j] = stats.linking[a][b]
+        for x in (i for i, c in enumerate(comps) if c.kind == AXIS):
+            for i, a in block:
+                lk[x][i] = lk[i][x] = stats.axis_linking[a]
+        return lk
 
     # Diagrams are frozen, so each memo below is computed at most once.
 
@@ -151,14 +158,11 @@ class SurgeryDiagram:
         comps = self.components
         if any(isinstance(c.framing, _Infinity) for c in comps):
             raise SurgeryError("empty filling has no relation; delete it first")
-        n = len(comps)
-        m = [[0] * n for _ in range(n)]
+        m = self._linking_numbers()
         for i, c in enumerate(comps):
+            if c.framing.denominator != 1:
+                m[i] = [c.framing.denominator * x for x in m[i]]
             m[i][i] = c.framing.numerator
-            for j in range(i + 1, n):
-                lk = self.linking(i, j)
-                m[i][j] = c.framing.denominator * lk
-                m[j][i] = comps[j].framing.denominator * lk
         return tuple(map(tuple, m))
 
     @cached_property
@@ -506,12 +510,13 @@ def rolfsen_twist(diagram: SurgeryDiagram, u: int, t: int) -> SurgeryDiagram:
         raise SurgeryError("Rolfsen twist needs an unknot-type component")
     if isinstance(target.framing, _Infinity):
         raise SurgeryError("cannot twist about the empty filling")
+    linking = diagram._linking_numbers()
     comps: list[SurgeryComponent] = []
     for i, c in enumerate(diagram.components):
         if i == u:
             comps.append(c)
             continue
-        lk = diagram.linking(i, u)
+        lk = linking[i][u]
         framing = c.framing
         if not isinstance(framing, _Infinity) and lk:
             framing = framing + t * lk * lk

@@ -7,6 +7,9 @@ oracle is cofactor expansion, the invariant-factor oracle is the
 gcd-of-minors formula, and the signature and linear-solve oracles
 eliminate over ``Fraction``.  ``handle_reduce_rescan`` is the plain
 handle reducer that rescans the word from index 0 after every step.
+``presentation_matrix_by_pairs`` reads the linking number of every pair
+off the two components' kinds, and ``end_slope_from_scratch`` multiplies
+the gluing matrices of one level from the first.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from braidsurgery.braid import DEFAULT_STEP_BUDGET, BraidWord, ReductionBudgetExceeded
+from braidsurgery.braid import (
+    DEFAULT_STEP_BUDGET,
+    BraidWord,
+    ReductionBudgetExceeded,
+    crossing_stats,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +261,42 @@ def _first_handle(w: list[int]) -> tuple[int, int] | None:
                 return s, t
         last[i] = t
     return None
+
+
+# ---------------------------------------------------------------------------
+# Surgery diagrams and ends, entry by entry.
+
+def linking_by_pair(diagram, i: int, j: int) -> int:
+    """Linking number between components ``i != j``, read off their kinds."""
+    a, b = diagram.components[i], diagram.components[j]
+    stats = crossing_stats(diagram.braid)
+    if a.kind == "braid" and b.kind == "braid":
+        return stats.linking[a.component - 1][b.component - 1]
+    for x, y in ((a, b), (b, a)):
+        if x.kind == "axis" and y.kind == "braid":
+            return stats.axis_linking[y.component - 1]
+    return 1 if a.parent == j or b.parent == i else 0
+
+
+def presentation_matrix_by_pairs(diagram) -> list[list[int]]:
+    """H1 presentation matrix from one :func:`linking_by_pair` per pair:
+    row ``i`` is the relation ``p_i mu_i + q_i lambda_i``."""
+    comps = diagram.components
+    n = len(comps)
+    m = [[0] * n for _ in range(n)]
+    for i, c in enumerate(comps):
+        m[i][i] = c.framing.numerator
+        for j in range(i + 1, n):
+            lk = linking_by_pair(diagram, i, j)
+            m[i][j] = c.framing.denominator * lk
+            m[j][i] = comps[j].framing.denominator * lk
+    return m
+
+
+def end_slope_from_scratch(coeffs) -> Fraction:
+    """The meridian direction ``1/0`` pushed through the inverse gluing
+    matrices ``((-a, 1), (-1, 0))`` of ``a_0, ..., a_n``, in order."""
+    (p, q), (r, s) = (1, 0), (0, 1)
+    for a in coeffs:
+        p, q, r, s = -a * p - q, p, -a * r - s, r
+    return Fraction(p, r)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import io
+import itertools
 import json
 import os
 import random
@@ -426,6 +427,114 @@ def test_streamed_lines_match_weinstein_to_dict(case):
             default=cli.jsonify,
         )
         assert line == expected
+
+
+def oracle_lines(braid_text, slopes, limit=None):
+    """The first ``limit`` lines of ``enumerate``, diagram by diagram."""
+    enum = legendrian.enumerate_weinstein(
+        braid.parse_braid(braid_text), cli.parse_slopes(slopes)
+    )
+    return enum, [
+        json.dumps(
+            legendrian.weinstein_to_dict(diagram),
+            sort_keys=True,
+            separators=(",", ":"),
+            default=cli.jsonify,
+        )
+        + "\n"
+        for diagram in itertools.islice(enum, limit)
+    ]
+
+
+@pytest.mark.parametrize(
+    "slopes,count",
+    [
+        # A chain of twenty -5s: 4^20 tuples, of which three are read.
+        ("8870244889325/42499896542376", 4**20),
+        # A chain of 995 -3s: more levels than the walk nests generators.
+        (WORKLOADS.slope_text(0, [-3] * 995), 2**995),
+    ],
+    ids=["twenty-levels", "995-levels"],
+)
+def test_first_lines_come_without_walking_the_product(slopes, count):
+    enum, expected = oracle_lines("B2 s1^5", slopes, 3)
+    assert enum.count == count
+    assert list(itertools.islice(cli._diagram_lines(enum), 3)) == expected
+
+
+@pytest.mark.parametrize(
+    "braid_text,slopes",
+    [
+        ("B2 s1^5", "3"),  # six meridians framed -2: every menu has one pick
+        ("B2 s1^5", "1/2"),  # one meridian framed -2
+        # Menus of one pick before, between and after larger ones.
+        ("B2 s1^5", WORKLOADS.slope_text(2, [-2, -3, -2, -2, -4, -2])),
+        ("B4 s1^5 s3^5 s2^-2", f"2,{WORKLOADS.slope_text(1, [-3, -2, -4])}"),
+    ],
+)
+def test_menus_of_one_pick_fold_into_the_text(braid_text, slopes):
+    enum, expected = oracle_lines(braid_text, slopes)
+    assert list(cli._diagram_lines(enum)) == expected
+
+
+def test_levels_past_the_nesting_depth_come_from_a_product(monkeypatch):
+    slopes = WORKLOADS.slope_text(1, [-3, -4, -2, -3, -5])
+    enum, expected = oracle_lines("B3 s1^3 s2^5", slopes)
+    for nested in (1, 2, 4):
+        monkeypatch.setattr(cli, "_NESTED", nested)
+        assert list(cli._diagram_lines(enum)) == expected
+
+
+json_texts = st.text(max_size=8) | st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600a'),
+    max_size=8,
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=1, max_value=4299).map(lambda d: 10**d - 1)  # d nines
+    | st.integers(min_value=1, max_value=4299).map(lambda d: 1 - 10**d)
+    | json_texts
+    | st.builds(Fraction, st.integers(), st.integers(min_value=1))
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.lists(inner, max_size=6).map(tuple)
+    | st.lists(st.booleans() | st.integers(-2, 2))
+    | st.dictionaries(json_texts, inner, max_size=6),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_indented_writer_matches_json_dumps(value):
+    expected = json.dumps(value, sort_keys=True, indent=2, default=cli.jsonify)
+    assert cli._indented(value, "\n") == expected
+
+
+def test_indented_writer_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError):
+        cli._indented({"x": [1, object()]}, "\n")
+
+
+def test_integers_too_long_to_print_are_a_numeric_error():
+    # det is about the product of the five 999-digit numerators.
+    q = f"{10**998}/{3 * 10**998 - 1}"
+    code, out = run_cli(
+        ["surgery", "B10 s1^3 s3^3 s5^3 s7^3 s9^3", "--slopes", ",".join([q] * 5)]
+    )
+    assert code == cli.EXIT_NUMERIC
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out)["error"] == {
+        "code": cli.EXIT_NUMERIC,
+        "type": "DigitLimitExceeded",
+        "message": f"an output integer is over Python's {limit}-digit limit",
+    }
+    with pytest.raises(cli.DigitLimitExceeded):
+        cli.frac_str(Fraction(10**limit, 3))
 
 
 @pytest.mark.parametrize(

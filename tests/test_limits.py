@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from braidsurgery import braid as B
 from braidsurgery import limits as LM
 from braidsurgery.cfrac import eval_cfrac
+from oracles import end_slope_from_scratch
 
 
 admissible_entries = st.integers(min_value=-7, max_value=-2)
@@ -163,6 +164,19 @@ def test_end_slope_all_twos():
 @settings(max_examples=120, deadline=None)
 def test_end_slope_equals_truncated_value(s, n):
     assert LM.end_slope(s, n) == eval_cfrac(s.coeffs(n))
+
+
+@given(streams, st.integers(min_value=0, max_value=30))
+@settings(max_examples=120, deadline=None)
+def test_end_slopes_match_each_level_from_scratch(s, n):
+    expected = [end_slope_from_scratch(s.coeffs(i)) for i in range(n + 1)]
+    assert LM.end_slopes(s, n) == expected
+    assert LM.end_slope(s, n) == expected[-1]
+
+
+def test_end_slopes_reject_negative_levels():
+    with pytest.raises(LM.LimitsError):
+        LM.end_slopes(LM.CoeffStream(prefix=(-2,)), -1)
 
 
 def test_end_slope_matches_explicit_matrix_product():

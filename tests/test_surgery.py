@@ -10,6 +10,7 @@ from braidsurgery import braid as B
 from braidsurgery import linalg
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, neg_cfrac
+from oracles import presentation_matrix_by_pairs
 from test_cli import UNBALANCED_LINK, WORKLOADS
 
 
@@ -490,3 +491,42 @@ def test_folded_forest_that_is_not_a_path_matches_dense():
         ),
     )
     assert folded_report(d) == dense_report(d)
+
+
+# -- presentation matrix -------------------------------------------------------
+# Built from the structure (closure block, axis rows, one entry per parent
+# edge); the oracle reads each pair's linking number off its two kinds.
+
+BRAIDS = WORKLOADS.KNOTS + WORKLOADS.LINKS + (UNBALANCED_LINK,)
+
+
+@st.composite
+def any_diagrams(draw):
+    """Components of every kind, any parents (themselves, cycles, pairs of
+    closures), unknots carrying a closure index, and any rational framings."""
+    word = B.parse_braid(draw(st.sampled_from(BRAIDS)))
+    k = B.permutation(word).num_components
+    n = draw(st.integers(min_value=1, max_value=9))
+    framings = st.builds(
+        Fraction, st.integers(-9, 9), st.integers(min_value=1, max_value=5)
+    )
+    ids = st.integers(1, k)  # closure components; only braids are read as one
+    comps = []
+    for _ in range(n):
+        kind = draw(st.sampled_from([S.BRAID, S.MERIDIAN, S.CHAIN, S.AXIS]))
+        comps.append(
+            S.SurgeryComponent(
+                kind=kind,
+                framing=draw(framings),
+                component=draw(ids if kind == S.BRAID else st.none() | ids),
+                parent=draw(st.none() | st.integers(0, n - 1)),
+            )
+        )
+    return S.SurgeryDiagram(word, tuple(comps))
+
+
+@given(any_diagrams() | folded_cases())
+@settings(max_examples=200, deadline=None)
+def test_presentation_matrix_matches_linking_per_pair(diagram):
+    expected = presentation_matrix_by_pairs(diagram)
+    assert S.h1_presentation_matrix(diagram) == expected
