@@ -1,16 +1,17 @@
 """Negative (Hirzebruch-Jung) continued fractions and the count Phi.
 
-All arithmetic is exact ``fractions.Fraction``; nothing here touches a
-float.  Expansions use coefficients ``a_i <= -2`` throughout, so every
-value is ``< -1`` and the ceiling algorithm terminates in at most
-denominator-many steps.
+All arithmetic is exact; nothing here touches a float.  Expansions use
+coefficients ``a_i <= -2`` throughout, so every value is ``< -1``.  The
+ceiling algorithm runs in integers, one step ``x/y -> -y/(x mod y)`` per
+coefficient, and ends in at most denominator-many steps.  Convergents
+come from the linear recurrence of their numerators and denominators.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 
 class CFracError(ValueError):
@@ -65,58 +66,46 @@ def eval_cfrac(coeffs) -> Fraction:
     return value
 
 
-def neg_cfrac(r) -> NegContFrac:
-    """Expand a rational ``r < -1`` with the ceiling algorithm.
+def _ceiling_steps(r):
+    """Coefficients of the expansion of ``r < -1``, one ceiling step each.
 
-    Each step takes ``a = -ceil(-r)`` and recurses on ``1/(a - r)``;
-    the remainder denominators strictly decrease, so the loop ends.
-    """
-    r = Fraction(r)
-    if r >= -1:
-        raise CFracError(f"expansion requires r < -1, got {r}")
-    coeffs: list[int] = []
-    rest = r
-    while True:
-        a = -math.ceil(-rest)
-        coeffs.append(a)
-        if rest == a:
-            break
-        rest = 1 / (a - rest)
-    return NegContFrac(tuple(coeffs), r)
-
-
-def neg_cfrac_length(r, limit: int) -> int:
-    """Number of coefficients of :func:`neg_cfrac` ``(r)``, or ``limit + 1``
-    when there are more.
-
-    Integer form of the ceiling step: ``x/y -> -y/(x mod y)``, so the
-    count costs at most ``limit`` steps whatever the denominator.
+    With ``r = x/y`` the step takes ``a = x // y`` and continues on
+    ``-y/(x mod y)``; the denominators strictly decrease, so it ends.
     """
     r = Fraction(r)
     if r >= -1:
         raise CFracError(f"expansion requires r < -1, got {r}")
     x, y = r.numerator, r.denominator
-    count = 1
-    while x % y and count <= limit:
+    while y:
+        yield x // y
         x, y = -y, x % y
-        count += 1
-    return count
+
+
+def neg_cfrac(r) -> NegContFrac:
+    """Expand a rational ``r < -1`` with the ceiling algorithm."""
+    return NegContFrac(tuple(_ceiling_steps(r)), Fraction(r))
+
+
+def neg_cfrac_length(r, limit: int) -> int:
+    """Number of coefficients of :func:`neg_cfrac` ``(r)``, or ``limit + 1``
+    when there are more; the count stops after ``limit + 1`` steps."""
+    return sum(1 for _ in islice(_ceiling_steps(r), limit + 1))
 
 
 def convergents(coeff_stream, n: int) -> list[Fraction]:
-    """Values of the first ``n + 1`` truncations of a coefficient stream."""
-    coeffs: list[int] = []
-    it = iter(coeff_stream)
-    for _ in range(n + 1):
-        try:
-            coeffs.append(next(it))
-        except StopIteration:
-            raise CFracError(
-                f"coefficient stream ended before index {n}"
-            ) from None
+    """Values of the first ``n + 1`` truncations of a coefficient stream,
+    from ``p_k = a_k p_(k-1) - p_(k-2)`` and the same recurrence for ``q``."""
+    coeffs = list(islice(coeff_stream, n + 1))
+    if len(coeffs) <= n:
+        raise CFracError(f"coefficient stream ended before index {n}")
     if any(a > -2 for a in coeffs):
         raise CFracError("coefficients must be <= -2")
-    return [eval_cfrac(coeffs[: k + 1]) for k in range(n + 1)]
+    p0, p, q0, q = 0, 1, -1, 0
+    out = []
+    for a in coeffs:
+        p0, p, q0, q = p, a * p - p0, q, a * q - q0
+        out.append(Fraction(p, q))
+    return out
 
 
 def phi(f: NegContFrac) -> int:

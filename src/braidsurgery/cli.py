@@ -56,6 +56,9 @@ MAX_THETA_TUPLES = 100_000
 # exponent; Python refuses to print an integer over 4,300 digits.
 MAX_DIGITS = 1_000
 
+# Most coefficients ``cfrac`` expands; a value (N-1)/N has N-1 of them.
+MAX_CFRAC_TERMS = 10_000
+
 # Parsed arguments that are not inputs of the command.
 _NOT_ECHOED = ("func", "subcommand", "table")
 
@@ -233,6 +236,11 @@ def cmd_cfrac(args) -> dict:
         target = value
     else:
         raise CFracError(f"{args.value!r} is neither below -1 nor a slope in (0, 1)")
+    if cfrac_mod.neg_cfrac_length(target, MAX_CFRAC_TERMS) > MAX_CFRAC_TERMS:
+        raise CFracError(
+            f"{args.value!r} expands to over {MAX_CFRAC_TERMS} coefficients,"
+            f" cap {MAX_CFRAC_TERMS}"
+        )
     expansion = cfrac_mod.neg_cfrac(target)
     return {
         "expanded": target,

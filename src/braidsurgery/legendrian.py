@@ -70,18 +70,14 @@ def front_stats(word: BraidWord) -> LegendrianComponent:
 
     ``tb = c+ - 2c- - m``; ``rot`` is 0 or 1 by the parity of ``c-``;
     closure arcs and negative crossings contribute ``2(m + c-)`` cusps.
+    These are the one component of :func:`link_front_stats`.
     """
     parts = braid_mod.permutation(word)
     if not parts.is_knot:
         raise LegendrianError(
             f"closure has {parts.num_components} components; use link_front_stats"
         )
-    m = word.strands
-    return LegendrianComponent(
-        tb=word.c_plus - 2 * word.c_minus - m,
-        rot=word.c_minus % 2,
-        cusps=2 * (m + word.c_minus),
-    )
+    return link_front_stats(word)[0]
 
 
 def link_front_stats(word: BraidWord) -> tuple[LegendrianComponent, ...]:
@@ -189,14 +185,12 @@ def _braid_legendrians(word: BraidWord) -> tuple[LegendrianComponent, ...]:
 
     rot is pinned to 0 whenever parity allows (always, for knots
     satisfying the parity condition) and to the minimal nonnegative
-    parity-feasible value otherwise.
+    parity-feasible value otherwise.  Every component has ``tb >= 1``:
+    that is the per-component condition :class:`WeinsteinEnumeration`
+    checks first.
     """
     out = []
     for c in link_front_stats(word):
-        if c.tb < 1:
-            raise HypothesisError(
-                f"component tb {c.tb} < 1; the charged crossing condition fails"
-            )
         target_rot = (c.rot + c.tb - 1) % 2
         out.append(stabilize_to(c, 1, target_rot))
     return tuple(out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cfrac import SlopeVector, eval_cfrac, neg_cfrac
+from .cfrac import SlopeVector, convergents, eval_cfrac, neg_cfrac
 
 
 class LimitsError(ValueError):
@@ -209,48 +209,26 @@ def shuffle_class_count(length: int) -> int:
 
 
 def gluing_matrix(a: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The level gluing ``((0, -1), (1, -a)))``; always determinant 1."""
+    """The level gluing ``((0, -1), (1, -a))``; always determinant 1.
+
+    Its inverse ``((-a, 1), (-1, 0))`` acts on slopes as ``z -> a - 1/z``.
+    """
     return ((0, -1), (1, -a))
-
-
-def _mat_mul(x, y):
-    return (
-        (
-            x[0][0] * y[0][0] + x[0][1] * y[1][0],
-            x[0][0] * y[0][1] + x[0][1] * y[1][1],
-        ),
-        (
-            x[1][0] * y[0][0] + x[1][1] * y[1][0],
-            x[1][0] * y[0][1] + x[1][1] * y[1][1],
-        ),
-    )
-
-
-def _mat_inv_unimodular(x):
-    (a, b), (c, d) = x
-    if a * d - b * c != 1:
-        raise LimitsError("gluing matrices must have determinant 1")
-    return ((d, -b), (-c, a))
 
 
 def end_slopes(stream: CoeffStream, n: int) -> list[Fraction]:
     """Dividing slope of the level-``i`` torus for every ``i <= n``, in the
-    end's reference basis, from one running product of gluing matrices.
+    end's reference basis.
 
     The reference slope at the outermost level is the meridian
-    direction, normalized so that level 0 reads ``a_0``; pushing it
-    through the inverse gluing matrices gives exactly the value of the
-    truncated expansion ``[a_0, ..., a_i]``.
+    direction ``1/0``, normalized so that level 0 reads ``a_0``.  Pushing
+    it through the inverse gluing matrices of levels ``i, ..., 0`` gives
+    ``a_0 - 1/(a_1 - ... - 1/a_i)``, so the end slopes are the
+    convergents of the stream.
     """
     if n < 0:
         raise LimitsError("level must be >= 0")
-    acc = ((1, 0), (0, 1))
-    out = []
-    for i in range(n + 1):
-        acc = _mat_mul(acc, _mat_inv_unimodular(gluing_matrix(stream.coeff(i))))
-        # Mobius action on the meridian direction 1/0.
-        out.append(Fraction(acc[0][0], acc[1][0]))
-    return out
+    return convergents(stream.coeffs(n), n)
 
 
 def end_slope(stream: CoeffStream, n: int) -> Fraction:

@@ -127,8 +127,10 @@ class SurgeryDiagram:
     def is_integral(self) -> bool:
         return all(c.is_integral for c in self.components)
 
-    def _linking_numbers(self) -> list[list[int]]:
-        """Linking number of every pair of components, off the diagonal.
+    def _linking_numbers(self) -> list[dict[int, int]]:
+        """Sparse rows of linking numbers: row ``i`` maps ``j`` to the
+        linking number of components ``i`` and ``j``; a missing ``j``
+        links 0, and diagonal entries are not linking numbers.
 
         Meridians and chains link their parent once, closure components
         link by the closure's linking matrix and the axis links each
@@ -136,8 +138,8 @@ class SurgeryDiagram:
         ``parent`` between such components.
         """
         comps = self.components
-        stats, n = closure_stats(self.braid), len(comps)
-        lk = [[0] * n for _ in range(n)]
+        stats = closure_stats(self.braid)
+        lk: list[dict[int, int]] = [{} for _ in comps]
         for i, c in enumerate(comps):
             if c.parent is not None:
                 lk[i][c.parent] = lk[c.parent][i] = 1
@@ -158,10 +160,10 @@ class SurgeryDiagram:
         comps = self.components
         if any(isinstance(c.framing, _Infinity) for c in comps):
             raise SurgeryError("empty filling has no relation; delete it first")
-        m = self._linking_numbers()
-        for i, c in enumerate(comps):
-            if c.framing.denominator != 1:
-                m[i] = [c.framing.denominator * x for x in m[i]]
+        m = [[0] * len(comps) for _ in comps]
+        for i, (c, row) in enumerate(zip(comps, self._linking_numbers())):
+            for j, x in row.items():
+                m[i][j] = c.framing.denominator * x
             m[i][i] = c.framing.numerator
         return tuple(map(tuple, m))
 
@@ -204,19 +206,22 @@ class SurgeryDiagram:
             if schur[u] >= 0:
                 return None
             schur[comps[u].parent] -= 1 / schur[u]
-        matrix = self._matrix
+        lk = self._linking_numbers()
         t = [
             [
                 schur[a].numerator * schur[a].denominator if a == b
-                else schur[a].denominator * schur[b].denominator * matrix[a][b]
+                else schur[a].denominator * schur[b].denominator * lk[a][b]
                 for b in closures
             ]
             for a in closures
         ]
         sigma = linalg.signature(t) - len(unknots)
 
-        # Invariant factors, on a sparse copy of the linking matrix.
-        rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(matrix)}
+        # Invariant factors, on the sparse linking matrix with the framings
+        # on its diagonal.
+        for i, c in enumerate(comps):
+            lk[i][i] = c.framing.numerator
+        rows = dict(enumerate(lk))
         cols = {j: set() for j in rows}
         for i, row in rows.items():
             for j in row:
@@ -516,7 +521,7 @@ def rolfsen_twist(diagram: SurgeryDiagram, u: int, t: int) -> SurgeryDiagram:
         if i == u:
             comps.append(c)
             continue
-        lk = linking[i][u]
+        lk = linking[i].get(u, 0)
         framing = c.framing
         if not isinstance(framing, _Infinity) and lk:
             framing = framing + t * lk * lk

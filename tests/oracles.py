@@ -10,11 +10,15 @@ handle reducer that rescans the word from index 0 after every step.
 ``presentation_matrix_by_pairs`` reads the linking number of every pair
 off the two components' kinds, and ``end_slope_from_scratch`` multiplies
 the gluing matrices of one level from the first.
+``neg_cfrac_by_fractions`` runs the ceiling algorithm on ``Fraction``
+values, and ``end_slopes_by_gluing`` keeps one running product of
+inverse gluing matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +28,7 @@ from braidsurgery.braid import (
     ReductionBudgetExceeded,
     crossing_stats,
 )
+from braidsurgery.limits import gluing_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +305,50 @@ def end_slope_from_scratch(coeffs) -> Fraction:
     for a in coeffs:
         p, q, r, s = -a * p - q, p, -a * r - s, r
     return Fraction(p, r)
+
+
+# ---------------------------------------------------------------------------
+# Continued fractions on Fraction values, end slopes by 2 x 2 products.
+
+def neg_cfrac_by_fractions(r) -> tuple[int, ...]:
+    """Coefficients of ``r < -1``: take ``a = -ceil(-r)``, go on with
+    ``1/(a - r)`` until ``r`` is an integer."""
+    r = Fraction(r)
+    coeffs = []
+    while True:
+        a = -math.ceil(-r)
+        coeffs.append(a)
+        if r == a:
+            return tuple(coeffs)
+        r = 1 / (a - r)
+
+
+def int_mat_mul(x, y):
+    return (
+        (
+            x[0][0] * y[0][0] + x[0][1] * y[1][0],
+            x[0][0] * y[0][1] + x[0][1] * y[1][1],
+        ),
+        (
+            x[1][0] * y[0][0] + x[1][1] * y[1][0],
+            x[1][0] * y[0][1] + x[1][1] * y[1][1],
+        ),
+    )
+
+
+def int_mat_inv_unimodular(x):
+    (a, b), (c, d) = x
+    if a * d - b * c != 1:
+        raise ValueError("gluing matrices must have determinant 1")
+    return ((d, -b), (-c, a))
+
+
+def end_slopes_by_gluing(coeffs) -> list[Fraction]:
+    """The meridian direction ``1/0`` read through the running product of
+    the inverse gluing matrices of ``a_0, ..., a_i``, for every ``i``."""
+    acc = ((1, 0), (0, 1))
+    out = []
+    for a in coeffs:
+        acc = int_mat_mul(acc, int_mat_inv_unimodular(gluing_matrix(a)))
+        out.append(Fraction(acc[0][0], acc[1][0]))
+    return out

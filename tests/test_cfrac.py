@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import cfrac
+from oracles import neg_cfrac_by_fractions
 
 
 rationals_below_minus_one = st.builds(
@@ -12,6 +13,29 @@ rationals_below_minus_one = st.builds(
     st.integers(min_value=2, max_value=10**6),
     st.integers(min_value=1, max_value=10**6),
 ).filter(lambda r: r < -1)
+
+
+def chains(max_run: int):
+    """Admissible coefficient lists of runs of up to ``max_run`` terms -2,
+    small coefficients and coefficients of 100 to 300 digits."""
+    segment = st.one_of(
+        st.integers(min_value=1, max_value=max_run).map(lambda k: [-2] * k),
+        st.integers(min_value=3, max_value=9).map(lambda a: [-a]),
+        st.integers(min_value=10**99, max_value=10**300).map(lambda a: [-a]),
+    )
+    return st.lists(segment, min_size=1, max_size=5).map(
+        lambda parts: [a for part in parts for a in part]
+    )
+
+
+long_rationals = st.one_of(
+    chains(max_run=300).map(cfrac.eval_cfrac),
+    st.builds(
+        lambda p, q: Fraction(-p, q),
+        st.integers(min_value=2, max_value=10**300),
+        st.integers(min_value=1, max_value=10**300),
+    ).filter(lambda r: r < -1),
+)
 
 
 def test_integer_values_are_single_term():
@@ -136,3 +160,19 @@ def test_neg_cfrac_length_stops_early_on_long_chains():
     assert cfrac.neg_cfrac_length(Fraction(-1000000, 999999), 10) == 11
     with pytest.raises(cfrac.CFracError):
         cfrac.neg_cfrac_length(Fraction(-1), 10)
+
+
+@given(long_rationals, st.integers(min_value=0, max_value=2_000))
+@settings(max_examples=80, deadline=None)
+def test_neg_cfrac_and_its_length_match_the_fraction_loop(r, limit):
+    expected = neg_cfrac_by_fractions(r)
+    assert cfrac.neg_cfrac(r).coeffs == expected
+    assert cfrac.neg_cfrac_length(r, limit) == min(len(expected), limit + 1)
+
+
+@given(chains(max_run=60))
+@settings(max_examples=40, deadline=None)
+def test_convergents_match_each_prefix_evaluated(coeffs):
+    n = len(coeffs) - 1
+    expected = [cfrac.eval_cfrac(coeffs[: k + 1]) for k in range(n + 1)]
+    assert cfrac.convergents(coeffs, n) == expected

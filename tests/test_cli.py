@@ -584,6 +584,41 @@ def test_component_budget_boundary(monkeypatch):
     assert code == cli.EXIT_NUMERIC
 
 
+def test_cfrac_cap_is_counted_before_the_expansion(monkeypatch):
+    from braidsurgery import cfrac
+
+    # 5/6 expands -6/5 into five coefficients -2.
+    monkeypatch.setattr(cli, "MAX_CFRAC_TERMS", 5)
+    code, out = run_cli(["cfrac", "5/6"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["coeffs"] == [-2] * 5
+
+    def never(*args):
+        raise AssertionError("expansion started before the length check")
+
+    monkeypatch.setattr(cfrac, "neg_cfrac", never)
+    monkeypatch.setattr(cli, "MAX_CFRAC_TERMS", 4)
+    code, out = run_cli(["cfrac", "5/6"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "code": cli.EXIT_PARSE,
+        "type": "CFracError",
+        "message": "'5/6' expands to over 4 coefficients, cap 4",
+    }
+
+
+def test_cfrac_cap_at_its_default():
+    code, out = run_cli(["cfrac", "9999/10000"])
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert len(payload["coeffs"]) == 9999
+    assert payload["convergents"][-1] == "-10000/9999"
+    n = cli.MAX_CFRAC_TERMS + 1  # n/(n + 1) has n coefficients
+    code, out = run_cli(["cfrac", f"{n}/{n + 1}"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "CFracError"
+
+
 @pytest.mark.parametrize(
     "argv,read_first",
     [

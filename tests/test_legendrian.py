@@ -63,7 +63,23 @@ def test_parity_condition_enables_rot_zero(w):
 
 
 def test_link_front_stats_agrees_on_knots():
-    assert L.link_front_stats(KNOT) == (L.front_stats(KNOT),)
+    # The knot formulas: tb = c+ - 2c- - m, rot = c- mod 2, 2(m + c-) cusps.
+    for w in (KNOT, SEVEN) + tuple(map(B.parse_braid, WORKLOADS.KNOTS)):
+        c = L.link_front_stats(w)
+        assert c == (L.front_stats(w),)
+        assert c[0].tb == w.c_plus - 2 * w.c_minus - w.strands
+        assert (c[0].rot, c[0].cusps) == (w.c_minus % 2, 2 * (w.strands + w.c_minus))
+
+
+def test_failing_components_are_named_before_any_front_is_stabilized():
+    for text, failing in (("B3 s1^3 s2^-1", [1]), ("B2 s1^-2", [1, 2])):
+        w = B.parse_braid(text)
+        slopes = SlopeVector((Fraction(1, 2),) * B.permutation(w).num_components)
+        with pytest.raises(L.HypothesisError) as info:
+            L.enumerate_weinstein(w, slopes)
+        assert str(info.value) == (
+            f"components {failing} fail the charged crossing condition"
+        )
 
 
 def test_link_front_stats_charges_negative_crossings():

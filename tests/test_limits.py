@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from braidsurgery import braid as B
 from braidsurgery import limits as LM
 from braidsurgery.cfrac import eval_cfrac
-from oracles import end_slope_from_scratch
+from oracles import (
+    end_slope_from_scratch,
+    end_slopes_by_gluing,
+    int_mat_inv_unimodular,
+    int_mat_mul,
+)
+from test_cfrac import chains
 
 
 admissible_entries = st.integers(min_value=-7, max_value=-2)
@@ -174,6 +180,14 @@ def test_end_slopes_match_each_level_from_scratch(s, n):
     assert LM.end_slope(s, n) == expected[-1]
 
 
+@given(chains(max_run=150), st.lists(admissible_entries, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_end_slopes_match_the_gluing_product(prefix, cycle):
+    s = LM.CoeffStream(tuple(prefix), tuple(cycle))
+    n = len(prefix) + len(cycle)
+    assert LM.end_slopes(s, n) == end_slopes_by_gluing(s.coeffs(n))
+
+
 def test_end_slopes_reject_negative_levels():
     with pytest.raises(LM.LimitsError):
         LM.end_slopes(LM.CoeffStream(prefix=(-2,)), -1)
@@ -181,8 +195,8 @@ def test_end_slopes_reject_negative_levels():
 
 def test_end_slope_matches_explicit_matrix_product():
     s = LM.CoeffStream(prefix=(-3, -2))
-    prod = LM._mat_mul(LM.gluing_matrix(-2), LM.gluing_matrix(-3))
-    inv = LM._mat_inv_unimodular(prod)
+    prod = int_mat_mul(LM.gluing_matrix(-2), LM.gluing_matrix(-3))
+    inv = int_mat_inv_unimodular(prod)
     assert Fraction(inv[0][0], inv[1][0]) == LM.end_slope(s, 1)
 
 

@@ -412,6 +412,20 @@ def test_folded_divisors_pinned():
     assert eighty.signature == 1 - 160
 
 
+def test_fold_builds_no_dense_matrix():
+    link = B.parse_braid("B4 s1^5 s3^5 s2^-2")
+    diagrams = [
+        knot_slope_diagram(Fraction(9713, 35369)),
+        S.rational_surgery(link, SlopeVector((Fraction(83, 5), Fraction(44, 7)))),
+    ]
+    for d in diagrams:
+        for expand in (S.slam_dunk_expand, S.expand_general):
+            e = expand(d)
+            S.homology(e)
+            assert e._folded is not None
+            assert "_matrix" not in e.__dict__
+
+
 def test_merge_twos_by_two_adic_valuation():
     assert S._merge_twos([1, 3, 12, 0], 0) == [1, 3, 12, 0]
     # 2-exponents 0, 0, 2 and 1, 1 sorted; odd parts 1, 1 then 1, 3, 3.
