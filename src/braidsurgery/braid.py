@@ -31,13 +31,17 @@ class BraidError(ValueError):
 
 
 class ReductionBudgetExceeded(RuntimeError):
-    """Handle reduction hit its step cap before reaching a reduced word."""
+    """Handle reduction hit its step or work cap before reaching a reduced word."""
 
 
 # Default step budget for handle reduction.  Termination is guaranteed,
 # but the known worst-case bound is exponential in word length; the cap
 # exists so a pathological input fails loudly instead of spinning.
 DEFAULT_STEP_BUDGET = 2_000_000
+
+# Most letters one handle_reduce moves back onto the unscanned word; each
+# is scanned again, so this bounds its work (about a second in CPython).
+MAX_LETTERS_MOVED = 2_000_000
 
 # Longest word parse_braid, power and garside build; BraidError beyond it.
 # It also caps the strand count and the crossing tables of crossing_stats.
@@ -359,19 +363,21 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
     Repeatedly reduces the first handle (the earliest-closing subword
     ``s_i^e ... s_i^-e`` whose interior only uses higher-index
     generators).  The first handle never contains another handle, which
-    is the strategy with guaranteed termination; ``max_steps`` bounds
-    the number of reductions and overflow raises
-    :class:`ReductionBudgetExceeded` rather than returning a wrong
-    answer.  One scan moves letters from ``rest`` to ``out`` and keeps a
-    stack of ``out`` positions per generator index.  A reduction at ``s``
-    keeps the handle-free ``out[:s]``, drops the positions ``>= s`` (only
-    indices ``>= i`` have any) and pushes the replacement back onto
-    ``rest``, so the cost is linear in the letters scanned.
+    is the strategy with guaranteed termination.  One scan moves letters
+    from ``rest`` to ``out`` and keeps a stack of ``out`` positions per
+    generator index.  A reduction at ``s`` keeps the handle-free
+    ``out[:s]``, pops the stack entry of every dropped letter and pushes
+    the replacement back onto ``rest``, so the cost is linear in the
+    letters scanned: the input plus the letters moved back.  Both
+    budgets raise :class:`ReductionBudgetExceeded` rather than return a
+    wrong answer: ``max_steps`` bounds the number of reductions and
+    ``MAX_LETTERS_MOVED`` the letters moved back, the work that grows
+    faster than the steps when handle interiors are long.
     """
     rest = list(reversed(word.letters))
     out: list[int] = []
     stacks: list[list[int]] = [[] for _ in range(word.strands)]
-    steps = 0
+    steps = moved = 0
     while rest:
         x = rest.pop()
         i = abs(x)
@@ -387,16 +393,23 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
                         f" word now {len(out) + 1 + len(rest)} letters)"
                     )
                 e = 1 if out[s] > 0 else -1
+                own.pop()
+                moved -= len(rest)
                 for y in reversed(out[s + 1 :]):
+                    stacks[abs(y)].pop()
                     if abs(y) == i + 1:
                         d = 1 if y > 0 else -1
                         rest.extend([e * (i + 1), d * i, -e * (i + 1)])
                     else:
                         rest.append(y)
+                moved += len(rest)
+                if moved > MAX_LETTERS_MOVED:
+                    raise ReductionBudgetExceeded(
+                        f"handle reductions moved {moved} letters back, cap"
+                        f" {MAX_LETTERS_MOVED} ({word.strands} strands, input"
+                        f" {len(word)} letters, {steps} reductions)"
+                    )
                 del out[s:]
-                for stack in stacks[i:]:
-                    while stack and stack[-1] >= s:
-                        stack.pop()
                 continue
         own.append(len(out))
         out.append(x)
@@ -410,7 +423,9 @@ def is_trivial(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
 
 def _main_sign(word: BraidWord, max_steps: int) -> int:
     """+1 / -1 when the reduced word uses its lowest generator only
-    positively / only negatively, else 0 (the trivial braid among them)."""
+    positively / only negatively, else 0 (the trivial braid among them).
+    It is a property of the braid: every braid is exactly one of
+    sigma-positive, sigma-negative or trivial."""
     reduced = handle_reduce(word, max_steps).letters
     if not reduced:
         return 0
@@ -440,12 +455,17 @@ def dehornoy_floor_at_least(
     """
     if d < 0:
         raise BraidError(f"floor probe needs d >= 0, got {d}")
-    if d == 0:
-        return True
-    shift = inverse(power(garside(word.strands), 2 * d))
-    if not is_sigma_negative(compose(word, shift), max_steps):
-        return True
-    return not is_sigma_negative(compose(inverse(word), shift), max_steps)
+    return d == 0 or _floor_probe(handle_reduce(word, max_steps), d, max_steps)
+
+
+def _floor_probe(reduced: BraidWord, d: int, max_steps: int) -> bool:
+    """The probe at ``d >= 1`` of a handle-free word.  Its inverse is
+    handle-free too, so only the products with the full twists reduce."""
+    shift = inverse(power(garside(reduced.strands), 2 * d))
+    return any(
+        _main_sign(compose(w, shift), max_steps) != -1
+        for w in (reduced, inverse(reduced))
+    )
 
 
 def dehornoy_floors(word: BraidWord) -> dict[int, bool]:
@@ -453,14 +473,17 @@ def dehornoy_floors(word: BraidWord) -> dict[int, bool]:
 
     The length of every probe's full twist power is checked first, so
     a probe over ``MAX_WORD_LENGTH`` raises its ``BraidError`` before any
-    probe word is built or reduced.
+    probe word is built or reduced.  The word is then reduced once, and
+    every probe starts from that handle-free word: the sign each probe
+    reads depends only on the braid.
     """
     half = word.strands * (word.strands - 1) // 2
     depths = (1, 2, 3)
     for d in depths:
         _check_length(half, f"half twist on {word.strands} strands")
         _check_length(half * 2 * d, f"power {2 * d} of a {half}-letter word")
-    return {d: dehornoy_floor_at_least(word, d) for d in depths}
+    reduced = handle_reduce(word)
+    return {d: _floor_probe(reduced, d, DEFAULT_STEP_BUDGET) for d in depths}
 
 
 def check_hypothesis(

@@ -92,9 +92,11 @@ def neg_cfrac_length(r, limit: int) -> int:
     return sum(1 for _ in islice(_ceiling_steps(r), limit + 1))
 
 
-def convergents(coeff_stream, n: int) -> list[Fraction]:
-    """Values of the first ``n + 1`` truncations of a coefficient stream,
-    from ``p_k = a_k p_(k-1) - p_(k-2)`` and the same recurrence for ``q``."""
+def convergent_pairs(coeff_stream, n: int) -> list[tuple[int, int]]:
+    """The first ``n + 1`` truncations of a coefficient stream as ``(p, q)``
+    with ``q > 0``, from ``p_k = a_k p_(k-1) - p_(k-2)`` and the same
+    recurrence for ``q``.  They are in lowest terms, since
+    ``p_k q_(k-1) - p_(k-1) q_k = +-1``."""
     coeffs = list(islice(coeff_stream, n + 1))
     if len(coeffs) <= n:
         raise CFracError(f"coefficient stream ended before index {n}")
@@ -104,8 +106,13 @@ def convergents(coeff_stream, n: int) -> list[Fraction]:
     out = []
     for a in coeffs:
         p0, p, q0, q = p, a * p - p0, q, a * q - q0
-        out.append(Fraction(p, q))
+        out.append((p, q) if q > 0 else (-p, -q))
     return out
+
+
+def convergents(coeff_stream, n: int) -> list[Fraction]:
+    """Values of the first ``n + 1`` truncations of a coefficient stream."""
+    return [Fraction(p, q) for p, q in convergent_pairs(coeff_stream, n)]
 
 
 def phi(f: NegContFrac) -> int:

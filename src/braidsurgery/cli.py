@@ -242,13 +242,13 @@ def cmd_cfrac(args) -> dict:
             f" cap {MAX_CFRAC_TERMS}"
         )
     expansion = cfrac_mod.neg_cfrac(target)
+    # In lowest terms already, and no longer than the target's MAX_DIGITS.
+    pairs = cfrac_mod.convergent_pairs(expansion.coeffs, len(expansion.coeffs) - 1)
     return {
         "expanded": target,
         "coeffs": expansion.coeffs,
         "phi": cfrac_mod.phi(expansion),
-        "convergents": cfrac_mod.convergents(
-            expansion.coeffs, len(expansion.coeffs) - 1
-        ),
+        "convergents": [f"{p}/{q}" for p, q in pairs],
     }
 
 

@@ -6,7 +6,9 @@ Laurent polynomials (faithful on three strands), the determinant
 oracle is cofactor expansion, the invariant-factor oracle is the
 gcd-of-minors formula, and the signature and linear-solve oracles
 eliminate over ``Fraction``.  ``handle_reduce_rescan`` is the plain
-handle reducer that rescans the word from index 0 after every step.
+handle reducer that rescans the word from index 0 after every step, and
+``floor_at_least_by_probes`` reduces each floor probe from the word
+itself with it.
 ``presentation_matrix_by_pairs`` reads the linking number of every pair
 off the two components' kinds, and ``end_slope_from_scratch`` multiplies
 the gluing matrices of one level from the first.
@@ -26,7 +28,11 @@ from braidsurgery.braid import (
     DEFAULT_STEP_BUDGET,
     BraidWord,
     ReductionBudgetExceeded,
+    compose,
     crossing_stats,
+    garside,
+    inverse,
+    power,
 )
 from braidsurgery.limits import gluing_matrix
 
@@ -266,6 +272,19 @@ def _first_handle(w: list[int]) -> tuple[int, int] | None:
                 return s, t
         last[i] = t
     return None
+
+
+def floor_at_least_by_probes(word, d: int) -> bool:
+    """Floor probe at ``d >= 1``: passes when ``w * Delta^(-2d)`` or
+    ``w^-1 * Delta^(-2d)``, each rescan-reduced as written, is not
+    sigma-negative (its lowest generator occurs only inverted)."""
+    shift = inverse(power(garside(word.strands), 2 * d))
+    for w in (word, inverse(word)):
+        reduced = handle_reduce_rescan(compose(w, shift)).letters
+        lowest = min(reduced, key=abs, default=0)
+        if lowest >= 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
-from oracles import burau3, burau3_is_identity, handle_reduce_rescan
+from oracles import (
+    burau3,
+    burau3_is_identity,
+    floor_at_least_by_probes,
+    handle_reduce_rescan,
+)
 
 
 def word(strands, *letters):
@@ -269,6 +274,20 @@ def test_budget_cap_raises():
     )
 
 
+def test_letters_moved_cap_raises(monkeypatch):
+    # The handle s1 s2^4 s1^-1 moves 3 letters back per s2; nothing else moves.
+    w = B.parse_braid("B3 s1 s2^4 s1^-1")
+    monkeypatch.setattr(B, "MAX_LETTERS_MOVED", 12)
+    assert B.format_braid(B.handle_reduce(w)) == "B3 s2^-1 s1^4 s2"
+    monkeypatch.setattr(B, "MAX_LETTERS_MOVED", 11)
+    with pytest.raises(B.ReductionBudgetExceeded) as info:
+        B.handle_reduce(w)
+    assert str(info.value) == (
+        "handle reductions moved 12 letters back, cap 11"
+        " (3 strands, input 6 letters, 1 reductions)"
+    )
+
+
 def signed_letters(gens, max_size):
     letter = st.sampled_from(gens).flatmap(lambda g: st.sampled_from([g, -g]))
     return st.lists(letter, max_size=max_size)
@@ -349,6 +368,21 @@ def test_floor_probe_symmetric_under_inverse():
 def test_floor_probe_monotone(w, d):
     if B.dehornoy_floor_at_least(w, d):
         assert B.dehornoy_floor_at_least(w, d - 1)
+
+
+def half_twisted(words):
+    """A word after a power -8..8 of the half twist, so floors up to 3 occur."""
+    return st.tuples(words, st.integers(-8, 8)).map(
+        lambda t: B.compose(B.power(B.garside(t[0].strands), t[1]), t[0])
+    )
+
+
+@given(half_twisted(st.one_of(words3, reducer_cases().map(lambda case: case[0]))))
+@settings(max_examples=150, deadline=None)
+def test_floors_from_one_reduction_match_the_probes(w):
+    expected = {d: floor_at_least_by_probes(w, d) for d in (1, 2, 3)}
+    assert B.dehornoy_floors(w) == expected
+    assert {d: B.dehornoy_floor_at_least(w, d) for d in (1, 2, 3)} == expected
 
 
 def test_floor_probe_rejects_negative():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsurgery import braid, cli, legendrian, surgery
+from braidsurgery import braid, cfrac, cli, legendrian, surgery
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -208,6 +208,32 @@ def test_floor_probes_on_long_trivial_word():
     data = json.loads(out)
     assert data["braid"]["length"] == 20_000
     assert data["dehornoy_floor_at_least"] == {"1": False, "2": False, "3": False}
+
+
+def test_analyze_reduces_its_word_once(monkeypatch):
+    calls = []
+    handle_reduce = braid.handle_reduce
+
+    def spy(word, max_steps=braid.DEFAULT_STEP_BUDGET):
+        calls.append(word.letters)
+        return handle_reduce(word, max_steps)
+
+    # A positive word with u u^-1 inside: floors 1, 2 and 3 hold, and the
+    # reduced word is 18 letters of the 218.
+    u = " ".join(f"s{g}" for g in [1, 2, 2, 1, 2] * 20)
+    inv = " ".join(f"s{g}^-1" for g in reversed([1, 2, 2, 1, 2] * 20))
+    text = f"B3 s1 s2 s1 s1 s2 s1 {u} {inv} s1^2 s2 s1^2 s2 s1^2 s2 s1^2 s2"
+    word = braid.parse_braid(text)
+    monkeypatch.setattr(braid, "handle_reduce", spy)
+    code, out = run_cli(["analyze", text])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["dehornoy_floor_at_least"] == {"1": True, "2": True, "3": True}
+    assert 1 < len(calls) <= 7
+    assert calls[0] == word.letters
+    reduced = handle_reduce(word).letters
+    for letters in calls[1:]:
+        assert len(letters) < len(word)
+        assert letters[: len(reduced)] in (reduced, braid.inverse(braid.BraidWord(3, reduced)).letters)
 
 
 def test_limits_rejects_negative_levels():
@@ -619,6 +645,20 @@ def test_cfrac_cap_at_its_default():
     assert json.loads(out)["error"]["type"] == "CFracError"
 
 
+def test_cfrac_convergents_match_fractions_near_the_term_cap():
+    # Every twelfth coefficient -3: 10,000 terms and convergents of about
+    # 830 digits, inside MAX_DIGITS.
+    n = cli.MAX_CFRAC_TERMS
+    coeffs = [-3 if k % 12 == 0 else -2 for k in range(n)]
+    expected = [cli.frac_str(Fraction(p, q)) for p, q in cfrac.convergent_pairs(coeffs, n - 1)]
+    code, out = run_cli(["cfrac", "--", expected[-1]])
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["coeffs"] == coeffs
+    assert payload["convergents"] == expected
+    assert len(expected[-1]) > 1600
+
+
 @pytest.mark.parametrize(
     "argv,read_first",
     [
@@ -702,6 +742,53 @@ def test_help_is_the_one_text_output(argv):
     code, out = run_cli(argv)
     assert code == cli.EXIT_OK
     assert out.startswith("usage: braidsurgery")
+
+
+def test_a_sequence_of_commands_in_one_process_matches_fresh_processes(monkeypatch):
+    # Flags switched on and then left off, in one process, print what the
+    # same argv prints in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the help text
+    sequence = [
+        ["analyze", "B2 s1^5", "--assert-hyperbolic"],
+        ["analyze", "B2 s1^5"],
+        ["analyze", "B3 s1^7 s2^-1", "--table"],
+        ["analyze", "B3 s1^7 s2^-1"],
+        ["surgery", "B2 s1^5", "--slopes", "1/5", "--general"],
+        ["surgery", "B2 s1^5", "--slopes", "1/5"],
+        ["theta", "B2 s1^5", "--slope", "1/5", "--tuple", "2"],
+        ["theta", "B2 s1^5", "--slope", "1/5"],
+        ["enumerate", "B2 s1^5", "--slopes", "1/5", "--count-only"],
+        ["enumerate", "B2 s1^5", "--slopes", "1/5"],
+        ["surgery", "B2 s1^5"],
+        ["--help"],
+    ]
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv in sequence:
+        code, out = run_cli(argv)
+        alone = subprocess.run(
+            [sys.executable, "-m", "braidsurgery.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (code, out.encode()) == (alone.returncode, alone.stdout), argv
+
+
+def test_a_patched_command_leaves_later_calls_alone(monkeypatch):
+    # The first call in the process runs a patched command; once the patch
+    # is undone, the same argv runs the real one.
+    def broken(args):
+        raise KeyError("missing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_analyze", broken)
+        code, out = run_cli(["analyze", "B2 s1^5"])
+        assert code == cli.EXIT_NUMERIC
+        assert json.loads(out)["error"]["message"] == "KeyError: 'missing'"
+    code, out = run_cli(["analyze", "B2 s1^5"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["subcommand"] == "analyze"
 
 
 @pytest.mark.parametrize(
