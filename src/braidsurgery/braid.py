@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+
+from .record import Record
 
 
 class BraidError(ValueError):
@@ -59,8 +60,7 @@ def check_strands(strands: int) -> None:
         raise BraidError(f"braid on {strands} strands, cap {MAX_WORD_LENGTH}")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the Artin generators of the braid group on ``strands`` strands.
 
     ``letters`` holds signed generator indices: ``+g`` for ``s<g>``,
@@ -68,18 +68,12 @@ class BraidWord:
     is the identity braid.
     """
 
-    strands: int
-    letters: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.strands < 2:
-            raise BraidError(f"need at least 2 strands, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if not 1 <= abs(x) <= self.strands - 1:
-                raise BraidError(
-                    f"generator index {abs(x)} out of range for {self.strands} strands"
-                )
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        if strands < 2:
+            raise BraidError(f"need at least 2 strands, got {strands}")
+        letters = tuple(letters)
+        _check_letters(strands, letters)
+        self._store(locals())
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -97,8 +91,15 @@ class BraidWord:
         return sum(1 for x in self.letters if x < 0)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+def _check_letters(strands: int, letters: tuple[int, ...]) -> None:
+    for x in letters:
+        if not 1 <= abs(x) <= strands - 1:
+            raise BraidError(
+                f"generator index {abs(x)} out of range for {strands} strands"
+            )
+
+
+class ComponentPartition(Record):
     """Cycle structure of the closure of a braid word.
 
     ``permutation[i]`` is the final position of the strand starting at
@@ -107,9 +108,13 @@ class ComponentPartition:
     components are numbered by smallest member position.
     """
 
-    permutation: tuple[int, ...]
-    component_of: tuple[int, ...]
-    cycle_type: tuple[int, ...]
+    def __init__(
+        self,
+        permutation: tuple[int, ...],
+        component_of: tuple[int, ...],
+        cycle_type: tuple[int, ...],
+    ):
+        self._store(locals())
 
     @property
     def num_components(self) -> int:
@@ -120,8 +125,7 @@ class ComponentPartition:
         return self.num_components == 1
 
 
-@dataclass(frozen=True)
-class CrossingStats:
+class CrossingStats(Record):
     """Crossing bookkeeping for a braid closure.
 
     ``per_component[i]`` is ``(c_plus, c_minus)`` counting self
@@ -132,28 +136,35 @@ class CrossingStats:
     component ``i+1``, i.e. its winding about the braid axis.
     """
 
-    c_plus: int
-    c_minus: int
-    per_component: tuple[tuple[int, int], ...]
-    inter_negative: tuple[tuple[int, ...], ...]
-    d_minus: tuple[int, ...]
-    linking: tuple[tuple[int, ...], ...]
-    axis_linking: tuple[int, ...]
+    def __init__(
+        self,
+        c_plus: int,
+        c_minus: int,
+        per_component: tuple[tuple[int, int], ...],
+        inter_negative: tuple[tuple[int, ...], ...],
+        d_minus: tuple[int, ...],
+        linking: tuple[tuple[int, ...], ...],
+        axis_linking: tuple[int, ...],
+    ):
+        self._store(locals())
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """Checkable surgery-hypothesis flags for a braid word.
 
     ``hyperbolicity`` is never computed here: it records whether the
     caller asserted it ("asserted") or left it open ("unknown").
     """
 
-    is_knot: bool
-    cond_tb: bool
-    cond_parity: bool
-    per_component_cond: tuple[bool, ...]
-    hyperbolicity: str = "unknown"
+    def __init__(
+        self,
+        is_knot: bool,
+        cond_tb: bool,
+        cond_parity: bool,
+        per_component_cond: tuple[bool, ...],
+        hyperbolicity: str = "unknown",
+    ):
+        self._store(locals())
 
     @property
     def all_checkable(self) -> bool:
@@ -368,7 +379,10 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
     generator index.  A reduction at ``s`` keeps the handle-free
     ``out[:s]``, pops the stack entry of every dropped letter and pushes
     the replacement back onto ``rest``, so the cost is linear in the
-    letters scanned: the input plus the letters moved back.  Both
+    letters scanned: the input plus the letters moved back.  A
+    candidate at index ``i`` is checked on the shorter of its interior
+    and the ``i - 1`` lower stacks, so a check that finds a handle reads
+    at most the letters the reduction moves back.  Both
     budgets raise :class:`ReductionBudgetExceeded` rather than return a
     wrong answer: ``max_steps`` bounds the number of reductions and
     ``MAX_LETTERS_MOVED`` the letters moved back, the work that grows
@@ -384,7 +398,15 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
         own = stacks[i]
         if own and (out[own[-1]] > 0) != (x > 0):
             s = own[-1]
-            if all(not stacks[j] or stacks[j][-1] < s for j in range(1, i)):
+            interior = len(out) - s - 1
+            # A handle when no lower generator follows s.  As s tops stack
+            # i, the interior holds none exactly when no lower stack tops
+            # past s: read whichever of the two is shorter.
+            if not interior or (
+                all(abs(y) > i for y in out[s + 1 :])
+                if interior < i - 1
+                else all(not stacks[j] or stacks[j][-1] < s for j in range(1, i))
+            ):
                 steps += 1
                 if steps > max_steps:
                     raise ReductionBudgetExceeded(

@@ -9,42 +9,36 @@ come from the linear recurrence of their numerators and denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+
+from .record import Record
 
 
 class CFracError(ValueError):
     """Value outside the domain of negative continued fractions."""
 
 
-@dataclass(frozen=True)
-class NegContFrac:
+class NegContFrac(Record):
     """A terminating expansion ``a_0 - 1/(a_1 - 1/(... - 1/a_k))``."""
 
-    coeffs: tuple[int, ...]
-    value: Fraction
-
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...], value: Fraction):
+        if not coeffs:
             raise CFracError("empty coefficient list")
-        if any(a > -2 for a in self.coeffs):
-            raise CFracError(f"coefficients must be <= -2, got {list(self.coeffs)}")
+        if any(a > -2 for a in coeffs):
+            raise CFracError(f"coefficients must be <= -2, got {list(coeffs)}")
+        self._store(locals())
 
     def phi(self) -> int:
         return phi(self)
 
 
-@dataclass(frozen=True)
-class SlopeVector:
+class SlopeVector(Record):
     """Ordered surgery slopes, one per link component, in lowest terms."""
 
-    slopes: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "slopes", tuple(Fraction(s) for s in self.slopes)
-        )
+    def __init__(self, slopes: tuple[Fraction, ...]):
+        slopes = tuple(Fraction(s) for s in slopes)
+        self._store(locals())
 
     def __len__(self) -> int:
         return len(self.slopes)

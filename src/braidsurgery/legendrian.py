@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import braid as braid_mod
 from . import surgery
 from .braid import BraidWord
 from .cfrac import SlopeVector
+from .record import Record
 from .surgery import BRAID, SurgeryDiagram
 
 
@@ -48,21 +48,17 @@ class MenuBudgetExceeded(RuntimeError):
 MAX_MENU_PICKS = 100_000
 
 
-@dataclass(frozen=True)
-class LegendrianComponent:
+class LegendrianComponent(Record):
     """tb/rot state of one Legendrian component plus its stabilization history."""
 
-    tb: int
-    rot: int
-    cusps: int
-    stab_pos: int = 0
-    stab_neg: int = 0
-
-    def __post_init__(self):
-        if self.cusps < 0 or self.cusps % 2:
-            raise LegendrianError(f"cusp count must be even and >= 0, got {self.cusps}")
-        if self.stab_pos < 0 or self.stab_neg < 0:
+    def __init__(
+        self, tb: int, rot: int, cusps: int, stab_pos: int = 0, stab_neg: int = 0
+    ):
+        if cusps < 0 or cusps % 2:
+            raise LegendrianError(f"cusp count must be even and >= 0, got {cusps}")
+        if stab_pos < 0 or stab_neg < 0:
             raise LegendrianError("stabilization counts must be >= 0")
+        self._store(locals())
 
 
 def front_stats(word: BraidWord) -> LegendrianComponent:
@@ -155,21 +151,22 @@ def unknot_menu(framing: int) -> list[LegendrianComponent]:
     ]
 
 
-@dataclass(frozen=True)
-class WeinsteinDiagram:
+class WeinsteinDiagram(Record):
     """Integral diagram whose components carry Legendrian representatives.
 
     Valid when every framing equals ``tb - 1``; ``rotation_tuple``
     lists the rot values of the unknot components in diagram order.
     """
 
-    base: SurgeryDiagram
-    legendrian: tuple[LegendrianComponent, ...]
-    rotation_tuple: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.legendrian) != len(self.base.components):
+    def __init__(
+        self,
+        base: SurgeryDiagram,
+        legendrian: tuple[LegendrianComponent, ...],
+        rotation_tuple: tuple[int, ...],
+    ):
+        if len(legendrian) != len(base.components):
             raise LegendrianError("one Legendrian component per diagram component")
+        self._store(locals())
 
 
 def validate_weinstein(w: WeinsteinDiagram) -> bool:
@@ -327,16 +324,19 @@ def c1_pairing(w: WeinsteinDiagram) -> list[int]:
     return [l.rot for l in w.legendrian]
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(Record):
     """The plane-field invariant and its ingredients, all exact."""
 
-    c1_squared: Fraction
-    chi: int
-    sigma: int
-    theta: Fraction
-    h1_order: int
-    complete_invariant: bool
+    def __init__(
+        self,
+        c1_squared: Fraction,
+        chi: int,
+        sigma: int,
+        theta: Fraction,
+        h1_order: int,
+        complete_invariant: bool,
+    ):
+        self._store(locals())
 
 
 def _inverse_form(

@@ -11,11 +11,11 @@ classification (equal slope data and equal sign).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .cfrac import SlopeVector, convergents, eval_cfrac, neg_cfrac
+from .record import Record
 
 
 class LimitsError(ValueError):
@@ -34,8 +34,7 @@ MAX_LEVELS = 1_000
 MAX_SLICES = 100_000
 
 
-@dataclass(frozen=True)
-class CoeffStream:
+class CoeffStream(Record):
     """Coefficients ``a_0, a_1, ...`` with all entries <= -2.
 
     ``cycle`` empty means the stream terminates with ``prefix``;
@@ -43,16 +42,13 @@ class CoeffStream:
     eventual property decidable.
     """
 
-    prefix: tuple[int, ...] = ()
-    cycle: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        if not self.prefix and not self.cycle:
+    def __init__(self, prefix: tuple[int, ...] = (), cycle: tuple[int, ...] = ()):
+        prefix, cycle = tuple(prefix), tuple(cycle)
+        if not prefix and not cycle:
             raise LimitsError("empty coefficient stream")
-        if any(a > -2 for a in self.prefix + self.cycle):
+        if any(a > -2 for a in prefix + cycle):
             raise LimitsError("stream coefficients must be <= -2")
+        self._store(locals())
 
     @property
     def is_infinite(self) -> bool:
@@ -91,27 +87,27 @@ class CoeffStream:
         return CoeffStream(tuple(prefix), tuple(cycle))
 
 
-@dataclass(frozen=True)
-class SignTuple:
+class SignTuple(Record):
     """Infinite tuple ``k_0, k_1, ...`` with ``1 <= k_i <= |a_i + 1|``.
 
     Entries past ``prefix`` follow the tail rule: all 1, all maximal
     for the menu at that index, or a repeating explicit pattern.
     """
 
-    prefix: tuple[int, ...] = ()
-    tail: str = TAIL_ONES
-    tail_pattern: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "tail_pattern", tuple(self.tail_pattern))
-        if self.tail not in (TAIL_ONES, TAIL_MAX, TAIL_PERIODIC):
-            raise LimitsError(f"unknown tail rule {self.tail!r}")
-        if self.tail == TAIL_PERIODIC and not self.tail_pattern:
+    def __init__(
+        self,
+        prefix: tuple[int, ...] = (),
+        tail: str = TAIL_ONES,
+        tail_pattern: tuple[int, ...] = (),
+    ):
+        prefix, tail_pattern = tuple(prefix), tuple(tail_pattern)
+        if tail not in (TAIL_ONES, TAIL_MAX, TAIL_PERIODIC):
+            raise LimitsError(f"unknown tail rule {tail!r}")
+        if tail == TAIL_PERIODIC and not tail_pattern:
             raise LimitsError("periodic tail needs a nonempty pattern")
-        if self.tail != TAIL_PERIODIC and self.tail_pattern:
+        if tail != TAIL_PERIODIC and tail_pattern:
             raise LimitsError("only periodic tails carry a pattern")
+        self._store(locals())
 
     def value(self, i: int, stream: CoeffStream) -> int:
         if i < len(self.prefix):
@@ -149,18 +145,20 @@ class SignTuple:
         return start, start + period
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Record):
     """Per level: block length ``|a_i + 2|`` and positive slice count ``k_i - 1``."""
 
-    blocks: tuple[tuple[int, int], ...]
+    def __init__(self, blocks: tuple[tuple[int, int], ...]):
+        _check_blocks(blocks)
+        self._store(locals())
 
-    def __post_init__(self):
-        for length, positives in self.blocks:
-            if not 0 <= positives <= length:
-                raise LimitsError(
-                    f"block ({length}, {positives}) has more positives than slices"
-                )
+
+def _check_blocks(blocks: tuple[tuple[int, int], ...]) -> None:
+    for length, positives in blocks:
+        if not 0 <= positives <= length:
+            raise LimitsError(
+                f"block ({length}, {positives}) has more positives than slices"
+            )
 
 
 def block_decomposition(stream: CoeffStream, k: SignTuple, n: int) -> BlockDecomposition:

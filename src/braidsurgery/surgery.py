@@ -26,7 +26,6 @@ the slopes before anything is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
@@ -35,6 +34,7 @@ from . import braid as braid_mod
 from . import linalg
 from .braid import BraidWord
 from .cfrac import SlopeVector, neg_cfrac, neg_cfrac_length
+from .record import Record, replace
 
 # Words are immutable: diagrams query pairwise linking repeatedly, and an
 # enumeration's hypothesis check and fronts read the same stats.
@@ -73,8 +73,7 @@ AXIS = "axis"
 _UNKNOT_KINDS = (MERIDIAN, CHAIN, AXIS)
 
 
-@dataclass(frozen=True)
-class SurgeryComponent:
+class SurgeryComponent(Record):
     """One framed component of a surgery diagram.
 
     ``kind`` is one of ``braid`` (closure component ``component``),
@@ -85,17 +84,19 @@ class SurgeryComponent:
     unknot links nothing.
     """
 
-    kind: str
-    framing: Fraction | _Infinity
-    component: int | None = None
-    parent: int | None = None
-    depth: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (BRAID, MERIDIAN, CHAIN, AXIS):
-            raise SurgeryError(f"unknown component kind {self.kind!r}")
-        if not isinstance(self.framing, _Infinity):
-            object.__setattr__(self, "framing", Fraction(self.framing))
+    def __init__(
+        self,
+        kind: str,
+        framing: Fraction | _Infinity,
+        component: int | None = None,
+        parent: int | None = None,
+        depth: int | None = None,
+    ):
+        if kind not in (BRAID, MERIDIAN, CHAIN, AXIS):
+            raise SurgeryError(f"unknown component kind {kind!r}")
+        if framing.__class__ is not Fraction and not isinstance(framing, _Infinity):
+            framing = Fraction(framing)
+        self._store(locals())
 
     @property
     def is_integral(self) -> bool:
@@ -105,23 +106,21 @@ class SurgeryComponent:
         )
 
 
-@dataclass(frozen=True)
-class SurgeryDiagram:
+def _check_indices(braid: BraidWord, components: tuple[SurgeryComponent, ...]) -> None:
+    ncomp = len(closure_stats(braid).axis_linking)
+    for c in components:
+        if c.kind == BRAID and not 1 <= (c.component or 0) <= ncomp:
+            raise SurgeryError(f"braid component index {c.component} out of range")
+        if c.parent is not None and not 0 <= c.parent < len(components):
+            raise SurgeryError(f"parent index {c.parent} out of range")
+
+
+class SurgeryDiagram(Record):
     """Framed link built from a braid closure and auxiliary unknots."""
 
-    braid: BraidWord
-    components: tuple[SurgeryComponent, ...]
-
-    def __post_init__(self):
-        stats = closure_stats(self.braid)
-        ncomp = len(stats.axis_linking)
-        for c in self.components:
-            if c.kind == BRAID and not 1 <= (c.component or 0) <= ncomp:
-                raise SurgeryError(
-                    f"braid component index {c.component} out of range"
-                )
-            if c.parent is not None and not 0 <= c.parent < len(self.components):
-                raise SurgeryError(f"parent index {c.parent} out of range")
+    def __init__(self, braid: BraidWord, components: tuple[SurgeryComponent, ...]):
+        _check_indices(braid, components)
+        self._store(locals())
 
     @property
     def is_integral(self) -> bool:
@@ -443,8 +442,7 @@ def linking_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     return h1_presentation_matrix(diagram)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(Record):
     """First-homology and intersection-form data of a surgery presentation.
 
     ``h1_order`` is 0 when H1 is infinite; ``elementary_divisors``
@@ -452,12 +450,16 @@ class HomologyReport:
     plus one 2-handle per component.
     """
 
-    det: int
-    h1_order: int
-    elementary_divisors: tuple[int, ...]
-    free_rank: int
-    signature: int
-    euler_char: int
+    def __init__(
+        self,
+        det: int,
+        h1_order: int,
+        elementary_divisors: tuple[int, ...],
+        free_rank: int,
+        signature: int,
+        euler_char: int,
+    ):
+        self._store(locals())
 
 
 def homology(diagram: SurgeryDiagram) -> HomologyReport:

@@ -14,18 +14,26 @@ off the two components' kinds, and ``end_slope_from_scratch`` multiplies
 the gluing matrices of one level from the first.
 ``neg_cfrac_by_fractions`` runs the ceiling algorithm on ``Fraction``
 values, and ``end_slopes_by_gluing`` keeps one running product of
-inverse gluing matrices.
+inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
+frozen ``dataclasses`` class with the same fields and checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 from math import gcd
 
+from braidsurgery import braid as braid_mod
+from braidsurgery import cfrac as cfrac_mod
+from braidsurgery import legendrian as legendrian_mod
+from braidsurgery import limits as limits_mod
+from braidsurgery import surgery as surgery_mod
 from braidsurgery.braid import (
     DEFAULT_STEP_BUDGET,
+    BraidError,
     BraidWord,
     ReductionBudgetExceeded,
     compose,
@@ -34,7 +42,10 @@ from braidsurgery.braid import (
     inverse,
     power,
 )
-from braidsurgery.limits import gluing_matrix
+from braidsurgery.cfrac import CFracError
+from braidsurgery.legendrian import LegendrianError
+from braidsurgery.limits import LimitsError, gluing_matrix
+from braidsurgery.surgery import SurgeryError
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +382,220 @@ def end_slopes_by_gluing(coeffs) -> list[Fraction]:
         acc = int_mat_mul(acc, int_mat_inv_unimodular(gluing_matrix(a)))
         out.append(Fraction(acc[0][0], acc[1][0]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# dataclasses twins of the record classes
+#
+# Each record class of the package as a frozen dataclass: the same fields,
+# defaults, normalisation and checks, with everything else generated by
+# dataclasses.  A twin's __qualname__ is its record's, so their reprs match.
+
+RECORD_TWINS: dict[type, type] = {}
+
+
+def _twin_of(record):
+    def register(twin):
+        twin.__qualname__ = record.__qualname__
+        RECORD_TWINS[record] = twin
+        return twin
+
+    return register
+
+
+@_twin_of(BraidWord)
+@dataclasses.dataclass(frozen=True)
+class BraidWordTwin:
+    strands: int
+    letters: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.strands < 2:
+            raise BraidError(f"need at least 2 strands, got {self.strands}")
+        object.__setattr__(self, "letters", tuple(self.letters))
+        for x in self.letters:
+            if not 1 <= abs(x) <= self.strands - 1:
+                raise BraidError(
+                    f"generator index {abs(x)} out of range for {self.strands} strands"
+                )
+
+
+@_twin_of(braid_mod.ComponentPartition)
+@dataclasses.dataclass(frozen=True)
+class ComponentPartitionTwin:
+    permutation: tuple[int, ...]
+    component_of: tuple[int, ...]
+    cycle_type: tuple[int, ...]
+
+
+@_twin_of(braid_mod.CrossingStats)
+@dataclasses.dataclass(frozen=True)
+class CrossingStatsTwin:
+    c_plus: int
+    c_minus: int
+    per_component: tuple[tuple[int, int], ...]
+    inter_negative: tuple[tuple[int, ...], ...]
+    d_minus: tuple[int, ...]
+    linking: tuple[tuple[int, ...], ...]
+    axis_linking: tuple[int, ...]
+
+
+@_twin_of(braid_mod.HypothesisReport)
+@dataclasses.dataclass(frozen=True)
+class HypothesisReportTwin:
+    is_knot: bool
+    cond_tb: bool
+    cond_parity: bool
+    per_component_cond: tuple[bool, ...]
+    hyperbolicity: str = "unknown"
+
+
+@_twin_of(cfrac_mod.NegContFrac)
+@dataclasses.dataclass(frozen=True)
+class NegContFracTwin:
+    coeffs: tuple[int, ...]
+    value: Fraction
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise CFracError("empty coefficient list")
+        if any(a > -2 for a in self.coeffs):
+            raise CFracError(f"coefficients must be <= -2, got {list(self.coeffs)}")
+
+
+@_twin_of(cfrac_mod.SlopeVector)
+@dataclasses.dataclass(frozen=True)
+class SlopeVectorTwin:
+    slopes: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "slopes", tuple(Fraction(s) for s in self.slopes))
+
+
+@_twin_of(surgery_mod.SurgeryComponent)
+@dataclasses.dataclass(frozen=True)
+class SurgeryComponentTwin:
+    kind: str
+    framing: object
+    component: int | None = None
+    parent: int | None = None
+    depth: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("braid", "meridian", "chain", "axis"):
+            raise SurgeryError(f"unknown component kind {self.kind!r}")
+        if not isinstance(self.framing, surgery_mod._Infinity):
+            object.__setattr__(self, "framing", Fraction(self.framing))
+
+
+@_twin_of(surgery_mod.SurgeryDiagram)
+@dataclasses.dataclass(frozen=True)
+class SurgeryDiagramTwin:
+    braid: BraidWord
+    components: tuple
+
+    def __post_init__(self):
+        ncomp = len(crossing_stats(self.braid).axis_linking)
+        for c in self.components:
+            if c.kind == "braid" and not 1 <= (c.component or 0) <= ncomp:
+                raise SurgeryError(
+                    f"braid component index {c.component} out of range"
+                )
+            if c.parent is not None and not 0 <= c.parent < len(self.components):
+                raise SurgeryError(f"parent index {c.parent} out of range")
+
+
+@_twin_of(surgery_mod.HomologyReport)
+@dataclasses.dataclass(frozen=True)
+class HomologyReportTwin:
+    det: int
+    h1_order: int
+    elementary_divisors: tuple[int, ...]
+    free_rank: int
+    signature: int
+    euler_char: int
+
+
+@_twin_of(legendrian_mod.LegendrianComponent)
+@dataclasses.dataclass(frozen=True)
+class LegendrianComponentTwin:
+    tb: int
+    rot: int
+    cusps: int
+    stab_pos: int = 0
+    stab_neg: int = 0
+
+    def __post_init__(self):
+        if self.cusps < 0 or self.cusps % 2:
+            raise LegendrianError(f"cusp count must be even and >= 0, got {self.cusps}")
+        if self.stab_pos < 0 or self.stab_neg < 0:
+            raise LegendrianError("stabilization counts must be >= 0")
+
+
+@_twin_of(legendrian_mod.WeinsteinDiagram)
+@dataclasses.dataclass(frozen=True)
+class WeinsteinDiagramTwin:
+    base: object
+    legendrian: tuple
+    rotation_tuple: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.legendrian) != len(self.base.components):
+            raise LegendrianError("one Legendrian component per diagram component")
+
+
+@_twin_of(legendrian_mod.ThetaReport)
+@dataclasses.dataclass(frozen=True)
+class ThetaReportTwin:
+    c1_squared: Fraction
+    chi: int
+    sigma: int
+    theta: Fraction
+    h1_order: int
+    complete_invariant: bool
+
+
+@_twin_of(limits_mod.CoeffStream)
+@dataclasses.dataclass(frozen=True)
+class CoeffStreamTwin:
+    prefix: tuple[int, ...] = ()
+    cycle: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", tuple(self.prefix))
+        object.__setattr__(self, "cycle", tuple(self.cycle))
+        if not self.prefix and not self.cycle:
+            raise LimitsError("empty coefficient stream")
+        if any(a > -2 for a in self.prefix + self.cycle):
+            raise LimitsError("stream coefficients must be <= -2")
+
+
+@_twin_of(limits_mod.SignTuple)
+@dataclasses.dataclass(frozen=True)
+class SignTupleTwin:
+    prefix: tuple[int, ...] = ()
+    tail: str = "ones"
+    tail_pattern: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", tuple(self.prefix))
+        object.__setattr__(self, "tail_pattern", tuple(self.tail_pattern))
+        if self.tail not in ("ones", "max", "periodic"):
+            raise LimitsError(f"unknown tail rule {self.tail!r}")
+        if self.tail == "periodic" and not self.tail_pattern:
+            raise LimitsError("periodic tail needs a nonempty pattern")
+        if self.tail != "periodic" and self.tail_pattern:
+            raise LimitsError("only periodic tails carry a pattern")
+
+
+@_twin_of(limits_mod.BlockDecomposition)
+@dataclasses.dataclass(frozen=True)
+class BlockDecompositionTwin:
+    blocks: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        for length, positives in self.blocks:
+            if not 0 <= positives <= length:
+                raise LimitsError(
+                    f"block ({length}, {positives}) has more positives than slices"
+                )

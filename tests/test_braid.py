@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,55 @@ def test_reduction_matches_rescanning_oracle(case):
         assert _reduce_or_overrun(B.handle_reduce, w, max_steps) == (
             _reduce_or_overrun(handle_reduce_rescan, w, max_steps)
         )
+
+
+@st.composite
+def high_index_words(draw):
+    """Words on up to 40 strands over a window of at most four adjacent
+    generators anywhere in range, so handles at a high index i have
+    interiors both shorter and longer than i - 1."""
+    m = draw(st.integers(3, 40))
+    lo = draw(st.integers(1, m - 1))
+    hi = draw(st.integers(lo, min(lo + 3, m - 1)))
+    return B.BraidWord(m, tuple(draw(signed_letters(list(range(lo, hi + 1)), 40))))
+
+
+@given(high_index_words())
+@settings(max_examples=300, deadline=None)
+def test_high_index_reduction_matches_rescanning_oracle(w):
+    assert _reduce_or_overrun(B.handle_reduce, w, 20_000) == (
+        _reduce_or_overrun(handle_reduce_rescan, w, 20_000)
+    )
+
+
+def _lines_run_in_braid(fn, *args) -> int:
+    """Line events executed in ``braid.py`` while ``fn(*args)`` runs."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != B.__file__:
+            return None
+        count += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_short_handles_are_checked_in_constant_work():
+    # Checking the i - 1 lower stacks would cost 575 steps per handle at
+    # s576; a short interior decides in the same steps at any index.
+    def work(*letters):
+        return _lines_run_in_braid(B.handle_reduce, B.BraidWord(578, letters * 10))
+
+    assert work(576, -576) == work(1, -1)
+    assert work(576, 577, -576) == work(300, 301, -300)
 
 
 def test_reduction_is_linear_when_an_index_occurs_only_far_left():

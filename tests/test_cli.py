@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import io
 import itertools
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid, cfrac, cli, legendrian, surgery
+from braidsurgery.record import replace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -384,7 +384,7 @@ def test_enumerate_rejects_an_invalid_menu_pick_before_the_envelope(monkeypatch)
 
     def skewed(framing):
         menu = unknot_menu(framing)
-        menu[-1] = dataclasses.replace(menu[-1], tb=menu[-1].tb - 1)
+        menu[-1] = replace(menu[-1], tb=menu[-1].tb - 1)
         return menu
 
     monkeypatch.setattr(legendrian, "unknot_menu", skewed)
@@ -1022,3 +1022,16 @@ def test_any_argv_keeps_the_json_contract(argv):
     assert ("error" in first) == (code != cli.EXIT_OK)
     if code != cli.EXIT_OK:
         assert first["error"]["code"] == code
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # Without site hooks, only the package and what it imports are loaded.
+    src = str(Path(__file__).parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import braidsurgery.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
