@@ -189,7 +189,8 @@ def parse_braid(text: str) -> BraidWord:
     Exponents expand into repeated letters carrying the exponent's
     sign; ``s<g>`` alone means exponent 1.  The strand count and the
     expanded length are checked against ``MAX_WORD_LENGTH`` before any
-    letter is built.
+    letter is built.  Each distinct token text is read once; a bad one
+    is reported at its first position.
     """
     tokens = text.split()
     if not tokens or not re.fullmatch(r"B(\d+)", tokens[0]):
@@ -198,24 +199,39 @@ def parse_braid(text: str) -> BraidWord:
     if strands < 2:
         raise BraidError(f"strand count must be >= 2, got {strands}")
     check_strands(strands)
+    seen: dict[str, tuple[int, int]] = {}
     runs: list[tuple[int, int]] = []
     for pos, tok in enumerate(tokens[1:], start=1):
-        match = _TOKEN.match(tok)
-        if match is None:
-            raise BraidError(f"malformed token {tok!r} at position {pos}")
-        gen = _int(match.group(1), pos)
-        exp = _int(match.group(2), pos) if match.group(2) is not None else 1
-        if not 1 <= gen <= strands - 1:
-            raise BraidError(
-                f"generator index {gen} out of range for {strands} strands"
-                f" (token {pos})"
-            )
-        if exp == 0:
-            raise BraidError(f"zero exponent in token {tok!r} at position {pos}")
-        runs.append((gen if exp > 0 else -gen, abs(exp)))
+        run = seen.get(tok)
+        if run is None:
+            run = seen[tok] = _read_token(tok, pos, strands)
+        runs.append(run)
     _check_length(sum(n for _, n in runs), f"B{strands} word")
-    letters = itertools.chain.from_iterable([x] * n for x, n in runs)
+    letters: list[int] = []
+    for x, n in runs:
+        if n == 1:
+            letters.append(x)
+        else:
+            letters.extend(itertools.repeat(x, n))
     return BraidWord(strands, tuple(letters))
+
+
+def _read_token(tok: str, pos: int, strands: int) -> tuple[int, int]:
+    """The run ``(signed generator, count)`` of the token ``tok`` at ``pos``."""
+    match = _TOKEN.match(tok)
+    if match is None:
+        raise BraidError(f"malformed token {tok!r} at position {pos}")
+    gen_digits, exp_digits = match.groups()
+    gen = _int(gen_digits, pos)
+    exp = 1 if exp_digits is None else _int(exp_digits, pos)
+    if not 1 <= gen <= strands - 1:
+        raise BraidError(
+            f"generator index {gen} out of range for {strands} strands"
+            f" (token {pos})"
+        )
+    if exp == 0:
+        raise BraidError(f"zero exponent in token {tok!r} at position {pos}")
+    return (gen if exp > 0 else -gen, abs(exp))
 
 
 def format_braid(word: BraidWord) -> str:
@@ -482,7 +498,10 @@ def dehornoy_floor_at_least(
 
 def _floor_probe(reduced: BraidWord, d: int, max_steps: int) -> bool:
     """The probe at ``d >= 1`` of a handle-free word.  Its inverse is
-    handle-free too, so only the products with the full twists reduce."""
+    handle-free too, so only the products with the full twists reduce.
+    The empty word fails unbuilt: ``Delta^(-2d)`` is sigma-negative."""
+    if not reduced.letters:
+        return False
     shift = inverse(power(garside(reduced.strands), 2 * d))
     return any(
         _main_sign(compose(w, shift), max_steps) != -1

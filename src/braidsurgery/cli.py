@@ -2,10 +2,12 @@
 
 Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
-diagram lines).  ``_run`` is the one writer: it parses the argv, adds
-the envelope (``schema``, ``subcommand`` and ``inputs_echo``, the parsed
-arguments) and passes it to :func:`emit`, which writes canonical JSON
-(sorted keys, rationals as ``p/q`` strings) or ``--table`` lines.
+diagram lines).  ``_run`` is the one writer: it parses the argv (with
+one parser per process, built by the first call), runs the ``cmd_*``
+named by the subcommand, adds the envelope (``schema``, ``subcommand``
+and ``inputs_echo``, the parsed arguments) and passes it to
+:func:`emit`, which writes canonical JSON (sorted keys, rationals as
+``p/q`` strings) or ``--table`` lines.
 Identical inputs produce byte-identical output.
 
 Parsing runs inside the same error boundary, so any argv gives JSON on
@@ -60,7 +62,10 @@ MAX_DIGITS = 1_000
 MAX_CFRAC_TERMS = 10_000
 
 # Parsed arguments that are not inputs of the command.
-_NOT_ECHOED = ("func", "subcommand", "table")
+_NOT_ECHOED = ("subcommand", "table")
+
+# The argv parser, built by the first ``main`` call and kept for the process.
+_PARSER = None
 
 
 class TupleBudgetExceeded(RuntimeError):
@@ -467,19 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("braid")
     p.add_argument("--assert-hyperbolic", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cfrac", help="negative continued fraction expansion")
     p.add_argument("value", help="rational below -1, or a slope in (0, 1)")
     common(p)
-    p.set_defaults(func=cmd_cfrac)
 
     p = sub.add_parser("surgery", help="expand a rational surgery to integral form")
     p.add_argument("braid")
     p.add_argument("--slopes", required=True, help="comma-separated positive slopes")
     p.add_argument("--general", action="store_true", help="chain form for 1/n too")
     common(p)
-    p.set_defaults(func=cmd_surgery)
 
     p = sub.add_parser("enumerate", help="count and stream decorated diagrams")
     p.add_argument("braid")
@@ -487,14 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--isom-order", type=int, default=None, metavar="C")
     common(p)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("theta", help="plane-field invariant of decorated diagrams")
     p.add_argument("braid")
     p.add_argument("--slope", required=True, help="slope, or comma list for links")
     p.add_argument("--tuple", default=None, help="comma-separated 1-based menu picks")
     common(p)
-    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("limits", help="block model of the limiting end")
     p.add_argument("--coeffs", default=None, help="comma-separated prefix, all <= -2")
@@ -504,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--levels", type=int, default=0)
     p.add_argument("--braid", default=None)
     common(p)
-    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("family", help="braid and diagram generators")
     p.add_argument("kind", choices=["delta2l", "power", "example420", "lspace"])
@@ -513,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", "--ell", type=int, default=None)
     p.add_argument("--strands", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_family)
 
     return parser
 
@@ -532,10 +530,14 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     """Parse, run and write one command: the envelope and its payload, or
-    one ``error`` object."""
+    one ``error`` object.  The command is looked up by name on every call,
+    so a ``cmd_*`` patched and restored between calls is seen as it is."""
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)
-        result = args.func(args)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
+        result = globals()["cmd_" + args.subcommand](args)
         payload, lines = result if isinstance(result, tuple) else (result, None)
         echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
         payload.update(schema=SCHEMA, subcommand=args.subcommand, inputs_echo=echo)

@@ -63,6 +63,10 @@ class _Infinity:
     def __repr__(self):
         return "INF"
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle return the module's singleton.
+        return "INF"
+
 
 INF = _Infinity()
 

@@ -8,7 +8,8 @@ gcd-of-minors formula, and the signature and linear-solve oracles
 eliminate over ``Fraction``.  ``handle_reduce_rescan`` is the plain
 handle reducer that rescans the word from index 0 after every step, and
 ``floor_at_least_by_probes`` reduces each floor probe from the word
-itself with it.
+itself with it.  ``parse_braid_per_token`` matches and converts every
+token of a braid text, repeated or not.
 ``presentation_matrix_by_pairs`` reads the linking number of every pair
 off the two components' kinds, and ``end_slope_from_scratch`` multiplies
 the gluing matrices of one level from the first.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -227,6 +229,51 @@ def solve_rational(m, rhs) -> list[Fraction]:
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[r][n] / a[r][r] for r in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Braid text parsed token by token.
+
+_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BraidError(f"number with {len(text)} digits at position {pos}") from None
+
+
+def parse_braid_per_token(text: str) -> BraidWord:
+    """``braid.parse_braid`` with the regex match, both conversions and
+    the range checks run again for every token."""
+    tokens = text.split()
+    if not tokens or not re.fullmatch(r"B(\d+)", tokens[0]):
+        raise BraidError("missing strand header 'B<m>'")
+    strands = _int(tokens[0][1:], 0)
+    if strands < 2:
+        raise BraidError(f"strand count must be >= 2, got {strands}")
+    braid_mod.check_strands(strands)
+    runs: list[tuple[int, int]] = []
+    for pos, tok in enumerate(tokens[1:], start=1):
+        match = _TOKEN.match(tok)
+        if match is None:
+            raise BraidError(f"malformed token {tok!r} at position {pos}")
+        gen = _int(match.group(1), pos)
+        exp = _int(match.group(2), pos) if match.group(2) is not None else 1
+        if not 1 <= gen <= strands - 1:
+            raise BraidError(
+                f"generator index {gen} out of range for {strands} strands"
+                f" (token {pos})"
+            )
+        if exp == 0:
+            raise BraidError(f"zero exponent in token {tok!r} at position {pos}")
+        runs.append((gen if exp > 0 else -gen, abs(exp)))
+    length, cap = sum(n for _, n in runs), braid_mod.MAX_WORD_LENGTH
+    if length > cap:
+        raise BraidError(f"B{strands} word would have {length} letters, cap {cap}")
+    letters = itertools.chain.from_iterable([x] * n for x, n in runs)
+    return BraidWord(strands, tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from oracles import (
     burau3_is_identity,
     floor_at_least_by_probes,
     handle_reduce_rescan,
+    parse_braid_per_token,
 )
 
 
@@ -49,6 +50,69 @@ def test_parse_rejects(text):
 @given(words3)
 def test_format_round_trips(w):
     assert B.parse_braid(B.format_braid(w)) == w
+
+
+# Braid texts for the parse property: a header, then tokens drawn with
+# repeats from a pool of a few valid and at most one bad token (malformed,
+# out of range for some headers, zero exponent, a digit run past Python's
+# int-to-str limit), with Unicode digits, exponents whose sum can pass
+# MAX_WORD_LENGTH and Unicode whitespace (and one non-space, U+200B)
+# between tokens.
+LONG = "9" * 5000
+GOOD_HEADERS = ["B2", "B3", "B5", "B\u0663", "B03"]
+BAD_HEADERS = ["B1", "Bx", "B" + LONG, "B1000001", ""]
+VALID_TOKENS = [
+    "s1", "s2", "s4", "s1^1", "s1^-1", "s2^3", "s2^-3", "s01", "s1^-01",
+    "s\u0661", "s2^-\u0663", "s1^400000", "s2^-400000",
+]
+BAD_TOKENS = [
+    "s0", "s3", "s5", "s1^0", "s1^-0", "s2^00", "sx", "s1^", "s1^+1", "s-1",
+    "S1", "s1^1^1", "s1\u200b", "s" + LONG, "s1^" + LONG, "s1^-" + LONG,
+    "s1^1000001",
+]
+SEPARATORS = [" ", "  ", "\t", "\n", "\x1c", "\xa0", "\u2003", "\u3000"]
+
+
+@st.composite
+def braid_texts(draw):
+    pool = draw(st.lists(st.sampled_from(VALID_TOKENS), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from(BAD_TOKENS)))
+    headers = BAD_HEADERS if draw(st.integers(0, 4)) == 4 else GOOD_HEADERS
+    parts = [draw(st.sampled_from(headers))]
+    parts += draw(st.lists(st.sampled_from(pool), max_size=12))
+    n = len(parts) + 1
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n))
+    return seps[0] + "".join(part + sep for part, sep in zip(parts, seps[1:]))
+
+
+def _parsed_or_message(parse, text):
+    try:
+        return parse(text)
+    except B.BraidError as error:
+        return str(error)
+
+
+@given(braid_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_per_token_oracle(text):
+    assert _parsed_or_message(B.parse_braid, text) == (
+        _parsed_or_message(parse_braid_per_token, text)
+    )
+
+
+def test_parse_reads_each_distinct_token_once(monkeypatch):
+    read = []
+    read_token = B._read_token
+
+    def counted(tok, pos, strands):
+        read.append(tok)
+        return read_token(tok, pos, strands)
+
+    monkeypatch.setattr(B, "_read_token", counted)
+    w = B.parse_braid("B3 s1 s2^-1 s1 s1 s2^-1 s01 s1^2")
+    assert w.letters == (1, -2, 1, 1, -2, 1, 1, 1)
+    assert read == ["s1", "s2^-1", "s01", "s1^2"]
 
 
 def test_format_merges_runs():
@@ -433,6 +497,38 @@ def test_floors_from_one_reduction_match_the_probes(w):
     expected = {d: floor_at_least_by_probes(w, d) for d in (1, 2, 3)}
     assert B.dehornoy_floors(w) == expected
     assert {d: B.dehornoy_floor_at_least(w, d) for d in (1, 2, 3)} == expected
+
+
+@st.composite
+def trivial_words(draw):
+    """``u u^-1`` on up to 40 strands."""
+    m = draw(st.integers(2, 40))
+    u = draw(signed_letters(list(range(1, m)), 20))
+    return B.BraidWord(m, tuple(u + [-x for x in reversed(u)]))
+
+
+@given(trivial_words())
+@settings(max_examples=100, deadline=None)
+def test_floors_of_trivial_words_match_the_probes(w):
+    expected = {d: floor_at_least_by_probes(w, d) for d in (1, 2, 3)}
+    assert expected == {1: False, 2: False, 3: False}
+    assert B.dehornoy_floors(w) == expected
+    assert {d: B.dehornoy_floor_at_least(w, d) for d in (1, 2, 3)} == expected
+
+
+def test_floor_probes_of_a_trivial_word_reduce_only_the_word(monkeypatch):
+    reduced = []
+    handle_reduce = B.handle_reduce
+
+    def spy(word, max_steps=B.DEFAULT_STEP_BUDGET):
+        reduced.append(len(word))
+        return handle_reduce(word, max_steps)
+
+    monkeypatch.setattr(B, "handle_reduce", spy)
+    w = B.parse_braid("B577 s576^3 s1 s1^-1 s576^-3")
+    assert B.dehornoy_floors(w) == {1: False, 2: False, 3: False}
+    assert not B.dehornoy_floor_at_least(w, 3)
+    assert reduced == [8, 8]
 
 
 def test_floor_probe_rejects_negative():

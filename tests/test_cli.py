@@ -791,6 +791,39 @@ def test_a_patched_command_leaves_later_calls_alone(monkeypatch):
     assert json.loads(out)["subcommand"] == "analyze"
 
 
+def test_a_command_patched_after_the_parser_is_built_runs_and_is_undone(monkeypatch):
+    def broken(args):
+        raise KeyError("missing")
+
+    assert run_cli(["analyze", "B2 s1^5"])[0] == cli.EXIT_OK
+    parser = cli._PARSER
+    assert parser is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_analyze", broken)
+        code, out = run_cli(["analyze", "B2 s1^5"])
+        assert code == cli.EXIT_NUMERIC
+        assert json.loads(out)["error"]["message"] == "KeyError: 'missing'"
+    code, out = run_cli(["analyze", "B2 s1^5"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["subcommand"] == "analyze"
+    assert cli._PARSER is parser
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (CASES["analyze_seven"], ["--bogus"], ["surgery"], CASES["analyze_table"]):
+        run_cli(argv)
+    assert len(built) == 1 and cli._PARSER is built[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -898,7 +931,7 @@ def test_commands_return_payloads_and_write_nothing():
         args = cli.build_parser().parse_args(argv)
         buf = io.StringIO()
         with redirect_stdout(buf):
-            result = args.func(args)
+            result = getattr(cli, "cmd_" + args.subcommand)(args)
             payload, lines = result if isinstance(result, tuple) else (result, None)
             lines = "".join(lines or ())
         assert buf.getvalue() == ""

@@ -205,11 +205,21 @@ def test_records_behave_as_their_dataclass_twins(record, data):
     rec_clones = [pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)]
     twin_clones = [copy.deepcopy(twin), copy.copy(twin), copy.deepcopy(twin)]
     for rec_clone, twin_clone in zip(rec_clones, twin_clones):
-        # A copied INF is a new, unequal instance: compare the printed fields.
         assert type(rec_clone) is record
         assert repr(rec_clone) == repr(twin)
-        assert repr(list(vars(rec_clone).items())) == repr(list(vars(twin_clone).items()))
-        assert (rec_clone == rec) == (twin_clone == twin)
+        assert list(vars(rec_clone).items()) == list(vars(twin_clone).items())
+        assert rec_clone == rec and twin_clone == twin
+
+
+def test_a_component_framed_inf_equals_its_copies():
+    component = S.SurgeryComponent(kind=S.MERIDIAN, framing=S.INF, parent=0)
+    diagram = S.SurgeryDiagram(KNOT, (S.SurgeryComponent(S.BRAID, 5, 1), component))
+    for copy_of in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert copy_of(S.INF) is S.INF
+        clone = copy_of(component)
+        assert clone == component and hash(clone) == hash(component)
+        assert clone.framing is S.INF
+        assert copy_of(diagram) == diagram
 
 
 def test_replace_runs_the_checks_again():
