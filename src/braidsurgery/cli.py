@@ -2,20 +2,22 @@
 
 Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
-diagram lines).  ``_run`` is the one writer: it parses the argv (with
-one parser per process, built by the first call), runs the ``cmd_*``
-named by the subcommand, adds the envelope (``schema``, ``subcommand``
-and ``inputs_echo``, the parsed arguments) and passes it to
-:func:`emit`, which writes canonical JSON (sorted keys, rationals as
-``p/q`` strings) or ``--table`` lines.
+diagram lines, and ``theta`` over all tuples gives its ``entries`` and
+``theta_groups`` as generators of text made from per-tuple templates).
+``_run`` is the one writer: it parses the argv (with one parser per
+process, built by the first call), runs the ``cmd_*`` named by the
+subcommand, adds the envelope (``schema``, ``subcommand`` and
+``inputs_echo``, the parsed arguments) and passes it to :func:`emit`,
+which writes canonical JSON (sorted keys, rationals as ``p/q`` strings)
+or ``--table`` lines.
 Identical inputs produce byte-identical output.
 
 Parsing runs inside the same error boundary, so any argv gives JSON on
 stdout, with an ``error`` object exactly when the exit code is nonzero.
 Exit codes: 0 success, 2 parse or usage error, 3 hypothesis violation,
 4 numeric precondition failure, exhausted handle-reduction budget, a
-``theta`` sweep over more than ``MAX_THETA_TUPLES`` tuples, an expansion
-past ``surgery.MAX_COMPONENTS`` components, unknot menus past
+``theta`` sweep over more than ``legendrian.MAX_THETA_TUPLES`` tuples, an
+expansion past ``surgery.MAX_COMPONENTS`` components, unknot menus past
 ``legendrian.MAX_MENU_PICKS`` unknots, or an output integer too long for
 Python to print (``DigitLimitExceeded``); any exception that is not one of
 the library's own errors is a bug, reported as ``InternalError`` with
@@ -34,13 +36,19 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
 from . import legendrian, limits, surgery
 from .braid import BraidError, ReductionBudgetExceeded
 from .cfrac import CFracError, SlopeVector
-from .legendrian import HypothesisError, LegendrianError, MenuBudgetExceeded
+from .legendrian import (
+    HypothesisError,
+    LegendrianError,
+    MenuBudgetExceeded,
+    TupleBudgetExceeded,
+)
 from .limits import CoeffStream, LimitsError, SignTuple
 from .surgery import ComponentBudgetExceeded, SingularityError, SurgeryError
 
@@ -50,9 +58,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERIC = 4
-
-# Most tuples theta visits without --tuple; TupleBudgetExceeded beyond it.
-MAX_THETA_TUPLES = 100_000
 
 # Most decimal digits of a parsed rational's numerator, denominator or
 # exponent; Python refuses to print an integer over 4,300 digits.
@@ -66,10 +71,6 @@ _NOT_ECHOED = ("subcommand", "table")
 
 # The argv parser, built by the first ``main`` call and kept for the process.
 _PARSER = None
-
-
-class TupleBudgetExceeded(RuntimeError):
-    """An all-tuples sweep would visit more tuples than its budget."""
 
 
 class DigitLimitExceeded(RuntimeError):
@@ -123,11 +124,11 @@ def parse_slopes(text: str) -> SlopeVector:
     return SlopeVector(tuple(parse_slope(part) for part in text.split(",")))
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
+def parse_int_list(text: str, error=LimitsError) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise LimitsError(f"cannot parse integer list {text!r}: {exc}") from None
+        raise error(f"cannot parse integer list {text!r}: {exc}") from None
 
 
 def frac_str(value: Fraction) -> str:
@@ -138,9 +139,12 @@ def frac_str(value: Fraction) -> str:
 
 
 def jsonify(value):
-    """The ``json.dumps`` hook: a Fraction as its ``p/q`` string."""
+    """The ``json.dumps`` hook: a Fraction as its ``p/q`` string, and a
+    generator of JSON text (see :func:`emit`) as the data it reads as."""
     if isinstance(value, Fraction):
         return frac_str(value)
+    if isinstance(value, GeneratorType):
+        return json.loads("".join(value))
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -148,8 +152,10 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
     """Write ``data`` as ``json.dumps(data, sort_keys=True, indent=2,
     default=jsonify)`` would (see :func:`_indented`), as ``key = value``
     lines with ``table``, or as a compact line before the streamed
-    ``lines``, one ``write`` each.  Nothing is written if an integer of
-    ``data`` is too long to print: that raises :class:`DigitLimitExceeded`.
+    ``lines``, one ``write`` each.  A generator value of ``data`` is the
+    indent-2 text of its top-level key's value, written block by block in
+    its place.  Nothing is written if an integer of ``data`` is too long to
+    print: that raises :class:`DigitLimitExceeded`.
     """
     try:
         if table:
@@ -160,15 +166,21 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
             text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=jsonify)
     except ValueError:  # over the interpreter's digit limit
         raise DigitLimitExceeded from None
-    print(text)
+    # Each generator value is written at its NUL (JSON text holds none,
+    # ``_quote`` escapes it); ``lines`` follow the end.
+    streams = [v for _, v in sorted(data.items()) if type(v) is GeneratorType]
     write = sys.stdout.write
-    for line in lines or ():
-        write(line)
+    for text, blocks in zip(f"{text}\n".split("\0"), [*streams, lines or ()]):
+        write(text)
+        for block in blocks:
+            write(block)
 
 
-# The JSON text of a scalar, by its exact type.
+# The JSON text of a scalar, by its exact type; a generator's is a NUL
+# that emit replaces with the generator's text.
 _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get}
 _SCALARS[type(None)] = {None: "null"}.get
+_SCALARS[GeneratorType] = "\0".format
 
 
 def _indented(value, pad: str) -> str:
@@ -282,55 +294,7 @@ def cmd_enumerate(args):
         )
     if args.count_only:
         return payload
-    return payload, _diagram_lines(enum)
-
-
-def _diagram_lines(enum: legendrian.WeinsteinEnumeration):
-    # Each line is the compact sorted-key JSON of weinstein_to_dict(diagram).
-    # Its rot, stab_neg and stab_pos texts grow one menu at a time, as in
-    # legendrian._pick_level.  Every pick of a menu has one tb, as enum
-    # checked tb - 1 == framing.
-    base = surgery.diagram_to_dict(enum.base)
-    head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
-    closure = enum.braid_legendrian
-    braid_rot, braid_neg, braid_pos = (
-        ",".join(str(getattr(l, field)) for l in closure)
-        for field in ("rot", "stab_neg", "stab_pos")
-    )
-    tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in enum.menus))
-    # A menu of one pick joins the text of the level before it, so each
-    # level at least doubles the lines; ``fixed`` ends as the text before all.
-    fixed, levels = ("", "", ""), []
-    for menu in reversed(enum.menus):
-        texts = [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
-        texts = [tuple(map(str.__add__, t, fixed)) for t in texts]
-        if len(texts) == 1:
-            fixed = texts[0]
-        else:
-            fixed, levels = ("", "", ""), [texts, *levels]
-    # One generator frame per level: the picks of all but the last _NESTED
-    # levels (each at least 2^_NESTED lines apart) come from a product,
-    # joined once per prefix.
-    for prefix in itertools.product(*levels[:-_NESTED]):
-        states = iter([tuple(map("".join, zip(fixed, *prefix)))])
-        for texts in levels[-_NESTED:]:
-            states = _extend(states, texts)
-        for rot, neg, pos in states:
-            yield (
-                f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
-                f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
-                f'"tb":[{tb}]}}\n'
-            )
-
-
-_NESTED = 64  # well inside the recursion limit
-
-
-def _extend(states, texts):
-    """Extend every ``(rot, stab_neg, stab_pos)`` text by each menu pick."""
-    for rot, neg, pos in states:
-        for r, n, p in texts:
-            yield rot + r, neg + n, pos + p
+    return payload, enum.json_lines()
 
 
 def cmd_theta(args) -> dict:
@@ -338,42 +302,42 @@ def cmd_theta(args) -> dict:
     slopes = parse_slopes(args.slope)
     enum = legendrian.enumerate_weinstein(word, slopes)
     if args.tuple is not None:
-        diagram = enum.diagram_for(parse_int_list(args.tuple))
+        diagram = enum.diagram_for(parse_int_list(args.tuple, LegendrianError))
         return {
             "rotation_tuple": diagram.rotation_tuple,
             "theta_report": vars(legendrian.theta(diagram)),
         }
-    if enum.count > MAX_THETA_TUPLES:
-        raise TupleBudgetExceeded(
-            f"theta over all tuples would visit {enum.count} tuples, cap"
-            f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
-            " enumerate --count-only"
-        )
-    # Every tuple shares chi and sigma; entries are built in canonical
-    # JSON form, so encoding them needs no hook call.
-    report = surgery.homology(enum.base)
-    shift = 2 * report.euler_char + 3 * report.signature
-    entries = []
-    groups: dict[Fraction, list] = {}
-    for ks, rots, c1sq in enum.c1_squares():
-        value = c1sq - shift
-        entries.append(
-            {
-                "tuple": list(ks),
-                "rotation_tuple": list(rots),
-                "theta": frac_str(value),
-                "c1_squared": frac_str(c1sq),
-            }
-        )
-        groups.setdefault(value, []).append(list(ks))
+    # The text of every value exists before anything is written.  Entries
+    # and pick lists are indent-2 templates filled by %: the texts of a
+    # value once per form, then the picks and rots of each row.
+    rows, values = enum.theta_sweep(frac_str)
+    slots = ["%%d"] * len(enum.menus)
+    shape = {"c1_squared": "%s", "rotation_tuple": slots, "theta": "%s", "tuple": slots}
+    entry = _indented(shape, "\n    ").replace('"%%d"', "%%d")
+    entries = {form: entry % texts[:2] for form, texts in values.items()}
+    picks = _indented(slots, "\n        ").replace('"%%d"', "%d")
+    group = '{\n      "theta": "%s",\n      "tuples": [\n        %s\n      ]\n    }'
     return {
         "count": enum.count,
-        "entries": entries,
-        "theta_groups": [
-            {"theta": frac_str(value), "tuples": groups[value]}
-            for value in sorted(groups)
-        ],
+        "entries": _blocks(entries[form] % (rots + ks) for ks, rots, form in rows),
+        "theta_groups": _blocks(
+            group % (theta, ",\n        ".join(map(picks.__mod__, tuples)))
+            for _, theta, tuples in values.values()
+        ),
     }
+
+
+def _blocks(items):
+    """The indent-2 text of a top-level JSON array of the texts ``items``
+    (at least one), in blocks of ``_BLOCK`` items."""
+    items, sep = iter(items), "[\n    "
+    while block := list(itertools.islice(items, _BLOCK)):
+        yield sep + ",\n    ".join(block)
+        sep = ",\n    "
+    yield "\n  ]"
+
+
+_BLOCK = 1024
 
 
 def cmd_limits(args) -> dict:

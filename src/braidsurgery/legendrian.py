@@ -9,7 +9,10 @@ the exact ``c1^2``, and the plane-field invariant
 ``theta = c1^2 - 2*chi - 3*sigma``.  Every diagram of an enumeration
 shares one linking matrix ``Q``, so ``c1^2 = r^T adj(Q) r / det(Q)``
 comes from one memoised adjugate: an integer quadratic form in the
-rotation vector ``r``, with no linear solve per tuple.
+rotation vector ``r``, with no linear solve per tuple.  The walks over all
+tuples build no diagram: ``c1_forms`` gives the integer forms,
+``theta_sweep`` the text of each distinct theta value, and ``json_lines``
+the JSON line of each diagram.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -19,6 +22,7 @@ rot by 1.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
@@ -43,9 +47,16 @@ class MenuBudgetExceeded(RuntimeError):
     """The unknot menus of an enumeration would hold too many unknots."""
 
 
+class TupleBudgetExceeded(RuntimeError):
+    """An all-tuples sweep would visit more tuples than its budget."""
+
+
 # Most Legendrian unknots the menus of one enumeration may hold: an unknot
 # framed f has a menu of |f + 1| of them, and a slope 1/n frames it -n.
 MAX_MENU_PICKS = 100_000
+
+# Most tuples theta_sweep visits; TupleBudgetExceeded beyond it.
+MAX_THETA_TUPLES = 100_000
 
 
 class LegendrianComponent(Record):
@@ -269,16 +280,18 @@ class WeinsteinEnumeration:
         for ks in self.tuples():
             yield self._assemble(ks)
 
-    def c1_squares(self):
-        """``(picks, rotation_tuple, c1^2)`` for every tuple, in the order
-        of :meth:`tuples`, without building a diagram.
+    def c1_forms(self):
+        """``det(Q)`` and ``(picks, rotation_tuple, form)`` for every tuple,
+        in the order of :meth:`tuples`, without building a diagram or a
+        ``Fraction``: ``c1^2 = form / det(Q)``.
 
-        The rotation vector ``r`` is the closure rots followed by the
-        picks.  The picks are fixed one unknot ``u`` at a time: choosing
-        rot ``y`` adds ``y (2 l_u + A_uu y)`` to ``r^T A r``, with
-        ``A = adj(Q)`` and ``l_u`` the row ``u`` of ``A`` against the rots
-        fixed so far, and moves every later ``l`` by ``y`` times column
-        ``u``.  Raises ``SingularityError`` when ``det(Q) == 0``.
+        ``form`` is ``r^T A r`` for the rotation vector ``r`` (the closure
+        rots followed by the picks) and ``A = adj(Q)``.  The picks are
+        fixed one unknot ``u`` at a time: choosing rot ``y`` adds
+        ``y (2 l_u + A_uu y)`` to the form, with ``l_u`` the row ``u`` of
+        ``A`` against the rots fixed so far, and moves every later ``l``
+        by ``y`` times column ``u``.  Raises ``SingularityError`` when
+        ``det(Q) == 0``.
         """
         _, det, adj = _inverse_form(self.base)
         comps = self.base.components
@@ -298,7 +311,86 @@ class WeinsteinEnumeration:
                 adj[u][u],
                 [adj[v][u] for v in unknots[depth + 1 :]],
             )
-        return ((ks, rots, Fraction(form, det)) for ks, rots, form, _ in states)
+        return det, ((ks, rots, form) for ks, rots, form, _ in states)
+
+    def c1_squares(self):
+        """``(picks, rotation_tuple, c1^2)`` for every tuple: :meth:`c1_forms`
+        with each form over ``det(Q)``."""
+        det, rows = self.c1_forms()
+        return ((ks, rots, Fraction(form, det)) for ks, rots, form in rows)
+
+    def json_lines(self):
+        """The compact sorted-key JSON line of :func:`weinstein_to_dict` for
+        every diagram, in the order of :meth:`tuples`, without building a
+        diagram.
+
+        The text every line shares (the base diagram, ``tb``, the closure
+        components' arrays) is made once.  The rot, stab_neg and stab_pos
+        texts of the picks grow one menu at a time, as the forms of
+        :meth:`c1_forms` do.  Every pick of a menu has one tb, as
+        ``__init__`` checked ``tb - 1 == framing``.
+        """
+        base = surgery.diagram_to_dict(self.base)
+        head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
+        closure = self.braid_legendrian
+        braid_rot, braid_neg, braid_pos = (
+            ",".join(str(getattr(l, field)) for l in closure)
+            for field in ("rot", "stab_neg", "stab_pos")
+        )
+        tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in self.menus))
+        # A menu of one pick joins the text of the level before it, so each
+        # level at least doubles the lines; ``fixed`` ends as the text before all.
+        fixed, levels = ("", "", ""), []
+        for menu in reversed(self.menus):
+            texts = [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
+            texts = [tuple(map(str.__add__, t, fixed)) for t in texts]
+            if len(texts) == 1:
+                fixed = texts[0]
+            else:
+                fixed, levels = ("", "", ""), [texts, *levels]
+        # One generator frame per level: the picks of all but the last _NESTED
+        # levels (each at least 2^_NESTED lines apart) come from a product,
+        # joined once per prefix.
+        for prefix in itertools.product(*levels[:-_NESTED]):
+            states = iter([tuple(map("".join, zip(fixed, *prefix)))])
+            for texts in levels[-_NESTED:]:
+                states = _extend(states, texts)
+            for rot, neg, pos in states:
+                yield (
+                    f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
+                    f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
+                    f'"tb":[{tb}]}}\n'
+                )
+
+    def theta_sweep(self, text):
+        """``(rows, values)``: theta over every tuple, with a ``Fraction``
+        and its ``text`` per distinct value, none per tuple.
+
+        ``rows`` is the list of :meth:`c1_forms` rows.  ``values`` maps each
+        distinct ``form``, in increasing order of theta, to ``(text(c1^2),
+        text(theta), picks)``, where ``picks`` lists the tuples of that
+        form in the order of :meth:`tuples`.  Raises
+        :class:`TupleBudgetExceeded` before the walk when there are more than
+        ``MAX_THETA_TUPLES`` tuples.
+        """
+        if self.count > MAX_THETA_TUPLES:
+            raise TupleBudgetExceeded(
+                f"theta over all tuples would visit {self.count} tuples, cap"
+                f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
+                " enumerate --count-only"
+            )
+        det, rows = self.c1_forms()
+        report = surgery.homology(self.base)
+        shift = 2 * report.euler_char + 3 * report.signature
+        rows = list(rows)
+        groups: dict[int, list] = {}
+        for ks, _, form in rows:
+            groups.setdefault(form, []).append(ks)
+        c1sq = {form: Fraction(form, det) for form in groups}
+        return rows, {
+            form: (text(c1sq[form]), text(c1sq[form] - shift), groups[form])
+            for form in sorted(groups, key=c1sq.get)
+        }
 
 
 def _pick_level(states, picks, diag: int, col: list[int]):
@@ -312,6 +404,16 @@ def _pick_level(states, picks, diag: int, col: list[int]):
                 form + y * (2 * head + diag * y),
                 [x + y * c for x, c in zip(rest, col)],
             )
+
+
+_NESTED = 64  # well inside the recursion limit
+
+
+def _extend(states, texts):
+    """Extend every ``(rot, stab_neg, stab_pos)`` text by each menu pick."""
+    for rot, neg, pos in states:
+        for r, n, p in texts:
+            yield rot + r, neg + n, pos + p
 
 
 def enumerate_weinstein(word: BraidWord, v: SlopeVector) -> WeinsteinEnumeration:

@@ -17,6 +17,8 @@ the gluing matrices of one level from the first.
 values, and ``end_slopes_by_gluing`` keeps one running product of
 inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
 frozen ``dataclasses`` class with the same fields and checks.
+``theta_payload_by_dicts`` builds the all-tuples ``theta`` payload as one
+dict per tuple, from one ``Fraction`` per tuple.
 """
 
 from __future__ import annotations
@@ -373,6 +375,33 @@ def presentation_matrix_by_pairs(diagram) -> list[list[int]]:
             m[i][j] = c.framing.denominator * lk
             m[j][i] = comps[j].framing.denominator * lk
     return m
+
+
+def theta_payload_by_dicts(enum) -> dict:
+    """The all-tuples ``theta`` payload, without its envelope: one dict per
+    tuple from :meth:`c1_squares`, grouped by theta and sorted by value."""
+    report = surgery_mod.homology(enum.base)
+    shift = 2 * report.euler_char + 3 * report.signature
+    entries = []
+    groups: dict[Fraction, list] = {}
+    for ks, rots, c1sq in enum.c1_squares():
+        value = c1sq - shift
+        entries.append(
+            {
+                "tuple": list(ks),
+                "rotation_tuple": list(rots),
+                "theta": value,
+                "c1_squared": c1sq,
+            }
+        )
+        groups.setdefault(value, []).append(list(ks))
+    return {
+        "count": enum.count,
+        "entries": entries,
+        "theta_groups": [
+            {"theta": value, "tuples": groups[value]} for value in sorted(groups)
+        ],
+    }
 
 
 def end_slope_from_scratch(coeffs) -> Fraction:

@@ -12,8 +12,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import theta_payload_by_dicts
 
 from braidsurgery import braid, cfrac, cli, legendrian, surgery
 from braidsurgery.record import replace
@@ -345,11 +346,11 @@ def test_strand_counts_over_the_cap_are_parse_errors(argv, message):
 
 def test_theta_tuple_budget(monkeypatch):
     argv = ["theta", "B2 s1^5", "--slope", "2/7"]
-    monkeypatch.setattr(cli, "MAX_THETA_TUPLES", 3)
+    monkeypatch.setattr(legendrian, "MAX_THETA_TUPLES", 3)
     code, out = run_cli(argv)
     assert code == cli.EXIT_OK
     assert out == (GOLDEN_DIR / "theta_groups.txt").read_text()
-    monkeypatch.setattr(cli, "MAX_THETA_TUPLES", 2)
+    monkeypatch.setattr(legendrian, "MAX_THETA_TUPLES", 2)
     built = []
     assemble = legendrian.WeinsteinEnumeration._assemble
 
@@ -485,7 +486,7 @@ def oracle_lines(braid_text, slopes, limit=None):
 def test_first_lines_come_without_walking_the_product(slopes, count):
     enum, expected = oracle_lines("B2 s1^5", slopes, 3)
     assert enum.count == count
-    assert list(itertools.islice(cli._diagram_lines(enum), 3)) == expected
+    assert list(itertools.islice(enum.json_lines(), 3)) == expected
 
 
 @pytest.mark.parametrize(
@@ -500,15 +501,15 @@ def test_first_lines_come_without_walking_the_product(slopes, count):
 )
 def test_menus_of_one_pick_fold_into_the_text(braid_text, slopes):
     enum, expected = oracle_lines(braid_text, slopes)
-    assert list(cli._diagram_lines(enum)) == expected
+    assert list(enum.json_lines()) == expected
 
 
 def test_levels_past_the_nesting_depth_come_from_a_product(monkeypatch):
     slopes = WORKLOADS.slope_text(1, [-3, -4, -2, -3, -5])
     enum, expected = oracle_lines("B3 s1^3 s2^5", slopes)
     for nested in (1, 2, 4):
-        monkeypatch.setattr(cli, "_NESTED", nested)
-        assert list(cli._diagram_lines(enum)) == expected
+        monkeypatch.setattr(legendrian, "_NESTED", nested)
+        assert list(enum.json_lines()) == expected
 
 
 json_texts = st.text(max_size=8) | st.text(
@@ -679,6 +680,25 @@ def test_closed_stdout_is_a_clean_exit(argv, read_first):
     )
     if read_first:
         assert json.loads(proc.stdout.readline())["count"] == 5184
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    proc.stderr.close()
+    assert stderr == ""
+
+
+def test_theta_over_65536_tuples_into_a_reader_that_closes_is_a_clean_exit():
+    # The chain of sixteen -3 unknots; the reader takes one line and closes.
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["theta", "B2 s1^5", "--slope", "2178309/5702887"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidsurgery.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == cli.EXIT_OK
@@ -1068,3 +1088,155 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# The knots and links of the benchmark's workloads, copied so that the
+# theta property does not move with the benchmark.
+THETA_KNOTS = (
+    "B2 s1^5",
+    "B2 s1^7",
+    "B2 s1^9",
+    "B3 s1^3 s2^3",
+    "B3 s1^5 s2^3",
+    "B3 s1^3 s2^5",
+    "B4 s1^3 s2^3 s3^3",
+)
+THETA_LINKS = (
+    "B4 s1^5 s3^5 s2^-2",
+    "B4 s1^7 s3^5 s2^-2",
+    "B4 s1^5 s3^7 s2^-2",
+    "B4 s1^7 s3^7 s2^-2",
+    "B4 s3^5 s1^5 s2^-2",
+)
+# det(Q) = -31 and three distinct theta values: the groups sort by
+# form / det, which is the reverse of the order of the forms.
+NEGATIVE_DET = ("B4 s1^5 s3^5 s2^-2", "2/5,2/7")
+
+
+@st.composite
+def theta_slope_texts(draw, max_chain):
+    """``n+p/q`` with a whole part 0-6 and ``p/q`` either ``1/m`` or the
+    slope of a chain whose -2 runs are one-pick menus."""
+    if draw(st.booleans()):
+        value = Fraction(1, draw(st.integers(min_value=2, max_value=6)))
+    else:
+        coeffs = st.sampled_from((-2, -2, -3, -4, -5))
+        chain = draw(st.lists(coeffs, min_size=1, max_size=max_chain))
+        value = Fraction(chain[-1])
+        for a in reversed(chain[:-1]):
+            value = a - 1 / value
+        value = -1 / value
+    text = f"{value.numerator}/{value.denominator}"
+    whole = draw(st.integers(min_value=0, max_value=6))
+    return f"{whole}+{text}" if whole else text
+
+
+@st.composite
+def theta_cases(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(THETA_KNOTS)), draw(theta_slope_texts(4))
+    slopes = ",".join(draw(theta_slope_texts(2)) for _ in range(2))
+    return draw(st.sampled_from(THETA_LINKS)), slopes
+
+
+@given(theta_cases())
+@example(NEGATIVE_DET)
+@settings(max_examples=60, deadline=None)
+def test_theta_matches_the_dict_builder(case):
+    braid_text, slope = case
+    argv = ["theta", braid_text, "--slope", slope]
+    code, out = run_cli(argv)
+    _, table = run_cli(argv + ["--table"])
+    enum = legendrian.enumerate_weinstein(
+        braid.parse_braid(braid_text), cli.parse_slopes(slope)
+    )
+    try:
+        payload = theta_payload_by_dicts(enum)
+    except surgery.SingularityError:
+        assert code == cli.EXIT_NUMERIC
+        assert json.loads(out)["error"]["type"] == "SingularityError"
+        return
+    echo = {"braid": braid_text, "slope": slope, "tuple": None}
+    payload.update(schema=cli.SCHEMA, subcommand="theta", inputs_echo=echo)
+    assert code == cli.EXIT_OK
+    expected = json.dumps(payload, sort_keys=True, indent=2, default=cli.jsonify)
+    assert out == expected + "\n"
+    assert table == "\n".join(cli._table_lines(payload, "")) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_theta_text_does_not_depend_on_the_block_size(monkeypatch, block):
+    # 288 entries and 65 groups, written in blocks of ``block`` items.
+    argv = ["theta", "B2 s1^7", "--slope", "505/1406"]
+    _, whole = run_cli(argv)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert out == whole
+    data = json.loads(out)
+    assert len(data["entries"]) == 288 and len(data["theta_groups"]) == 65
+
+
+def test_the_negative_determinant_example_has_three_values():
+    # So the property's example checks that the groups sort by value.
+    braid_text, slope = NEGATIVE_DET
+    enum = legendrian.enumerate_weinstein(
+        braid.parse_braid(braid_text), cli.parse_slopes(slope)
+    )
+    det, rows = enum.c1_forms()
+    assert det < 0 and len({form for _, _, form in rows}) == 3
+
+
+def test_theta_converts_each_distinct_value_once(monkeypatch):
+    texts = []
+    frac_str = cli.frac_str
+
+    def counted(value):
+        texts.append(value)
+        return frac_str(value)
+
+    monkeypatch.setattr(cli, "frac_str", counted)
+    code, out = run_cli(["theta", "B2 s1^7", "--slope", "505/1406"])
+    assert code == cli.EXIT_OK
+    data = json.loads(out)
+    assert data["count"] == 288
+    # c1^2 and theta of each of the 65 distinct values, once each.
+    assert len(data["theta_groups"]) == 65
+    assert len(texts) == 2 * 65
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_theta_writes_only_the_error_when_a_value_is_too_long(monkeypatch, k):
+    # Three distinct values, two texts each: the k-th text cannot print.
+    calls = []
+    frac_str = cli.frac_str
+
+    def failing(value):
+        calls.append(value)
+        if len(calls) == k:
+            raise cli.DigitLimitExceeded
+        return frac_str(value)
+
+    monkeypatch.setattr(cli, "frac_str", failing)
+    braid_text, slope = NEGATIVE_DET
+    code, out = run_cli(["theta", braid_text, "--slope", slope])
+    assert code == cli.EXIT_NUMERIC
+    error = {
+        "code": cli.EXIT_NUMERIC,
+        "type": "DigitLimitExceeded",
+        "message": str(cli.DigitLimitExceeded()),
+    }
+    expected = {"error": error, "schema": 1}
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("picks", ["", "1,x"])
+def test_theta_reports_an_unreadable_tuple_as_a_legendrian_error(picks):
+    code, out = run_cli(["theta", "B2 s1^5", "--slope", "2/7", "--tuple", picks])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "code": cli.EXIT_PARSE,
+        "type": "LegendrianError",
+        "message": f"cannot parse integer list {picks!r}:"
+        f" invalid literal for int() with base 10: {picks.split(',')[-1]!r}",
+    }
