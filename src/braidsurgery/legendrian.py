@@ -7,12 +7,12 @@ the enumeration of decorated integral diagrams whose framings satisfy
 tuples feed the distinguishing invariants: the Chern pairing vector,
 the exact ``c1^2``, and the plane-field invariant
 ``theta = c1^2 - 2*chi - 3*sigma``.  Every diagram of an enumeration
-shares one linking matrix ``Q``, so ``c1^2 = r^T adj(Q) r / det(Q)``
-comes from one memoised adjugate: an integer quadratic form in the
-rotation vector ``r``, with no linear solve per tuple.  The walks over all
-tuples build no diagram: ``c1_forms`` gives the integer forms,
-``theta_sweep`` the text of each distinct theta value, and ``json_lines``
-the JSON line of each diagram.
+shares one linking matrix ``Q``, so ``c1^2 = r^T Q^-1 r`` is an integer
+quadratic form over one memoised adjugate, on the support S of the
+rotation vector ``r`` (see :func:`theta`), with no linear solve per
+tuple.  The walks over all tuples build no diagram: ``c1_forms`` gives
+the integer forms, ``theta_sweep`` the text of each distinct theta
+value, and ``json_lines`` the JSON line of each diagram.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -70,21 +70,6 @@ class LegendrianComponent(Record):
         if stab_pos < 0 or stab_neg < 0:
             raise LegendrianError("stabilization counts must be >= 0")
         self._store(locals())
-
-
-def front_stats(word: BraidWord) -> LegendrianComponent:
-    """Pre-stabilization tb/rot of the closure's standard front (knot case).
-
-    ``tb = c+ - 2c- - m``; ``rot`` is 0 or 1 by the parity of ``c-``;
-    closure arcs and negative crossings contribute ``2(m + c-)`` cusps.
-    These are the one component of :func:`link_front_stats`.
-    """
-    parts = braid_mod.permutation(word)
-    if not parts.is_knot:
-        raise LegendrianError(
-            f"closure has {parts.num_components} components; use link_front_stats"
-        )
-    return link_front_stats(word)[0]
 
 
 def link_front_stats(word: BraidWord) -> tuple[LegendrianComponent, ...]:
@@ -281,41 +266,49 @@ class WeinsteinEnumeration:
             yield self._assemble(ks)
 
     def c1_forms(self):
-        """``det(Q)`` and ``(picks, rotation_tuple, form)`` for every tuple,
+        """``det(M)`` and ``(picks, rotation_tuple, form)`` for every tuple,
         in the order of :meth:`tuples`, without building a diagram or a
-        ``Fraction``: ``c1^2 = form / det(Q)``.
+        ``Fraction``: ``c1^2 = form / det(M)``.
 
-        ``form`` is ``r^T A r`` for the rotation vector ``r`` (the closure
-        rots followed by the picks) and ``A = adj(Q)``.  The picks are
-        fixed one unknot ``u`` at a time: choosing rot ``y`` adds
-        ``y (2 l_u + A_uu y)`` to the form, with ``l_u`` the row ``u`` of
-        ``A`` against the rots fixed so far, and moves every later ``l``
-        by ``y`` times column ``u``.  Raises ``SingularityError`` when
-        ``det(Q) == 0``.
+        ``form`` is ``r_S^T A r_S`` for the rotation vector ``r`` on S and
+        ``A = L adj(M)`` (see :func:`theta`), fixed one menu ``u`` of more
+        than one pick at a time: rot ``y`` adds ``y (2 l_u + A_uu y)``, with
+        ``l_u`` the row ``u`` of ``A`` against the rots fixed so far, and
+        moves every later ``l`` by ``y`` times column ``u``.  A one-pick
+        menu (rot 0) joins its ``1``/``0`` to the picks before it.  Raises
+        ``SingularityError`` when ``det(Q) == 0``.
         """
-        _, det, adj = _inverse_form(self.base)
+        _, keep, det, adj = _inverse_form(self.base)
+        pos = {i: s for s, i in enumerate(keep)}
         comps = self.base.components
         fixed = [
-            (i, self.braid_legendrian[c.component - 1].rot)
+            (pos[i], self.braid_legendrian[c.component - 1].rot)
             for i, c in enumerate(comps)
             if c.kind == BRAID
         ]
         unknots = [i for i, c in enumerate(comps) if c.kind != BRAID]
+        # ``ones`` ends as the count of one-pick menus before every level.
+        ones, levels = 0, []
+        for u, menu in reversed(list(zip(unknots, self.menus))):
+            if len(menu) == 1:
+                ones += 1
+                continue
+            ks, rots = (1,) * ones, (0,) * ones
+            picks = [((k,) + ks, (l.rot,) + rots, l.rot) for k, l in enumerate(menu, 1)]
+            levels.append((pos[u], picks))
+            ones = 0
+        levels.reverse()
         form = sum(x * adj[i][j] * y for i, x in fixed for j, y in fixed)
-        lin = [sum(adj[u][i] * x for i, x in fixed) for u in unknots]
-        states = [((), (), form, lin)]
-        for depth, (u, menu) in enumerate(zip(unknots, self.menus)):
-            states = _pick_level(
-                states,
-                [(k, l.rot) for k, l in enumerate(menu, 1)],
-                adj[u][u],
-                [adj[v][u] for v in unknots[depth + 1 :]],
-            )
+        lin = [sum(adj[a][i] * x for i, x in fixed) for a, _ in levels]
+        states = [((1,) * ones, (0,) * ones, form, lin)]
+        for depth, (a, picks) in enumerate(levels):
+            col = [adj[b][a] for b, _ in levels[depth + 1 :]]
+            states = _pick_level(states, picks, adj[a][a], col)
         return det, ((ks, rots, form) for ks, rots, form, _ in states)
 
     def c1_squares(self):
         """``(picks, rotation_tuple, c1^2)`` for every tuple: :meth:`c1_forms`
-        with each form over ``det(Q)``."""
+        with each form over ``det(M)``."""
         det, rows = self.c1_forms()
         return ((ks, rots, Fraction(form, det)) for ks, rots, form in rows)
 
@@ -394,13 +387,13 @@ class WeinsteinEnumeration:
 
 
 def _pick_level(states, picks, diag: int, col: list[int]):
-    """Extend every ``(picks, rots, form, lin)`` state by each menu pick."""
+    """Extend each ``(picks, rots, form, lin)`` state by each ``(picks, rots, rot)``."""
     for ks, rots, form, lin in states:
         head, rest = lin[0], lin[1:]
-        for k, y in picks:
+        for k, r, y in picks:
             yield (
-                ks + (k,),
-                rots + (y,),
+                ks + k,
+                rots + r,
                 form + y * (2 * head + diag * y),
                 [x + y * c for x, c in zip(rest, col)],
             )
@@ -443,26 +436,32 @@ class ThetaReport(Record):
 
 def _inverse_form(
     base: SurgeryDiagram,
-) -> tuple[surgery.HomologyReport, int, tuple[tuple[int, ...], ...]]:
-    """The homology report of ``base`` and ``(det, adj)`` of its linking
-    matrix, both memoised on the diagram; theta needs ``det != 0``."""
+) -> tuple[surgery.HomologyReport, list[int], int, tuple[tuple[int, ...], ...]]:
+    """The homology report of ``base`` and ``(S, det M, A)``, both memoised
+    on the diagram; theta needs ``det(Q) != 0``, that is ``det(M) != 0``."""
     report = surgery.homology(base)
     if report.det == 0:
         raise surgery.SingularityError("theta needs a nonsingular linking matrix")
-    return (report, *surgery.adjugate(base))
+    return (report, *base._rotation_form)
 
 
 def theta(w: WeinsteinDiagram) -> ThetaReport:
     """``c1^2 - 2 chi - 3 sigma`` of the presented filling.
 
-    ``c1^2`` is ``r^T Q^{-1} r = r^T adj(Q) r / det(Q)`` for the rotation
-    vector ``r``, from the adjugate memoised on ``w.base`` (shared by
-    every diagram of an enumeration); the linking matrix ``Q`` must be
-    nonsingular.  The value is a complete homotopy invariant only over
-    integer homology spheres, reported by ``complete_invariant``.
+    ``c1^2`` is ``r^T Q^{-1} r`` for the rotation vector ``r`` and the
+    nonsingular linking matrix ``Q``.  An unknot framed -2 has rot 0, so
+    on an expansion ``r`` lives on S, the closures and the unknots framed
+    ``<= -3``, and ``c1^2 = r_S^T A r_S / det(M)`` with ``M`` the Schur
+    complement of the rest scaled by ``L`` and ``A = L adj(M)``, memoised
+    on ``w.base``; a nonzero rot off S is a ``LegendrianError``.  The
+    value is a complete homotopy invariant only over integer homology
+    spheres, reported by ``complete_invariant``.
     """
-    report, det, adj = _inverse_form(w.base)
+    report, keep, det, adj = _inverse_form(w.base)
     r = c1_pairing(w)
+    if any(r[i] for i in set(range(len(r))).difference(keep)):
+        raise LegendrianError("an unknot framed -2 must have rot 0")
+    r = [r[i] for i in keep]
     c1sq = Fraction(
         sum(x * sum(map(operator.mul, row, r)) for x, row in zip(r, adj)), det
     )

@@ -229,11 +229,6 @@ def end_slopes(stream: CoeffStream, n: int) -> list[Fraction]:
     return convergents(stream.coeffs(n), n)
 
 
-def end_slope(stream: CoeffStream, n: int) -> Fraction:
-    """Dividing slope of the level-``n`` torus; see :func:`end_slopes`."""
-    return end_slopes(stream, n)[-1]
-
-
 def _eventual_flags(stream: CoeffStream, k: SignTuple) -> tuple[bool, bool]:
     """Whether ``k_i`` is eventually the menu maximum / eventually 1."""
     k.validate(stream)

@@ -10,9 +10,10 @@ Framings are exact rationals; the empty filling is the explicit
 
 An expansion (closure components plus unknots framed ``<= -2``, each
 linking its parent once) gets its invariants by a fold that costs what
-the closure costs, not what the slopes cost.  The signature is that of
-the Schur complement onto the closure block, an integer ``k x k``
-matrix after scaling by the slope denominators, minus one per unknot.
+the closure costs, not what the slopes cost.  One sparse elimination
+removes unknots from the leaves inward and scales the Schur complement
+on the rest to integers: of every unknot for the signature (``k x k``,
+minus one per unknot), of those framed -2 (rot 0) for ``c1^2``.
 For the invariant factors, each stack of ``m >= 2`` leaves framed -2
 on one closure component splits off ``m - 2`` factors 2 in closed form,
 every remaining entry ``+-1`` is a unimodular pivot, and the Smith form
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import prod
+from math import lcm, prod
 
 from . import braid as braid_mod
 from . import linalg
@@ -130,10 +131,14 @@ class SurgeryDiagram(Record):
     def is_integral(self) -> bool:
         return all(c.is_integral for c in self.components)
 
-    def _linking_numbers(self) -> list[dict[int, int]]:
-        """Sparse rows of linking numbers: row ``i`` maps ``j`` to the
-        linking number of components ``i`` and ``j``; a missing ``j``
-        links 0, and diagonal entries are not linking numbers.
+    # Diagrams are frozen, so each memo below is computed at most once.
+
+    @cached_property
+    def _form(self) -> list[dict[int, int]]:
+        """Sparse rows of the linking form: row ``i`` maps ``j`` to the
+        linking number of components ``i`` and ``j`` (a missing ``j``
+        links 0) and ``i`` to its framing's numerator (none for
+        :data:`INF`).  Shared, so never changed in place.
 
         Meridians and chains link their parent once, closure components
         link by the closure's linking matrix and the axis links each
@@ -153,9 +158,10 @@ class SurgeryDiagram(Record):
         for x in (i for i, c in enumerate(comps) if c.kind == AXIS):
             for i, a in block:
                 lk[x][i] = lk[i][x] = stats.axis_linking[a]
+        for i, c in enumerate(comps):
+            if not isinstance(c.framing, _Infinity):
+                lk[i][i] = c.framing.numerator
         return lk
-
-    # Diagrams are frozen, so each memo below is computed at most once.
 
     @cached_property
     def _matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -164,23 +170,18 @@ class SurgeryDiagram(Record):
         if any(isinstance(c.framing, _Infinity) for c in comps):
             raise SurgeryError("empty filling has no relation; delete it first")
         m = [[0] * len(comps) for _ in comps]
-        for i, (c, row) in enumerate(zip(comps, self._linking_numbers())):
+        for i, (c, row) in enumerate(zip(comps, self._form)):
             for j, x in row.items():
                 m[i][j] = c.framing.denominator * x
             m[i][i] = c.framing.numerator
         return tuple(map(tuple, m))
 
     @cached_property
-    def _folded(self) -> tuple[list[int], int] | None:
-        """(invariant factors, signature) without the dense ``n x n`` kernels.
-
-        Applies to integral diagrams of the shape :func:`_expand` builds:
-        closure components plus an unknot forest, every unknot framed
-        ``<= -2`` and linking only its parent.  ``None`` for any other
-        diagram, or when a Schur pivot of the forest is ``>= 0``; those
-        take the dense path.  The invariant factors omit the ones of
-        the eliminated rows.
-        """
+    def _forest(self) -> tuple[list[int], list[list[int]]] | None:
+        """(unknots from the leaves inward, children of each component) of
+        an integral diagram of the shape :func:`_expand` builds: closure
+        components plus an unknot forest, every unknot framed ``<= -2``
+        and linking only its parent.  ``None`` for any other diagram."""
         comps = self.components
         if not self.is_integral or any(
             c.parent is not None if c.kind == BRAID
@@ -198,33 +199,45 @@ class SurgeryDiagram(Record):
             order.extend(children[i])
         if len(order) != len(comps):  # a parent cycle, not a forest
             return None
-        unknots = order[len(closures):][::-1]  # leaves inward
+        return order[len(closures):][::-1], children
 
-        # Signature: eliminating the forest from the leaves inward leaves
-        # the Schur complement on the closures, the slopes r_a on its
-        # diagonal and linking numbers off it; every unknot pivot is
-        # negative.  Congruence by the slope denominators makes it integral.
-        schur = [c.framing for c in comps]
+    def _schur(self, unknots) -> tuple[list[int], list[list[int]], int] | None:
+        """``(keep, M, L)`` after eliminating ``unknots`` (T), each after its
+        children, from the sparse form ``Q``: ``M = L (Q/Q_TT)`` on the other
+        components ``keep``, ``L`` the lcm of its denominators.  ``None``
+        when a pivot is ``>= 0``."""
+        rows = [dict(row) for row in self._form]
         for u in unknots:
-            if schur[u] >= 0:
+            pivot = rows[u].pop(u)
+            p, q = pivot.numerator, pivot.denominator
+            if p >= 0:
                 return None
-            schur[comps[u].parent] -= 1 / schur[u]
-        lk = self._linking_numbers()
-        t = [
-            [
-                schur[a].numerator * schur[a].denominator if a == b
-                else schur[a].denominator * schur[b].denominator * lk[a][b]
-                for b in closures
-            ]
-            for a in closures
-        ]
-        sigma = linalg.signature(t) - len(unknots)
+            for i, x in rows[u].items():
+                del rows[i][u]
+                for j, y in rows[u].items():
+                    rows[i][j] = rows[i].get(j, 0) - Fraction(x * y * q, p)
+        keep = sorted(set(range(len(rows))).difference(unknots))
+        m = [[rows[i].get(j, 0) for j in keep] for i in keep]
+        scale = lcm(*(x.denominator for row in m for x in row))
+        m = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+        return keep, m, scale
 
-        # Invariant factors, on the sparse linking matrix with the framings
-        # on its diagonal.
-        for i, c in enumerate(comps):
-            lk[i][i] = c.framing.numerator
-        rows = dict(enumerate(lk))
+    @cached_property
+    def _folded(self) -> tuple[list[int], int] | None:
+        """(invariant factors, signature) of a diagram with a :attr:`_forest`,
+        without the dense ``n x n`` kernels; ``None`` (the dense path) for
+        any other diagram or a Schur pivot ``>= 0``.  The invariant factors
+        omit the ones of the eliminated rows."""
+        schur = self._forest and self._schur(self._forest[0])
+        if not schur:
+            return None
+        (unknots, children), (closures, t, _) = self._forest, schur
+        # Each unknot pivot is negative: by Sylvester, -1 to the signature.
+        sigma = linalg.signature(t) - len(unknots)
+        comps = self.components
+
+        # Invariant factors, on a copy of the sparse linking form.
+        rows = {i: dict(row) for i, row in enumerate(self._form)}
         cols = {j: set() for j in rows}
         for i, row in rows.items():
             for j in row:
@@ -291,10 +304,18 @@ class SurgeryDiagram(Record):
         return prod(snf), tuple(x for x in snf if x > 1), snf.count(0)
 
     @cached_property
-    def _adjugate(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(det, adj) of the matrix, built once; see :func:`adjugate`."""
-        d, adj = linalg.adjugate(self._matrix)
-        return d, tuple(map(tuple, adj))
+    def _rotation_form(self) -> tuple[list[int], int, tuple[tuple[int, ...], ...]]:
+        """``(S, det M, L adj M)`` of the :meth:`_schur` of T, the unknots
+        framed -2 of the :attr:`_forest`: ``r^T Q^-1 r = r_S^T (L adj M) r_S
+        / det M`` if ``r`` is 0 on T (tb -1 means rot 0).  T is a forest of
+        -2 paths, negative definite, so ``det Q = 0`` exactly when
+        ``det M = 0``.  With no forest, or a pivot ``>= 0``, ``M = Q``."""
+        forest = self._forest
+        comps = self.components
+        drop = [u for u in forest[0] if comps[u].framing == -2] if forest else []
+        keep, m, scale = self._schur(drop) or self._schur([])
+        d, adj = linalg.adjugate(m)
+        return keep, d, tuple(tuple(scale * x for x in row) for row in adj)
 
     @cached_property
     def _homology(self) -> HomologyReport:
@@ -472,17 +493,6 @@ def homology(diagram: SurgeryDiagram) -> HomologyReport:
     return diagram._homology
 
 
-def adjugate(diagram: SurgeryDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(det Q, adj Q)`` of the linking matrix ``Q``, so ``Q^-1 = adj / det``.
-
-    Memoised on the diagram.  Raises ``ZeroDivisionError`` if ``Q`` is
-    singular; :func:`homology` tells that case apart first.
-    """
-    if not diagram.is_integral:
-        raise SurgeryError("adjugate needs an integral diagram")
-    return diagram._adjugate
-
-
 def h1_presentation_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     """Integer presentation matrix of H1 for a rational-framed diagram.
 
@@ -490,11 +500,6 @@ def h1_presentation_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     for an integral diagram this is the linking matrix.
     """
     return [list(row) for row in diagram._matrix]
-
-
-def h1_order(diagram: SurgeryDiagram) -> int:
-    """|H1| of the presented manifold (0 for infinite), any framings."""
-    return h1_invariants(diagram)[0]
 
 
 def h1_invariants(diagram: SurgeryDiagram) -> tuple[int, tuple[int, ...], int]:
@@ -521,7 +526,7 @@ def rolfsen_twist(diagram: SurgeryDiagram, u: int, t: int) -> SurgeryDiagram:
         raise SurgeryError("Rolfsen twist needs an unknot-type component")
     if isinstance(target.framing, _Infinity):
         raise SurgeryError("cannot twist about the empty filling")
-    linking = diagram._linking_numbers()
+    linking = diagram._form
     comps: list[SurgeryComponent] = []
     for i, c in enumerate(diagram.components):
         if i == u:

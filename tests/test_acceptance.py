@@ -101,7 +101,7 @@ def test_criterion_4_homology_identities():
             out = S.rolfsen_twist(d, 0, ell)
             assert len(out.components) == 1
             assert out.components[0].framing == k + ell * m * m
-            assert S.h1_order(out) == k + ell * m * m
+            assert S.h1_invariants(out)[0] == k + ell * m * m
             _, report, additive, *_ = S.lspace_family_diagram(tour, k, ell)
             assert additive
             assert report.h1_order == k + ell * m * m
@@ -220,7 +220,7 @@ def test_criterion_9_limits_consistency():
         cycle = tuple(-rng.randint(2, 7) for _ in range(rng.randint(1, 4)))
         stream = LM.CoeffStream(prefix, cycle)
         for n in range(0, 31, 6):
-            assert LM.end_slope(stream, n) == C.eval_cfrac(stream.coeffs(n))
+            assert LM.end_slopes(stream, n)[-1] == C.eval_cfrac(stream.coeffs(n))
         for i in range(12):
             assert LM.shuffle_class_count(abs(stream.coeff(i) + 2)) == stream.menu_size(i)
 

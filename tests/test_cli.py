@@ -322,6 +322,26 @@ def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     }
 
 
+def test_theta_adjugate_sees_only_the_rotation_support(monkeypatch):
+    # 2+2/7 expands to the closure, four meridians framed -2 and the chain
+    # (-4, -2): n = 7, but only the closure and the -4 carry a rot.
+    from braidsurgery import linalg
+
+    sizes = {"smith_normal_form": [], "signature": [], "adjugate": []}
+    for name, seen in sizes.items():
+        original = getattr(linalg, name)
+
+        def spy(m, _original=original, _seen=seen):
+            _seen.append(len(m))
+            return _original(m)
+
+        monkeypatch.setattr(linalg, name, spy)
+    code, out = run_cli(["theta", "B2 s1^5", "--slope", "2+2/7"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["count"] == 3
+    assert sizes == {"smith_normal_form": [2], "signature": [1], "adjugate": [2]}
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
@@ -25,24 +25,19 @@ words3 = st.lists(
 # -- front statistics ---------------------------------------------------------
 
 def test_front_stats_b2_power_five():
-    c = L.front_stats(KNOT)
+    c = L.link_front_stats(KNOT)[0]
     assert (c.tb, c.rot, c.cusps) == (3, 0, 4)
 
 
 def test_front_stats_seven_braid():
-    c = L.front_stats(SEVEN)
+    c = L.link_front_stats(SEVEN)[0]
     assert (c.tb, c.rot, c.cusps) == (2, 1, 8)
-
-
-def test_front_stats_rejects_links():
-    with pytest.raises(L.LegendrianError):
-        L.front_stats(B.parse_braid("B2 s1^2"))
 
 
 @given(words3)
 def test_front_rot_zero_iff_even_negatives(w):
     if B.permutation(w).is_knot:
-        c = L.front_stats(w)
+        c = L.link_front_stats(w)[0]
         assert c.rot == w.c_minus % 2
         assert c.tb % 2 == (w.c_plus + w.strands) % 2
 
@@ -54,7 +49,7 @@ def test_parity_condition_enables_rot_zero(w):
     # (tb, rot) = (1, 0): tb - 1 and rot have equal parity there
     if not B.permutation(w).is_knot:
         return
-    c = L.front_stats(w)
+    c = L.link_front_stats(w)[0]
     if c.tb < 1:
         return
     rep = B.check_hypothesis(w)
@@ -66,7 +61,7 @@ def test_link_front_stats_agrees_on_knots():
     # The knot formulas: tb = c+ - 2c- - m, rot = c- mod 2, 2(m + c-) cusps.
     for w in (KNOT, SEVEN) + tuple(map(B.parse_braid, WORKLOADS.KNOTS)):
         c = L.link_front_stats(w)
-        assert c == (L.front_stats(w),)
+        assert len(c) == 1
         assert c[0].tb == w.c_plus - 2 * w.c_minus - w.strands
         assert (c[0].rot, c[0].cusps) == (w.c_minus % 2, 2 * (w.strands + w.c_minus))
 
@@ -292,36 +287,96 @@ def test_theta_invariant_under_tuple_negation():
 
 @st.composite
 def sweep_cases(draw):
-    """A bench knot or link, each slope a chain or ``1/n``; at most a few
-    hundred tuples."""
+    """A bench knot or link, each slope a whole part 0-6 plus a chain or
+    ``1/n``; at most a few hundred tuples.  A whole part adds meridians
+    framed -2, which the form eliminates with the -2s of the chains."""
     text = draw(st.sampled_from(WORKLOADS.KNOTS + WORKLOADS.LINKS + (UNBALANCED_LINK,)))
     word = B.parse_braid(text)
     k = B.permutation(word).num_components
     slopes = []
     for _ in range(k):
+        whole = draw(st.integers(min_value=0, max_value=6))
         if draw(st.booleans()):
-            slopes.append(Fraction(1, draw(st.integers(min_value=2, max_value=9))))
+            frac = Fraction(1, draw(st.integers(min_value=2, max_value=9)))
         else:
             coeffs = st.lists(
                 st.integers(min_value=-6, max_value=-2), min_size=1, max_size=4 // k
             )
-            slopes.append(WORKLOADS.chain_slope(draw(coeffs)))
+            frac = WORKLOADS.chain_slope(draw(coeffs))
+        slopes.append(whole + frac)
     return word, SlopeVector(tuple(slopes))
 
 
 @given(sweep_cases())
+# A -2 between two unknots framed -3: eliminating it links them.
+@example((KNOT, SlopeVector((WORKLOADS.chain_slope((-3, -2, -3)),))))
 @settings(max_examples=40, deadline=None)
 def test_c1_squares_match_rational_solve(case):
     enum = L.enumerate_weinstein(*case)
     q = S.linking_matrix(enum.base)
+    # Q^-1 r is the sum of r_i Q^-1 e_i: one dense rational solve per
+    # component that ever has a nonzero rot.
+    inverse = {}
     swept = list(enum.c1_squares())
     assert [ks for ks, _, _ in swept] == list(enum.tuples())
     for ks, rots, c1sq in swept:
         diagram = enum.diagram_for(ks)
         r = L.c1_pairing(diagram)
         assert rots == diagram.rotation_tuple
-        assert c1sq == sum(x * y for x, y in zip(r, solve_rational(q, r)))
+        support = [i for i, x in enumerate(r) if x]
+        for i in support:
+            if i not in inverse:
+                inverse[i] = solve_rational(q, [int(i == j) for j in range(len(q))])
+        assert c1sq == sum(r[i] * r[j] * inverse[i][j] for i in support for j in support)
         assert L.theta(diagram).c1_squared == c1sq
+
+
+def _star_of_twos():
+    # A meridian framed -2 under five leaves framed -2: a Schur pivot 1/2,
+    # so the -2 unknots are not eliminated.
+    return S.SurgeryDiagram(
+        KNOT,
+        (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
+        + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
+        + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),) * 5,
+    )
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        S.axis_surgery(KNOT, [Fraction(5)], axis_framing=Fraction(-3)),
+        S.axis_surgery(SEVEN, [Fraction(-4)], axis_framing=Fraction(2)),
+        S.lspace_family_diagram(SEVEN, 7, 2)[0],
+        _star_of_twos(),
+    ],
+)
+def test_theta_on_other_bases_matches_rational_solve(base):
+    # No -2 unknot is eliminated, so S is every component and M = Q.
+    assert base._rotation_form[0] == list(range(len(base.components)))
+    q = S.linking_matrix(base)
+    rng = random.Random(len(q))
+    for _ in range(20):
+        r = [rng.randint(-3, 3) for _ in q]
+        legendrian = tuple(L.LegendrianComponent(tb=0, rot=x, cusps=2) for x in r)
+        report = L.theta(L.WeinsteinDiagram(base, legendrian, tuple(r)))
+        assert report.c1_squared == sum(x * y for x, y in zip(r, solve_rational(q, r)))
+
+
+def test_theta_needs_rot_zero_on_unknots_framed_minus_two():
+    base = S.slam_dunk_expand(S.rational_surgery(KNOT, SlopeVector((Fraction(1),))))
+    assert [c.framing for c in base.components] == [0, -2, -2]
+    assert base._rotation_form[0] == [0]
+    unknot = L.legendrian_unknot()
+    closure = L.LegendrianComponent(tb=1, rot=0, cusps=4)
+    for rot, ok in ((0, True), (2, False)):
+        legendrian = (closure, unknot, L.LegendrianComponent(tb=-1, rot=rot, cusps=2))
+        diagram = L.WeinsteinDiagram(base, legendrian, (0, rot))
+        if ok:
+            assert L.theta(diagram).c1_squared == 0
+        else:
+            with pytest.raises(L.LegendrianError):
+                L.theta(diagram)
 
 
 def test_c1_squares_on_a_singular_base():

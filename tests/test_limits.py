@@ -152,24 +152,24 @@ def test_gluing_matrix_unimodular():
 
 def test_end_slope_base_case():
     s = LM.CoeffStream(prefix=(-2,))
-    assert LM.end_slope(s, 0) == -2
+    assert LM.end_slopes(s, 0)[-1] == -2
 
 
 def test_end_slope_two_levels():
     s = LM.CoeffStream(prefix=(-3, -2))
-    assert LM.end_slope(s, 1) == Fraction(-5, 2)
+    assert LM.end_slopes(s, 1)[-1] == Fraction(-5, 2)
 
 
 def test_end_slope_all_twos():
     s = LM.CoeffStream(prefix=(), cycle=(-2,))
     for n in range(10):
-        assert LM.end_slope(s, n) == Fraction(-(n + 2), n + 1)
+        assert LM.end_slopes(s, n)[-1] == Fraction(-(n + 2), n + 1)
 
 
 @given(streams, st.integers(min_value=0, max_value=30))
 @settings(max_examples=120, deadline=None)
 def test_end_slope_equals_truncated_value(s, n):
-    assert LM.end_slope(s, n) == eval_cfrac(s.coeffs(n))
+    assert LM.end_slopes(s, n)[-1] == eval_cfrac(s.coeffs(n))
 
 
 @given(streams, st.integers(min_value=0, max_value=30))
@@ -177,7 +177,6 @@ def test_end_slope_equals_truncated_value(s, n):
 def test_end_slopes_match_each_level_from_scratch(s, n):
     expected = [end_slope_from_scratch(s.coeffs(i)) for i in range(n + 1)]
     assert LM.end_slopes(s, n) == expected
-    assert LM.end_slope(s, n) == expected[-1]
 
 
 @given(chains(max_run=150), st.lists(admissible_entries, min_size=1, max_size=3))
@@ -197,13 +196,13 @@ def test_end_slope_matches_explicit_matrix_product():
     s = LM.CoeffStream(prefix=(-3, -2))
     prod = int_mat_mul(LM.gluing_matrix(-2), LM.gluing_matrix(-3))
     inv = int_mat_inv_unimodular(prod)
-    assert Fraction(inv[0][0], inv[1][0]) == LM.end_slope(s, 1)
+    assert Fraction(inv[0][0], inv[1][0]) == LM.end_slopes(s, 1)[-1]
 
 
 @given(streams)
 @settings(max_examples=80, deadline=None)
 def test_end_slopes_strictly_increase(s):
-    values = [LM.end_slope(s, n) for n in range(10)]
+    values = LM.end_slopes(s, 9)
     assert all(a < b for a, b in zip(values, values[1:]))
 
 

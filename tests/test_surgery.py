@@ -181,7 +181,7 @@ def test_rational_presentation_order():
     for ell in (1, 2, 3):
         for k in (1, 5, 9):
             d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
-            assert S.h1_order(d) == k + 9 * ell
+            assert S.h1_invariants(d)[0] == k + 9 * ell
             assert S.h1_invariants(d)[0] == k + 9 * ell
 
 
@@ -202,11 +202,11 @@ def test_rolfsen_blowdown_example():
             S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-1), parent=0),
         ),
     )
-    before = S.h1_order(d)
+    before = S.h1_invariants(d)[0]
     out = S.rolfsen_twist(d, 1, 1)
     assert len(out.components) == 1
     assert out.components[0].framing == 1
-    assert S.h1_order(out) == before == 1
+    assert S.h1_invariants(out)[0] == before == 1
 
 
 def test_rolfsen_axis_twist_matches_closed_form():
@@ -217,7 +217,7 @@ def test_rolfsen_axis_twist_matches_closed_form():
             out = S.rolfsen_twist(d, 0, ell)
             assert len(out.components) == 1
             assert out.components[0].framing == k + ell * 9
-            assert S.h1_order(out) == k + 9 * ell
+            assert S.h1_invariants(out)[0] == k + 9 * ell
 
 
 def test_rolfsen_preserves_h1_invariants():
@@ -230,7 +230,6 @@ def test_rolfsen_preserves_h1_invariants():
         d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
         out = S.rolfsen_twist(d, 0, t)
         assert S.h1_invariants(out) == S.h1_invariants(d)
-        assert S.h1_invariants(out)[0] == S.h1_order(out)
 
 
 def test_rolfsen_rejects_braid_component():
@@ -245,7 +244,7 @@ def test_slam_dunk_meridian_collapses_leaf():
     out = S.slam_dunk_meridian(d, 0)
     assert [c.kind for c in out.components] == [S.AXIS, S.BRAID]
     assert out.components[0].framing == Fraction(-1, 2)
-    assert S.h1_order(out) == S.h1_order(d)
+    assert S.h1_invariants(out)[0] == S.h1_invariants(d)[0]
 
 
 def test_slam_dunk_meridian_guards():
@@ -326,7 +325,7 @@ def test_seven_component_homology_matches_dense_kernels():
     assert len(m) == 61
     assert report.det == linalg.det(m) == -23995178814630002688
     assert report.signature == linalg.signature(m) == -49
-    assert report.h1_order == abs(report.det) == S.h1_order(e)
+    assert report.h1_order == abs(report.det) == S.h1_invariants(e)[0]
     assert report.elementary_divisors[-3:] == (4, 24, 888)
 
 
@@ -471,12 +470,17 @@ def test_other_diagrams_take_the_dense_path(monkeypatch):
         S.axis_surgery(KNOT, [Fraction(7)]),
         S.lspace_family_diagram(B.parse_braid("B3 s1 s2"), 7, 2)[0],
         twisted,
-        # An unknot framed -2 under five leaves framed -2: Schur pivot 1/2.
-        S.SurgeryDiagram(
-            KNOT,
-            (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
-            + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
-            + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),) * 5,
+        # An unknot framed -2 under five or four leaves framed -2: Schur
+        # pivot 1/2 or 0.
+        *(
+            S.SurgeryDiagram(
+                KNOT,
+                (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
+                + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
+                + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),)
+                * leaves,
+            )
+            for leaves in (5, 4)
         ),
     ]
     for d in diagrams:
