@@ -14,8 +14,11 @@ Identical inputs produce byte-identical output.
 
 Parsing runs inside the same error boundary, so any argv gives JSON on
 stdout, with an ``error`` object exactly when the exit code is nonzero.
-Exit codes: 0 success, 2 parse or usage error, 3 hypothesis violation,
-4 numeric precondition failure, exhausted handle-reduction budget, a
+Exit codes: 0 success, 2 parse or usage error (including a ``cfrac``
+value past :data:`MAX_CFRAC_TERMS` coefficients, ``CFracError``, and
+``limits`` past ``limits.MAX_LEVELS`` levels or ``limits.MAX_SLICES``
+basic slices, ``LimitsError``), 3 hypothesis violation, 4 numeric
+precondition failure, exhausted handle-reduction budget, a
 ``theta`` sweep over more than ``legendrian.MAX_THETA_TUPLES`` tuples, an
 expansion past ``surgery.MAX_COMPONENTS`` components, unknot menus past
 ``legendrian.MAX_MENU_PICKS`` unknots, or an output integer too long for

@@ -449,17 +449,19 @@ def theta(w: WeinsteinDiagram) -> ThetaReport:
     """``c1^2 - 2 chi - 3 sigma`` of the presented filling.
 
     ``c1^2`` is ``r^T Q^{-1} r`` for the rotation vector ``r`` and the
-    nonsingular linking matrix ``Q``.  An unknot framed -2 has rot 0, so
-    on an expansion ``r`` lives on S, the closures and the unknots framed
-    ``<= -3``, and ``c1^2 = r_S^T A r_S / det(M)`` with ``M`` the Schur
-    complement of the rest scaled by ``L`` and ``A = L adj(M)``, memoised
-    on ``w.base``; a nonzero rot off S is a ``LegendrianError``.  The
-    value is a complete homotopy invariant only over integer homology
+    nonsingular linking matrix ``Q``.  An unknot framed -2 has rot 0 (a
+    nonzero rot there is a ``LegendrianError``), so on any base ``r``
+    lives on S, the components left when those unknots are eliminated (on
+    an expansion, the closures and the unknots framed ``<= -3``), and
+    ``c1^2 = r_S^T A r_S / det(M)`` with ``M`` the Schur complement of the
+    rest scaled by ``L`` and ``A = L adj(M)``, memoised on ``w.base``.
+    The value is a complete homotopy invariant only over integer homology
     spheres, reported by ``complete_invariant``.
     """
     report, keep, det, adj = _inverse_form(w.base)
     r = c1_pairing(w)
-    if any(r[i] for i in set(range(len(r))).difference(keep)):
+    comps = w.base.components
+    if any(x and c.kind != BRAID and c.framing == -2 for x, c in zip(r, comps)):
         raise LegendrianError("an unknot framed -2 must have rot 0")
     r = [r[i] for i in keep]
     c1sq = Fraction(

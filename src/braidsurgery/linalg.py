@@ -7,8 +7,9 @@ are used (``solve_exact`` builds ``Fraction`` values for its result
 alone).  ``adjugate`` eliminates ``[m | I]`` once, so a quadratic form
 ``x^T m^-1 x`` is ``x^T adj(m) x / det(m)`` in integers for any number
 of vectors ``x``.  ``smith_normal_form`` uses Euclidean row and column
-operations, modulo ``|det|`` when that is nonzero.  Sizes are those of
-surgery diagrams: a handful of rows up to a few hundred.
+operations, modulo ``|det|`` when that is nonzero.  ``surgery`` calls
+them only on the residuals of its sparse fold: at most ``2k`` rows on an
+expansion with ``k`` closure components.
 """
 
 from __future__ import annotations

@@ -8,19 +8,20 @@ link their parent exactly once.  Everything downstream (linking matrix,
 Framings are exact rationals; the empty filling is the explicit
 :data:`INF` marker so Rolfsen twists can delete components cleanly.
 
-An expansion (closure components plus unknots framed ``<= -2``, each
-linking its parent once) gets its invariants by a fold that costs what
-the closure costs, not what the slopes cost.  One sparse elimination
-removes unknots from the leaves inward and scales the Schur complement
-on the rest to integers: of every unknot for the signature (``k x k``,
-minus one per unknot), of those framed -2 (rot 0) for ``c1^2``.
-For the invariant factors, each stack of ``m >= 2`` leaves framed -2
-on one closure component splits off ``m - 2`` factors 2 in closed form,
-every remaining entry ``+-1`` is a unimodular pivot, and the Smith form
-of the residual (at most ``2k x 2k`` for an expansion) takes the 2s back
-in by 2-adic valuation.  Every other diagram (rational framings, the
-braid axis, an unknot framed above -2, a Schur pivot ``>= 0``) runs the
-dense kernels on the full matrix, which also serve as the test oracle.
+Every diagram gets its invariants from its sparse rows, so a slam-dunk
+expansion costs what its closure costs, not what its slopes cost.  For
+the signature and ``c1^2``, one sparse elimination removes unknots, last
+first (children before their parents in an expansion), and scales the
+Schur complement on the rest to integers: of every unknot for the
+signature (its signature plus the sign of each pivot), of those framed
+-2 (rot 0) for ``c1^2``; an unknot whose pivot is zero stays.  For the
+invariant factors, rational framings included, each stack of ``m >= 2``
+leaves framed -2 on one integral component splits off ``m - 2`` factors
+2 in closed form, every remaining entry ``+-1`` is a unimodular pivot,
+and the Smith form of the residual takes the 2s back in by 2-adic
+valuation.  On an expansion with ``k`` closure components the kernels
+see at most ``k x k`` (signature) and ``2k x 2k`` (Smith form); the
+dense kernels on the full matrix are the test oracle.
 Expansions are capped at :data:`MAX_COMPONENTS` components, checked from
 the slopes before anything is built.
 """
@@ -164,80 +165,69 @@ class SurgeryDiagram(Record):
         return lk
 
     @cached_property
+    def _relations(self) -> list[dict[int, int]]:
+        """Sparse rows of the presentation matrix of H1 (see
+        :func:`h1_presentation_matrix`), without zeros: row ``i`` of
+        :attr:`_form` times the denominator of framing ``i``, with the
+        numerator on the diagonal.  Shared, so never changed in place."""
+        rows = []
+        for i, (c, row) in enumerate(zip(self.components, self._form)):
+            if isinstance(c.framing, _Infinity):
+                raise SurgeryError("empty filling has no relation; delete it first")
+            q = c.framing.denominator
+            rows.append({j: q * x for j, x in row.items() if x})
+            if i in rows[-1]:
+                rows[-1][i] = c.framing.numerator
+        return rows
+
+    @cached_property
     def _matrix(self) -> tuple[tuple[int, ...], ...]:
         """Presentation matrix of H1, built once; see :func:`h1_presentation_matrix`."""
-        comps = self.components
-        if any(isinstance(c.framing, _Infinity) for c in comps):
-            raise SurgeryError("empty filling has no relation; delete it first")
-        m = [[0] * len(comps) for _ in comps]
-        for i, (c, row) in enumerate(zip(comps, self._form)):
-            for j, x in row.items():
-                m[i][j] = c.framing.denominator * x
-            m[i][i] = c.framing.numerator
+        m = [[0] * len(self.components) for _ in self.components]
+        for row, relation in zip(m, self._relations):
+            for j, x in relation.items():
+                row[j] = x
         return tuple(map(tuple, m))
 
     @cached_property
-    def _forest(self) -> tuple[list[int], list[list[int]]] | None:
-        """(unknots from the leaves inward, children of each component) of
-        an integral diagram of the shape :func:`_expand` builds: closure
-        components plus an unknot forest, every unknot framed ``<= -2``
-        and linking only its parent.  ``None`` for any other diagram."""
+    def _unknots(self) -> list[int]:
+        """Every component but the closures, last first: in every
+        :func:`_expand` output, children before their parents."""
         comps = self.components
-        if not self.is_integral or any(
-            c.parent is not None if c.kind == BRAID
-            else c.kind == AXIS or c.parent is None or c.framing > -2
-            for c in comps
-        ):
-            return None
-        closures = [i for i, c in enumerate(comps) if c.kind == BRAID]
-        children: list[list[int]] = [[] for _ in comps]
-        for i, c in enumerate(comps):
-            if c.parent is not None:
-                children[c.parent].append(i)
-        order = list(closures)  # parents before children
-        for i in order:
-            order.extend(children[i])
-        if len(order) != len(comps):  # a parent cycle, not a forest
-            return None
-        return order[len(closures):][::-1], children
+        return [i for i in range(len(comps) - 1, -1, -1) if comps[i].kind != BRAID]
 
-    def _schur(self, unknots) -> tuple[list[int], list[list[int]], int] | None:
-        """``(keep, M, L)`` after eliminating ``unknots`` (T), each after its
-        children, from the sparse form ``Q``: ``M = L (Q/Q_TT)`` on the other
-        components ``keep``, ``L`` the lcm of its denominators.  ``None``
-        when a pivot is ``>= 0``."""
-        rows = [dict(row) for row in self._form]
+    def _schur(self, unknots) -> tuple[list[int], list[list[int]], int, int]:
+        """``(keep, M, L, s)`` after eliminating in turn each of ``unknots``
+        whose pivot is nonzero (T) from the sparse form ``Q`` of an integral
+        diagram: ``M = L (Q/Q_TT)`` on the other components ``keep``, ``L``
+        the lcm of its denominators, ``s`` the sum of the pivot signs.  By
+        Haynsworth's inertia additivity ``sig Q = s + sig M``, and ``det Q``
+        is 0 exactly when ``det M`` is.  A zero pivot keeps its unknot."""
+        rows = [dict(row) for row in self._relations]
+        signs = 0
         for u in unknots:
-            pivot = rows[u].pop(u)
+            pivot = rows[u].pop(u, 0)
+            if not pivot:
+                continue
+            signs += 1 if pivot > 0 else -1
+            row, rows[u] = rows[u], None
             p, q = pivot.numerator, pivot.denominator
-            if p >= 0:
-                return None
-            for i, x in rows[u].items():
+            for i, x in row.items():
                 del rows[i][u]
-                for j, y in rows[u].items():
+                for j, y in row.items():
                     rows[i][j] = rows[i].get(j, 0) - Fraction(x * y * q, p)
-        keep = sorted(set(range(len(rows))).difference(unknots))
+        keep = [i for i, row in enumerate(rows) if row is not None]
         m = [[rows[i].get(j, 0) for j in keep] for i in keep]
         scale = lcm(*(x.denominator for row in m for x in row))
         m = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
-        return keep, m, scale
+        return keep, m, scale, signs
 
     @cached_property
-    def _folded(self) -> tuple[list[int], int] | None:
-        """(invariant factors, signature) of a diagram with a :attr:`_forest`,
-        without the dense ``n x n`` kernels; ``None`` (the dense path) for
-        any other diagram or a Schur pivot ``>= 0``.  The invariant factors
-        omit the ones of the eliminated rows."""
-        schur = self._forest and self._schur(self._forest[0])
-        if not schur:
-            return None
-        (unknots, children), (closures, t, _) = self._forest, schur
-        # Each unknot pivot is negative: by Sylvester, -1 to the signature.
-        sigma = linalg.signature(t) - len(unknots)
-        comps = self.components
-
-        # Invariant factors, on a copy of the sparse linking form.
-        rows = {i: dict(row) for i, row in enumerate(self._form)}
+    def _invariants(self) -> tuple[int, tuple[int, ...], int]:
+        """(order, invariant factors > 1, free rank) of H1, from the sparse
+        presentation rows; the invariant factors of the eliminated rows
+        are omitted."""
+        rows = {i: dict(row) for i, row in enumerate(self._relations)}
         cols = {j: set() for j in rows}
         for i, row in rows.items():
             for j in row:
@@ -249,14 +239,19 @@ class SurgeryDiagram(Record):
                 cols[j].discard(i)
             return row
 
-        # A stack of m >= 2 leaves framed -2 on closure a (the meridians of
-        # a whole part, and a 1/2) splits off m - 2 factors 2 and leaves
-        # a with its row and column doubled and diagonal 2(2 f_a + m).
+        # A leaf u is framed -2 and links only a, an integral component, by
+        # +-1 (so its row and column hold -2 and that +-1).  A stack of m >= 2 leaves on
+        # a (the meridians of a whole part, and a 1/2) splits off m - 2
+        # factors 2 and leaves a with its row and column doubled and
+        # diagonal 2(2 f_a + m).
+        stacks: dict[int, list[int]] = {}
+        for u, row in rows.items():
+            if len(row) == 2 and row.get(u) == -2:
+                a = next(j for j in row if j != u)
+                if row[a] in (1, -1) and rows[a][u] == row[a]:
+                    stacks.setdefault(a, []).append(u)
         twos = 0
-        for a in closures:
-            stack = [
-                u for u in children[a] if not children[u] and comps[u].framing == -2
-            ]
+        for a, stack in stacks.items():
             if len(stack) < 2:
                 continue
             twos += len(stack) - 2
@@ -264,18 +259,20 @@ class SurgeryDiagram(Record):
                 drop(u)
                 del cols[u]
                 del rows[a][u]
+            f = rows[a].pop(a, 0)
             for j in rows[a]:
                 rows[a][j] *= 2
                 rows[j][a] *= 2
-            rows[a][a] = 2 * (2 * comps[a].framing.numerator + len(stack))
+            rows[a][a] = 2 * (2 * f + len(stack))
             cols[a].add(a)
 
         # Every entry +-1 is a unimodular pivot: splitting it off as a
-        # factor 1 removes its row and its column.
-        pending = unknots + closures[::-1]
+        # factor 1 removes its row and its column.  Last rows first, so an
+        # expansion's chains fold from their leaves.
+        pending = sorted(rows, reverse=True)
         while pending:
             for i in pending:
-                j = next((j for j, x in rows.get(i, {}).items() if x in (1, -1)), None)
+                j = next((j for j, x in rows[i].items() if x in (1, -1)), None)
                 if j is None:
                     continue
                 pivot = drop(i)
@@ -294,26 +291,21 @@ class SurgeryDiagram(Record):
             pending = [i for i in rows if any(x in (1, -1) for x in rows[i].values())]
         keep = sorted(cols)
         residual = [[rows[i].get(j, 0) for j in keep] for i in sorted(rows)]
-        return _merge_twos(linalg.smith_normal_form(residual), twos), sigma
-
-    @cached_property
-    def _invariants(self) -> tuple[int, tuple[int, ...], int]:
-        folded = self._folded
-        snf = folded[0] if folded else linalg.smith_normal_form(self._matrix)
+        snf = _merge_twos(linalg.smith_normal_form(residual), twos)
         # |H1| is the product of the invariant factors: 0 when H1 is infinite.
         return prod(snf), tuple(x for x in snf if x > 1), snf.count(0)
 
     @cached_property
     def _rotation_form(self) -> tuple[list[int], int, tuple[tuple[int, ...], ...]]:
-        """``(S, det M, L adj M)`` of the :meth:`_schur` of T, the unknots
-        framed -2 of the :attr:`_forest`: ``r^T Q^-1 r = r_S^T (L adj M) r_S
-        / det M`` if ``r`` is 0 on T (tb -1 means rot 0).  T is a forest of
-        -2 paths, negative definite, so ``det Q = 0`` exactly when
-        ``det M = 0``.  With no forest, or a pivot ``>= 0``, ``M = Q``."""
-        forest = self._forest
+        """``(S, det M, L adj M)`` of the :meth:`_schur` of the unknots
+        framed -2: ``r^T Q^-1 r = r_S^T (L adj M) r_S / det M`` if ``r`` is
+        0 on the eliminated T (tb -1 means rot 0).  On an expansion T is
+        every unknot framed -2 and S the closures and the unknots framed
+        ``<= -3``; an unknot framed -2 with a zero pivot stays in S."""
         comps = self.components
-        drop = [u for u in forest[0] if comps[u].framing == -2] if forest else []
-        keep, m, scale = self._schur(drop) or self._schur([])
+        keep, m, scale, _ = self._schur(
+            [u for u in self._unknots if comps[u].framing == -2]
+        )
         d, adj = linalg.adjugate(m)
         return keep, d, tuple(tuple(scale * x for x in row) for row in adj)
 
@@ -321,8 +313,8 @@ class SurgeryDiagram(Record):
     def _homology(self) -> HomologyReport:
         order, divisors, free_rank = self._invariants
         n = len(self.components)
-        folded = self._folded
-        sigma = folded[1] if folded else linalg.signature(self._matrix)
+        _, m, _, signs = self._schur(self._unknots)
+        sigma = signs + linalg.signature(m)
         return HomologyReport(
             # Sylvester: det has the sign of (-1)^(negative eigenvalues).
             det=(-1) ** ((n - sigma) // 2) * order,

@@ -331,14 +331,14 @@ def test_c1_squares_match_rational_solve(case):
         assert L.theta(diagram).c1_squared == c1sq
 
 
-def _star_of_twos():
-    # A meridian framed -2 under five leaves framed -2: a Schur pivot 1/2,
-    # so the -2 unknots are not eliminated.
+def _star_of_twos(leaves=5):
+    # A meridian framed -2 under five (four) leaves framed -2: its Schur
+    # pivot is 1/2 (0), so it is eliminated (kept) after the leaves.
     return S.SurgeryDiagram(
         KNOT,
         (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
         + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
-        + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),) * 5,
+        + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),) * leaves,
     )
 
 
@@ -352,31 +352,42 @@ def _star_of_twos():
     ],
 )
 def test_theta_on_other_bases_matches_rational_solve(base):
-    # No -2 unknot is eliminated, so S is every component and M = Q.
-    assert base._rotation_form[0] == list(range(len(base.components)))
+    # S is every component but the unknots framed -2, where tb -1 forces
+    # rot 0; the oracle solves with the full Q.
+    comps = base.components
+    twos = [i for i, c in enumerate(comps) if c.kind != S.BRAID and c.framing == -2]
+    assert base._rotation_form[0] == [i for i in range(len(comps)) if i not in twos]
     q = S.linking_matrix(base)
     rng = random.Random(len(q))
     for _ in range(20):
-        r = [rng.randint(-3, 3) for _ in q]
+        r = [0 if i in twos else rng.randint(-3, 3) for i in range(len(q))]
         legendrian = tuple(L.LegendrianComponent(tb=0, rot=x, cusps=2) for x in r)
         report = L.theta(L.WeinsteinDiagram(base, legendrian, tuple(r)))
         assert report.c1_squared == sum(x * y for x, y in zip(r, solve_rational(q, r)))
 
 
 def test_theta_needs_rot_zero_on_unknots_framed_minus_two():
-    base = S.slam_dunk_expand(S.rational_surgery(KNOT, SlopeVector((Fraction(1),))))
-    assert [c.framing for c in base.components] == [0, -2, -2]
-    assert base._rotation_form[0] == [0]
-    unknot = L.legendrian_unknot()
+    expansion = S.slam_dunk_expand(S.rational_surgery(KNOT, SlopeVector((Fraction(1),))))
+    assert [c.framing for c in expansion.components] == [0, -2, -2]
     closure = L.LegendrianComponent(tb=1, rot=0, cusps=4)
-    for rot, ok in ((0, True), (2, False)):
-        legendrian = (closure, unknot, L.LegendrianComponent(tb=-1, rot=rot, cusps=2))
-        diagram = L.WeinsteinDiagram(base, legendrian, (0, rot))
-        if ok:
-            assert L.theta(diagram).c1_squared == 0
-        else:
-            with pytest.raises(L.LegendrianError):
-                L.theta(diagram)
+    # Component 1 is a meridian framed -2: eliminated, but kept in S by
+    # its zero pivot in the star of four.
+    for base, support in (
+        (expansion, [0]),
+        (_star_of_twos(), [0]),
+        (_star_of_twos(4), [0, 1]),
+    ):
+        assert base._rotation_form[0] == support
+        unknots = (L.legendrian_unknot(),) * (len(base.components) - 2)
+        for rot, ok in ((0, True), (2, False)):
+            meridian = L.LegendrianComponent(tb=-1, rot=rot, cusps=2)
+            rots = (rot,) + (0,) * len(unknots)
+            diagram = L.WeinsteinDiagram(base, (closure, meridian, *unknots), rots)
+            if ok:
+                assert L.theta(diagram).c1_squared == 0
+            else:
+                with pytest.raises(L.LegendrianError):
+                    L.theta(diagram)
 
 
 def test_c1_squares_on_a_singular_base():

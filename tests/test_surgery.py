@@ -330,9 +330,9 @@ def test_seven_component_homology_matches_dense_kernels():
 
 
 # -- folded invariants ---------------------------------------------------------
-# Integral expansions take the fold (stacks of -2 leaves split off as
-# factors 2, unit pivots, Smith form of the small residual, Schur
-# complement signature); the dense kernels on the full matrix are the oracle.
+# Every diagram takes the fold (stacks of -2 leaves split off as factors 2,
+# unit pivots, Smith form of the small residual, Schur complement signature
+# plus pivot signs); the dense kernels on the full matrix are the oracle.
 
 
 def dense_report(diagram):
@@ -348,7 +348,6 @@ def dense_report(diagram):
 
 
 def folded_report(diagram):
-    assert diagram._folded is not None
     r = S.homology(diagram)
     return r.det, r.h1_order, r.elementary_divisors, r.free_rank, r.signature
 
@@ -421,7 +420,6 @@ def test_fold_builds_no_dense_matrix():
         for expand in (S.slam_dunk_expand, S.expand_general):
             e = expand(d)
             S.homology(e)
-            assert e._folded is not None
             assert "_matrix" not in e.__dict__
 
 
@@ -461,38 +459,79 @@ def test_folded_kernels_see_at_most_2k_rows(monkeypatch):
     assert max(sizes["signature"]) <= 2
 
 
-def test_other_diagrams_take_the_dense_path(monkeypatch):
+def test_other_diagrams_match_the_dense_oracle(monkeypatch):
     sizes = spy_kernels(monkeypatch)
     e = S.slam_dunk_expand(knot_slope_diagram(Fraction(5, 2)))
     twisted = S.rolfsen_twist(e, 1, 1)  # a meridian framed -2 becomes +2
     assert twisted.is_integral
-    diagrams = [
-        S.axis_surgery(KNOT, [Fraction(7)]),
-        S.lspace_family_diagram(B.parse_braid("B3 s1 s2"), 7, 2)[0],
-        twisted,
+    # (diagram, Smith form residual, signature residual): an axis framed 0
+    # is a zero pivot, kept with the closure.
+    cases = [
+        (S.axis_surgery(KNOT, [Fraction(7)]), 2, 2),
+        (S.lspace_family_diagram(B.parse_braid("B3 s1 s2"), 7, 2)[0], 1, 2),
+        (twisted, 2, 1),
         # An unknot framed -2 under five or four leaves framed -2: Schur
-        # pivot 1/2 or 0.
+        # pivot 1/2 (eliminated) or 0 (kept).
         *(
-            S.SurgeryDiagram(
-                KNOT,
-                (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
-                + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
-                + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),)
-                * leaves,
+            (
+                S.SurgeryDiagram(
+                    KNOT,
+                    (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3), component=1),)
+                    + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),)
+                    + (S.SurgeryComponent(kind=S.CHAIN, framing=Fraction(-2), parent=1),)
+                    * leaves,
+                ),
+                2,
+                residual,
             )
-            for leaves in (5, 4)
+            for leaves, residual in ((5, 1), (4, 2))
         ),
     ]
-    for d in diagrams:
+    for d, smith, signature in cases:
         d = S.SurgeryDiagram(d.braid, d.components)  # no memo yet
-        sizes["smith_normal_form"].clear()
-        sizes["signature"].clear()
-        assert d._folded is None
-        S.homology(d)
-        n = len(d.components)
-        assert sizes["smith_normal_form"] == sizes["signature"] == [n]
-    rational = S.rolfsen_twist(e, 1, -1)
-    assert not rational.is_integral and rational._folded is None
+        for seen in sizes.values():
+            seen.clear()
+        report = folded_report(d)
+        assert sizes == {
+            "det": [smith], "smith_normal_form": [smith], "signature": [signature]
+        }
+        assert report == dense_report(d)
+    rational_stack = S.SurgeryDiagram(
+        KNOT,
+        (S.SurgeryComponent(kind=S.BRAID, framing=Fraction(3, 2), component=1),)
+        + (S.SurgeryComponent(kind=S.MERIDIAN, framing=Fraction(-2), parent=0),) * 3,
+    )
+    # A meridian framed -2/3; three -2 leaves on a closure framed 3/2 (its
+    # column holds 2s, so they are not a stack).
+    for rational in (S.rolfsen_twist(e, 1, -1), rational_stack):
+        assert not rational.is_integral
+        dense = linalg.smith_normal_form(S.h1_presentation_matrix(rational))
+        assert S.h1_invariants(rational) == (
+            prod(dense), tuple(x for x in dense if x > 1), dense.count(0)
+        )
+    empty = S.SurgeryDiagram(
+        KNOT,
+        (
+            S.SurgeryComponent(kind=S.BRAID, framing=Fraction(1), component=1),
+            S.SurgeryComponent(kind=S.MERIDIAN, framing=S.INF, parent=0),
+        ),
+    )
+    with pytest.raises(S.SurgeryError, match="empty filling has no relation"):
+        S.h1_invariants(empty)
+
+
+def test_twisted_expansion_kernels_see_at_most_2_rows(monkeypatch):
+    # One of 400 meridians framed -2 twisted to +2: the dense kernels on
+    # all 401 rows take tens of seconds, the fold a 2 x 2 residual.
+    e = S.slam_dunk_expand(knot_slope_diagram(200))
+    twisted = S.rolfsen_twist(e, 1, 1)
+    assert len(twisted.components) == 401
+    expected = dense_report(twisted)
+    sizes = spy_kernels(monkeypatch)
+    twisted = S.SurgeryDiagram(twisted.braid, twisted.components)  # no memo yet
+    assert folded_report(twisted) == expected
+    assert expected[-1] == -397
+    assert max(sizes["det"] + sizes["smith_normal_form"] + sizes["signature"]) <= 2
 
 
 def test_folded_forest_that_is_not_a_path_matches_dense():
@@ -548,3 +587,14 @@ def any_diagrams(draw):
 def test_presentation_matrix_matches_linking_per_pair(diagram):
     expected = presentation_matrix_by_pairs(diagram)
     assert S.h1_presentation_matrix(diagram) == expected
+
+
+@given(any_diagrams() | folded_cases())
+@settings(max_examples=200, deadline=None)
+def test_invariants_of_any_diagram_match_dense_kernels(diagram):
+    dense = linalg.smith_normal_form(S.h1_presentation_matrix(diagram))
+    assert S.h1_invariants(diagram) == (
+        prod(dense), tuple(x for x in dense if x > 1), dense.count(0)
+    )
+    if diagram.is_integral:
+        assert folded_report(diagram) == dense_report(diagram)
