@@ -4,12 +4,12 @@ Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
 diagram lines, and ``theta`` over all tuples gives its ``entries`` and
 ``theta_groups`` as generators of text made from per-tuple templates).
-``_run`` is the one writer: it parses the argv (with one parser per
-process, built by the first call), runs the ``cmd_*`` named by the
-subcommand, adds the envelope (``schema``, ``subcommand`` and
-``inputs_echo``, the parsed arguments) and passes it to :func:`emit`,
-which writes canonical JSON (sorted keys, rationals as ``p/q`` strings)
-or ``--table`` lines.
+``_run`` is the one writer: it parses the argv (``argv.parse_argv``
+walks it through the grammar's table, which is built at import), runs
+the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
+``subcommand`` and ``inputs_echo``, the parsed arguments) and passes it
+to :func:`emit`, which writes canonical JSON (sorted keys, rationals as
+``p/q`` strings) or ``--table`` lines.
 Identical inputs produce byte-identical output.
 
 Parsing runs inside the same error boundary, so any argv gives JSON on
@@ -31,7 +31,6 @@ command quietly with exit 0.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
@@ -44,6 +43,7 @@ from types import GeneratorType
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
 from . import legendrian, limits, surgery
+from .argv import UsageError, parse_argv
 from .braid import BraidError, ReductionBudgetExceeded
 from .cfrac import CFracError, SlopeVector
 from .legendrian import (
@@ -72,9 +72,6 @@ MAX_CFRAC_TERMS = 10_000
 # Parsed arguments that are not inputs of the command.
 _NOT_ECHOED = ("subcommand", "table")
 
-# The argv parser, built by the first ``main`` call and kept for the process.
-_PARSER = None
-
 
 class DigitLimitExceeded(RuntimeError):
     """An output integer has more digits than Python converts to text."""
@@ -82,17 +79,6 @@ class DigitLimitExceeded(RuntimeError):
     def __str__(self):
         limit = sys.get_int_max_str_digits()
         return f"an output integer is over Python's {limit}-digit limit"
-
-
-class UsageError(ValueError):
-    """The argv does not fit the command-line grammar."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises :class:`UsageError` where argparse would print usage and exit 2."""
-
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -423,66 +409,6 @@ def _family_braid(args, default_tour: bool = False) -> braid_mod.BraidWord:
     raise BraidError(f"{args.kind} needs --braid")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="braidsurgery",
-        description="Braid closures, surgery diagrams, and Legendrian enumeration",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument(
-            "--table", action="store_true", help="key = value lines instead of JSON"
-        )
-
-    p = sub.add_parser("analyze", help="crossing statistics and hypothesis checks")
-    p.add_argument("braid")
-    p.add_argument("--assert-hyperbolic", action="store_true")
-    common(p)
-
-    p = sub.add_parser("cfrac", help="negative continued fraction expansion")
-    p.add_argument("value", help="rational below -1, or a slope in (0, 1)")
-    common(p)
-
-    p = sub.add_parser("surgery", help="expand a rational surgery to integral form")
-    p.add_argument("braid")
-    p.add_argument("--slopes", required=True, help="comma-separated positive slopes")
-    p.add_argument("--general", action="store_true", help="chain form for 1/n too")
-    common(p)
-
-    p = sub.add_parser("enumerate", help="count and stream decorated diagrams")
-    p.add_argument("braid")
-    p.add_argument("--slopes", required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--isom-order", type=int, default=None, metavar="C")
-    common(p)
-
-    p = sub.add_parser("theta", help="plane-field invariant of decorated diagrams")
-    p.add_argument("braid")
-    p.add_argument("--slope", required=True, help="slope, or comma list for links")
-    p.add_argument("--tuple", default=None, help="comma-separated 1-based menu picks")
-    common(p)
-
-    p = sub.add_parser("limits", help="block model of the limiting end")
-    p.add_argument("--coeffs", default=None, help="comma-separated prefix, all <= -2")
-    p.add_argument("--cycle", default=None, help="periodic continuation")
-    p.add_argument("--tuple-prefix", default=None)
-    p.add_argument("--tail", default=limits.TAIL_ONES, help="ones | max | periodic:<list>")
-    p.add_argument("-n", "--levels", type=int, default=0)
-    p.add_argument("--braid", default=None)
-    common(p)
-
-    p = sub.add_parser("family", help="braid and diagram generators")
-    p.add_argument("kind", choices=["delta2l", "power", "example420", "lspace"])
-    p.add_argument("--braid", default=None)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("-l", "--ell", type=int, default=None)
-    p.add_argument("--strands", type=int, default=None)
-    common(p)
-
-    return parser
-
-
 def main(argv=None) -> int:
     try:
         code = _run(argv)
@@ -499,11 +425,11 @@ def _run(argv) -> int:
     """Parse, run and write one command: the envelope and its payload, or
     one ``error`` object.  The command is looked up by name on every call,
     so a ``cmd_*`` patched and restored between calls is seen as it is."""
-    global _PARSER
     try:
-        if _PARSER is None:
-            _PARSER = build_parser()
-        args = _PARSER.parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        if type(args) is str:  # the help text
+            sys.stdout.write(args)
+            return EXIT_OK
         result = globals()["cmd_" + args.subcommand](args)
         payload, lines = result if isinstance(result, tuple) else (result, None)
         echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}

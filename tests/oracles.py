@@ -18,11 +18,14 @@ values, and ``end_slopes_by_gluing`` keeps one running product of
 inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
 frozen ``dataclasses`` class with the same fields and checks.
 ``theta_payload_by_dicts`` builds the all-tuples ``theta`` payload as one
-dict per tuple, from one ``Fraction`` per tuple.
+dict per tuple, from one ``Fraction`` per tuple.  ``build_parser`` is
+the ``argparse`` parser of the command-line grammar that
+``braidsurgery.argv`` reads from its own table.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import math
@@ -35,6 +38,7 @@ from braidsurgery import cfrac as cfrac_mod
 from braidsurgery import legendrian as legendrian_mod
 from braidsurgery import limits as limits_mod
 from braidsurgery import surgery as surgery_mod
+from braidsurgery.argv import UsageError
 from braidsurgery.braid import (
     DEFAULT_STEP_BUDGET,
     BraidError,
@@ -675,3 +679,75 @@ class BlockDecompositionTwin:
                 raise LimitsError(
                     f"block ({length}, {positives}) has more positives than slices"
                 )
+
+
+# ---------------------------------------------------------------------------
+# The command-line grammar as an argparse parser, the oracle of
+# ``braidsurgery.argv``.
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="braidsurgery",
+        description="Braid closures, surgery diagrams, and Legendrian enumeration",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def common(p):
+        p.add_argument(
+            "--table", action="store_true", help="key = value lines instead of JSON"
+        )
+
+    p = sub.add_parser("analyze", help="crossing statistics and hypothesis checks")
+    p.add_argument("braid")
+    p.add_argument("--assert-hyperbolic", action="store_true")
+    common(p)
+
+    p = sub.add_parser("cfrac", help="negative continued fraction expansion")
+    p.add_argument("value", help="rational below -1, or a slope in (0, 1)")
+    common(p)
+
+    p = sub.add_parser("surgery", help="expand a rational surgery to integral form")
+    p.add_argument("braid")
+    p.add_argument("--slopes", required=True, help="comma-separated positive slopes")
+    p.add_argument("--general", action="store_true", help="chain form for 1/n too")
+    common(p)
+
+    p = sub.add_parser("enumerate", help="count and stream decorated diagrams")
+    p.add_argument("braid")
+    p.add_argument("--slopes", required=True)
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--isom-order", type=int, default=None, metavar="C")
+    common(p)
+
+    p = sub.add_parser("theta", help="plane-field invariant of decorated diagrams")
+    p.add_argument("braid")
+    p.add_argument("--slope", required=True, help="slope, or comma list for links")
+    p.add_argument("--tuple", default=None, help="comma-separated 1-based menu picks")
+    common(p)
+
+    p = sub.add_parser("limits", help="block model of the limiting end")
+    p.add_argument("--coeffs", default=None, help="comma-separated prefix, all <= -2")
+    p.add_argument("--cycle", default=None, help="periodic continuation")
+    p.add_argument("--tuple-prefix", default=None)
+    p.add_argument("--tail", default=limits_mod.TAIL_ONES, help="ones | max | periodic:<list>")
+    p.add_argument("-n", "--levels", type=int, default=0)
+    p.add_argument("--braid", default=None)
+    common(p)
+
+    p = sub.add_parser("family", help="braid and diagram generators")
+    p.add_argument("kind", choices=["delta2l", "power", "example420", "lspace"])
+    p.add_argument("--braid", default=None)
+    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-l", "--ell", type=int, default=None)
+    p.add_argument("--strands", type=int, default=None)
+    common(p)
+
+    return parser

@@ -1,9 +1,11 @@
+import copy
 import importlib.util
 import io
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -12,10 +14,11 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import theta_payload_by_dicts
+from oracles import build_parser, theta_payload_by_dicts
 
+from braidsurgery import argv as argv_mod
 from braidsurgery import braid, cfrac, cli, legendrian, surgery
 from braidsurgery.record import replace
 
@@ -58,10 +61,7 @@ EXPECTED_CODES = {"error_parse": cli.EXIT_PARSE}
 def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse-level rejections
-            code = exc.code
+        code = cli.main(argv)
     return code, buf.getvalue()
 
 
@@ -71,6 +71,23 @@ def primary_object(out):
         return json.loads(out)
     except json.JSONDecodeError:
         return json.loads(out.splitlines()[0])
+
+
+ORACLE_PARSE = build_parser().parse_args
+
+
+def parse_outcome(parse, argv):
+    """The namespace's dict, ``("help",)`` or ``("usage", message)``: the
+    table parser returns the help text, argparse prints it and exits 0."""
+    with redirect_stdout(io.StringIO()):
+        try:
+            args = parse(argv)
+        except cli.UsageError as exc:
+            return "usage", str(exc)
+        except SystemExit as exc:
+            assert exc.code == 0
+            return ("help",)
+    return ("help",) if type(args) is str else vars(args)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -781,13 +798,17 @@ def test_argv_errors_are_one_json_error_with_exit_2(argv, fragment):
 def test_help_is_the_one_text_output(argv):
     code, out = run_cli(argv)
     assert code == cli.EXIT_OK
-    assert out.startswith("usage: braidsurgery")
+    # The usage line of the parser asked: the top level's or the subcommand's.
+    usage = {
+        "--help": "[-h] {analyze,cfrac,surgery,enumerate,theta,limits,family} ...",
+        "theta": "theta [-h] braid --slope SLOPE [--tuple TUPLE] [--table]",
+    }
+    assert out.splitlines()[0] == "usage: braidsurgery " + usage[argv[0]]
 
 
-def test_a_sequence_of_commands_in_one_process_matches_fresh_processes(monkeypatch):
+def test_a_sequence_of_commands_in_one_process_matches_fresh_processes():
     # Flags switched on and then left off, in one process, print what the
     # same argv prints in a fresh process.
-    monkeypatch.setenv("COLUMNS", "80")  # the width of the help text
     sequence = [
         ["analyze", "B2 s1^5", "--assert-hyperbolic"],
         ["analyze", "B2 s1^5"],
@@ -831,13 +852,11 @@ def test_a_patched_command_leaves_later_calls_alone(monkeypatch):
     assert json.loads(out)["subcommand"] == "analyze"
 
 
-def test_a_command_patched_after_the_parser_is_built_runs_and_is_undone(monkeypatch):
+def test_a_command_patched_after_a_run_runs_and_is_undone(monkeypatch):
     def broken(args):
         raise KeyError("missing")
 
     assert run_cli(["analyze", "B2 s1^5"])[0] == cli.EXIT_OK
-    parser = cli._PARSER
-    assert parser is not None
     with monkeypatch.context() as patch:
         patch.setattr(cli, "cmd_analyze", broken)
         code, out = run_cli(["analyze", "B2 s1^5"])
@@ -846,22 +865,15 @@ def test_a_command_patched_after_the_parser_is_built_runs_and_is_undone(monkeypa
     code, out = run_cli(["analyze", "B2 s1^5"])
     assert code == cli.EXIT_OK
     assert json.loads(out)["subcommand"] == "analyze"
-    assert cli._PARSER is parser
 
 
-def test_main_builds_its_parser_once_per_process(monkeypatch):
-    built = []
-    build_parser = cli.build_parser
-
-    def counted():
-        built.append(build_parser())
-        return built[-1]
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counted)
-    for argv in (CASES["analyze_seven"], ["--bogus"], ["surgery"], CASES["analyze_table"]):
-        run_cli(argv)
-    assert len(built) == 1 and cli._PARSER is built[0]
+def test_parsing_keeps_no_state_between_calls():
+    # The grammar is read, never written: namespaces, errors and help leave
+    # the table as it was.
+    grammar = copy.deepcopy(argv_mod.GRAMMAR)
+    for argv in (CASES["analyze_seven"], ["--bogus"], ["surgery"], ["theta", "-h"]):
+        parse_outcome(cli.parse_argv, argv)
+    assert argv_mod.GRAMMAR == grammar
 
 
 @pytest.mark.parametrize(
@@ -968,7 +980,7 @@ def test_commands_return_payloads_and_write_nothing():
     for name, argv in CASES.items():
         if name == "error_parse":
             continue
-        args = cli.build_parser().parse_args(argv)
+        args = cli.parse_argv(argv)
         buf = io.StringIO()
         with redirect_stdout(buf):
             result = getattr(cli, "cmd_" + args.subcommand)(args)
@@ -1097,17 +1109,182 @@ def test_any_argv_keeps_the_json_contract(argv):
         assert first["error"]["code"] == code
 
 
+# Argv edits for the parser property: each keeps or breaks the grammar in
+# one of the ways argparse reads.  ``-h`` is never glued to more letters:
+# argparse releases read ``-hx`` differently.
+def _glue(draw, argv):  # ``--opt=value``, ``-k5``
+    i = draw(st.integers(0, max(len(argv) - 2, 0)))
+    if i + 1 >= len(argv) or argv[i][:1] != "-" or argv[i] == "-h":
+        return argv
+    sep = "=" if argv[i][:2] == "--" else draw(st.sampled_from(["", "="]))
+    return argv[:i] + [argv[i] + sep + argv[i + 1]] + argv[i + 2 :]
+
+
+def _unglue(draw, argv):  # ``--opt=value`` split in two
+    i = draw(st.integers(0, max(len(argv) - 1, 0)))
+    if i >= len(argv) or argv[i][:2] != "--" or "=" not in argv[i]:
+        return argv
+    return argv[:i] + argv[i].split("=", 1) + argv[i + 1 :]
+
+
+def _abbreviate(draw, argv):  # a prefix, unique or ambiguous (``--t``)
+    i = draw(st.integers(0, max(len(argv) - 1, 0)))
+    flag, equals, value = argv[i].partition("=") if i < len(argv) else ("", "", "")
+    if flag[:2] != "--" or len(flag) < 4:
+        return argv
+    cut = draw(st.integers(3, len(flag)))
+    return argv[:i] + [flag[:cut] + equals + value] + argv[i + 1 :]
+
+
+def _move(draw, argv):  # reordered
+    if len(argv) < 2:
+        return argv
+    i, j = draw(st.integers(0, len(argv) - 1)), draw(st.integers(0, len(argv) - 1))
+    rest = argv[:i] + argv[i + 1 :]
+    return rest[:j] + [argv[i]] + rest[j:]
+
+
+def _repeat(draw, argv):  # an option (or any pair) again, later
+    i = draw(st.integers(0, max(len(argv) - 1, 0)))
+    return argv + argv[i : i + draw(st.integers(1, 2))]
+
+
+def _drop(draw, argv):  # a missing value or positional
+    if not argv:
+        return argv
+    i = draw(st.integers(0, len(argv) - 1))
+    return argv[:i] + argv[i + 1 :]
+
+
+INSERTS = [
+    "-3", "-.5", "--bogus", "-x", "-x y", "-", "", "-n", "-k",
+    "--isom-order=-2", "-n=-1", "--table", "-h", "--help", "--he",
+]
+
+
+def _insert(draw, argv):  # negative numbers, unknown flags, help
+    i = draw(st.integers(0, len(argv)))
+    return argv[:i] + [draw(st.sampled_from(INSERTS))] + argv[i:]
+
+
+EDITS = [_glue, _unglue, _abbreviate, _move, _repeat, _drop, _insert]
+
+
+@st.composite
+def edited_argvs(draw):
+    argv = draw(argvs())
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        argv = edit(draw, argv)
+    if draw(st.booleans()):  # ``--`` ends the options
+        argv = argv[:1] + ["--"] + argv[1:]
+    return argv
+
+
+# What argparse up to 3.13.0 reads as a negative number; later releases,
+# and the table parser, read any token that starts as one (``-7/2``).
+OLDER_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+WITH_POSITIONAL = {"analyze", "cfrac", "surgery", "enumerate", "theta", "family"}
+
+
+def read_alike(argv):
+    """Whether argparse releases and the table parser agree on ``argv`` by
+    rule: no token that starts as a negative number but is not one of the
+    older rule's, and a ``--`` only as the token after a subcommand that
+    has a positional, which takes the token after it in every reading."""
+    if any(re.match(r"-\.?\d", t) and not OLDER_NUMBER.fullmatch(t) for t in argv):
+        return False
+    ends = [i for i, token in enumerate(argv) if token == "--"]
+    return ends in ([], [1]) and (not ends or argv[0] in WITH_POSITIONAL)
+
+
+def _ambiguous(outcome):
+    return type(outcome) is tuple and "ambiguous option" in outcome[-1]
+
+
+# Derandomized, as the contract property: the same cases every run.
+@given(edited_argvs())
+@example(["limits", "--t", "x"])
+@example(["cfrac", "--", "-7/2"])
+@example(["family", "power", "-k5", "--braid=B2 s1", "-k", "-3"])
+@example(["analyze", "--", "B2 s1^5", "--table"])  # --table is left over
+@example(CASES["analyze_seven"])
+@example(["--bogus"])
+@example(["surgery"])
+@example(["theta", "-h"])
+@example(CASES["limits_blocks"])
+@example(CASES["family_delta2l"])
+@example(CASES["analyze_table"])
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_the_table_parser_reads_argv_as_argparse_does(argv):
+    # The same namespace, the same usage error, or help from both.
+    assume(read_alike(argv))
+    ours, theirs = parse_outcome(cli.parse_argv, argv), parse_outcome(ORACLE_PARSE, argv)
+    if _ambiguous(ours) or _ambiguous(theirs):
+        # An ambiguous prefix: the table parser and argparse up to 3.13.0
+        # report it as soon as they read the argv; later releases may reach
+        # an earlier error or help first.  None gives a namespace.
+        assert type(ours) is tuple and type(theirs) is tuple
+    else:
+        assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # Whatever starts as a negative number is a value.
+        (["cfrac", "-7/2"], {"value": "-7/2"}),
+        (["enumerate", "B2 s1^5", "--slopes", "-1e5"], {"slopes": "-1e5"}),
+        (["limits", "--coeffs", "-3,-2"], {"coeffs": "-3,-2"}),
+        # The first ``--`` is dropped wherever it stands.
+        (["--", "cfrac", "3"], {"subcommand": "cfrac", "value": "3"}),
+        (["analyze", "B2 s1^5", "--table", "--"], {"table": True}),
+        (["limits", "--", "-n", "1"], ("usage", "braidsurgery: unrecognized arguments: -n 1")),
+        # ``-h`` given a value is an error, as ``--help=x`` is.
+        (
+            ["family", "-hk5", "power"],
+            ("usage", "braidsurgery family: argument -h/--help: ignored explicit argument 'k5'"),
+        ),
+        # An ambiguous prefix is reported before anything else.
+        (
+            ["limits", "-h", "--t"],
+            (
+                "usage",
+                "braidsurgery limits: ambiguous option: --t could match"
+                " --tuple-prefix, --tail, --table",
+            ),
+        ),
+    ],
+)
+def test_the_table_parser_reads_where_argparse_releases_differ(argv, expected):
+    # Its own reading, pinned: argparse releases read these differently
+    # from each other or from the table parser.
+    outcome = parse_outcome(cli.parse_argv, argv)
+    if type(expected) is dict:
+        assert expected.items() <= outcome.items()
+    else:
+        assert outcome == expected
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # Without site hooks, only the package and what it imports are loaded.
+    # Nor, after a whole command, the argparse parser's modules: locale used
+    # to arrive only when the parser was built.
     src = str(Path(__file__).parents[1] / "src")
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import braidsurgery.cli;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    code = f"""if True:
+        import io, sys
+        sys.path.insert(0, {src!r})
+        unused = {{"dataclasses", "inspect", "argparse", "gettext", "locale"}}
+        import braidsurgery.cli
+        print(sorted(unused & set(sys.modules)))
+        sys.stdout = io.StringIO()
+        code = braidsurgery.cli.main(["surgery", "B2 s1^5", "--slopes", "2/7"])
+        sys.stdout = sys.__stdout__
+        print(code, sorted(unused & set(sys.modules)))
+    """
     proc = subprocess.run(
         [sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n0 []\n", "")
 
 
 # The knots and links of the benchmark's workloads, copied so that the
