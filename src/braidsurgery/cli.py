@@ -27,10 +27,20 @@ the library's own errors is a bug, reported as ``InternalError`` with
 exit 4.  The one output that is not JSON is ``--help``/``-h``: usage
 text on stdout with exit 0.  A stdout closed by its reader ends the
 command quietly with exit 0.
+
+:func:`main` runs one command and returns its exit code; library code
+calls it.  ``python -m braidsurgery.cli`` and the ``braidsurgery`` console
+script run :func:`entry`, which adds what only a process about to exit
+needs: a stdout closed by its reader is pointed at devnull, and
+``gc.freeze()`` lets the garbage collections of interpreter shutdown skip
+every object still alive (8k to 13k after a ``surgery`` command), so the
+process ends several ms sooner.  Atexit handlers and the interpreter's own
+flush of the std streams still run.  ``main`` never freezes.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
@@ -413,11 +423,27 @@ def main(argv=None) -> int:
     try:
         code = _run(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (``| head``): a clean exit.  Point
-        # the descriptor at devnull so the flush at interpreter exit is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early (``| head``)
         return EXIT_OK
+    return code
+
+
+def entry() -> int:
+    """The process entry of ``python -m braidsurgery.cli`` and of the
+    ``braidsurgery`` console script: :func:`main`, a last flush of stdout,
+    then ``gc.freeze()``, so that the collections of interpreter shutdown
+    skip every object still alive.  ``main`` never freezes: in a long-lived
+    caller a freeze would keep every later cycle for good."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A closed reader is a clean exit.  Point the descriptor at devnull
+        # so that the flush at interpreter exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    gc.freeze()
     return code
 
 
@@ -467,4 +493,4 @@ def _run(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

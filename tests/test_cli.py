@@ -1,4 +1,5 @@
 import copy
+import gc
 import importlib.util
 import io
 import itertools
@@ -822,9 +823,14 @@ def test_a_sequence_of_commands_in_one_process_matches_fresh_processes():
         ["enumerate", "B2 s1^5", "--slopes", "1/5"],
         ["surgery", "B2 s1^5"],
         ["--help"],
+        # One argv per nonzero exit code: 2, 3 and 4 (a budget error).
+        ["cfrac", "1e-9999"],
+        ["theta", "B2 s1^-5", "--slope", "1/5"],
+        ["surgery", "B2 s1^5", "--slopes", "1000000"],
     ]
     root = Path(__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    codes = set()
     for argv in sequence:
         code, out = run_cli(argv)
         alone = subprocess.run(
@@ -834,6 +840,60 @@ def test_a_sequence_of_commands_in_one_process_matches_fresh_processes():
             timeout=60,
         )
         assert (code, out.encode()) == (alone.returncode, alone.stdout), argv
+        assert alone.stderr == b"", argv
+        codes.add(code)
+    assert codes == {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_NUMERIC}
+
+
+def test_main_never_freezes_the_collector_and_the_entry_keeps_atexit():
+    # A freeze in main would keep every later cycle of a library caller.
+    before = gc.get_freeze_count()
+    for argv in (["surgery", "B2 s1^5", "--slopes", "2/7"], ["cfrac", "1e-9999"], ["-h"]):
+        run_cli(argv)
+    assert gc.get_freeze_count() == before
+    # The process entry freezes after main, and the process still runs its
+    # atexit handlers (os._exit would skip them).
+    src = str(Path(__file__).parents[1] / "src")
+    code = f"""if True:
+        import atexit, gc, runpy, sys
+        sys.path.insert(0, {src!r})
+        atexit.register(
+            lambda: sys.stderr.write(f"atexit: frozen {{gc.get_freeze_count() > 0}}")
+        )
+        sys.argv = ["braidsurgery", "cfrac", "2/7"]
+        runpy.run_module("braidsurgery.cli", run_name="__main__")
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "atexit: frozen True")
+    assert json.loads(proc.stdout)["subcommand"] == "cfrac"
+    # The console script runs the same entry.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'braidsurgery = "braidsurgery.cli:entry"' in pyproject
+
+
+def test_a_closed_stdout_leaves_the_callers_descriptor_alone(monkeypatch):
+    # main returns 0 and redirects nothing; pointing fd 1 at devnull is the
+    # process entry's job, not a library caller's.
+    read, write = os.pipe()
+
+    class Closed(io.StringIO):
+        def fileno(self):
+            return write
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    try:
+        before = os.fstat(write)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["cfrac", "2/7"]) == cli.EXIT_OK
+        after = os.fstat(write)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    finally:
+        os.close(read)
+        os.close(write)
 
 
 def test_a_patched_command_leaves_later_calls_alone(monkeypatch):
