@@ -23,9 +23,7 @@ from __future__ import annotations
 import re
 from types import SimpleNamespace
 
-
-class UsageError(ValueError):
-    """The argv does not fit the command-line grammar."""
+from .errors import UsageError
 
 
 # Each subcommand's help line, then its arguments in order, each

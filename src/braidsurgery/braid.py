@@ -24,15 +24,8 @@ from __future__ import annotations
 import itertools
 import re
 
+from .errors import BraidError, ReductionBudgetExceeded
 from .record import Record
-
-
-class BraidError(ValueError):
-    """Malformed braid text or out-of-range braid data."""
-
-
-class ReductionBudgetExceeded(RuntimeError):
-    """Handle reduction hit its step or work cap before reaching a reduced word."""
 
 
 # Default step budget for handle reduction.  Termination is guaranteed,
@@ -51,13 +44,23 @@ MAX_WORD_LENGTH = 1_000_000
 
 def _check_length(length: int, what: str) -> None:
     if length > MAX_WORD_LENGTH:
-        raise BraidError(f"{what} would have {length} letters, cap {MAX_WORD_LENGTH}")
+        raise BraidError(
+            f"{what} would have {length} letters, cap {MAX_WORD_LENGTH}",
+            budget="MAX_WORD_LENGTH",
+            cap=MAX_WORD_LENGTH,
+            needed=length,
+        )
 
 
 def check_strands(strands: int) -> None:
     """Strand counts share the word-length cap: closures build per-strand lists."""
     if strands > MAX_WORD_LENGTH:
-        raise BraidError(f"braid on {strands} strands, cap {MAX_WORD_LENGTH}")
+        raise BraidError(
+            f"braid on {strands} strands, cap {MAX_WORD_LENGTH}",
+            budget="MAX_WORD_LENGTH",
+            cap=MAX_WORD_LENGTH,
+            needed=strands,
+        )
 
 
 class BraidWord(Record):
@@ -298,7 +301,10 @@ def crossing_stats(word: BraidWord) -> CrossingStats:
     if ncomp * ncomp > MAX_WORD_LENGTH:
         raise BraidError(
             f"closure has {ncomp} components; its {ncomp}x{ncomp} crossing"
-            f" tables exceed cap {MAX_WORD_LENGTH}"
+            f" tables exceed cap {MAX_WORD_LENGTH}",
+            budget="MAX_WORD_LENGTH",
+            cap=MAX_WORD_LENGTH,
+            needed=ncomp * ncomp,
         )
     comp_of = (0,) + parts.component_of  # 1-based strand -> component
     per_plus = [0] * (ncomp + 1)
@@ -428,7 +434,10 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
                     raise ReductionBudgetExceeded(
                         f"no reduced form within {max_steps} handle reductions"
                         f" ({word.strands} strands, input {len(word)} letters,"
-                        f" word now {len(out) + 1 + len(rest)} letters)"
+                        f" word now {len(out) + 1 + len(rest)} letters)",
+                        budget="max_steps",
+                        cap=max_steps,
+                        needed=steps,
                     )
                 e = 1 if out[s] > 0 else -1
                 own.pop()
@@ -445,7 +454,10 @@ def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> Brai
                     raise ReductionBudgetExceeded(
                         f"handle reductions moved {moved} letters back, cap"
                         f" {MAX_LETTERS_MOVED} ({word.strands} strands, input"
-                        f" {len(word)} letters, {steps} reductions)"
+                        f" {len(word)} letters, {steps} reductions)",
+                        budget="MAX_LETTERS_MOVED",
+                        cap=MAX_LETTERS_MOVED,
+                        needed=moved,
                     )
                 del out[s:]
                 continue

@@ -12,11 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
+from .errors import CFracError
 from .record import Record
-
-
-class CFracError(ValueError):
-    """Value outside the domain of negative continued fractions."""
 
 
 class NegContFrac(Record):

@@ -14,19 +14,13 @@ Identical inputs produce byte-identical output.
 
 Parsing runs inside the same error boundary, so any argv gives JSON on
 stdout, with an ``error`` object exactly when the exit code is nonzero.
-Exit codes: 0 success, 2 parse or usage error (including a ``cfrac``
-value past :data:`MAX_CFRAC_TERMS` coefficients, ``CFracError``, and
-``limits`` past ``limits.MAX_LEVELS`` levels or ``limits.MAX_SLICES``
-basic slices, ``LimitsError``), 3 hypothesis violation, 4 numeric
-precondition failure, exhausted handle-reduction budget, a
-``theta`` sweep over more than ``legendrian.MAX_THETA_TUPLES`` tuples, an
-expansion past ``surgery.MAX_COMPONENTS`` components, unknot menus past
-``legendrian.MAX_MENU_PICKS`` unknots, or an output integer too long for
-Python to print (``DigitLimitExceeded``); any exception that is not one of
-the library's own errors is a bug, reported as ``InternalError`` with
-exit 4.  The one output that is not JSON is ``--help``/``-h``: usage
-text on stdout with exit 0.  A stdout closed by its reader ends the
-command quietly with exit 0.
+The exit code is 0 on success and otherwise the ``code`` of the library
+error (see :mod:`braidsurgery.errors`), whose ``budget``, ``cap`` and
+``needed`` join the ``error`` object when it was raised at a cap; any
+other exception is a bug, reported as ``InternalError`` with exit 4.  The
+one output that is not JSON is ``--help``/``-h``: usage text on stdout
+with exit 0.  A stdout closed by its reader ends the command quietly with
+exit 0.
 
 :func:`main` runs one command and returns its exit code; library code
 calls it.  ``python -m braidsurgery.cli`` and the ``braidsurgery`` console
@@ -53,24 +47,25 @@ from types import GeneratorType
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
 from . import legendrian, limits, surgery
-from .argv import UsageError, parse_argv
-from .braid import BraidError, ReductionBudgetExceeded
-from .cfrac import CFracError, SlopeVector
-from .legendrian import (
-    HypothesisError,
+from .argv import parse_argv
+from .cfrac import SlopeVector
+# The exit codes stay importable from here: callers compare with them.
+from .errors import (
+    EXIT_HYPOTHESIS,
+    EXIT_NUMERIC,
+    EXIT_PARSE,
+    BraidError,
+    BraidsurgeryError,
+    CFracError,
+    DigitLimitExceeded,
     LegendrianError,
-    MenuBudgetExceeded,
-    TupleBudgetExceeded,
+    LimitsError,
 )
-from .limits import CoeffStream, LimitsError, SignTuple
-from .surgery import ComponentBudgetExceeded, SingularityError, SurgeryError
+from .limits import CoeffStream, SignTuple
 
 SCHEMA = 1
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_HYPOTHESIS = 3
-EXIT_NUMERIC = 4
 
 # Most decimal digits of a parsed rational's numerator, denominator or
 # exponent; Python refuses to print an integer over 4,300 digits.
@@ -83,28 +78,31 @@ MAX_CFRAC_TERMS = 10_000
 _NOT_ECHOED = ("subcommand", "table")
 
 
-class DigitLimitExceeded(RuntimeError):
-    """An output integer has more digits than Python converts to text."""
-
-    def __str__(self):
-        limit = sys.get_int_max_str_digits()
-        return f"an output integer is over Python's {limit}-digit limit"
-
-
 def parse_rational(text: str) -> Fraction:
     """``p/q``, ``n+p/q``, an integer or a decimal such as ``1e-3``, with at
     most ``MAX_DIGITS`` digits in its exponent, numerator and denominator."""
     text = text.strip()
     try:
         _, e, exponent = text.lower().partition("e")
-        if e and abs(int(exponent)) > MAX_DIGITS:
-            raise ValueError(f"a power of ten over {MAX_DIGITS} digits")
-        value = sum(map(Fraction, re.split(r"(?<=\d)\+", text, maxsplit=1)))
+        power = abs(int(exponent)) if e else 0
+        if power <= MAX_DIGITS:
+            value = sum(map(Fraction, re.split(r"(?<=\d)\+", text, maxsplit=1)))
     except (ValueError, ZeroDivisionError) as exc:
         raise CFracError(f"cannot parse {text!r}: {exc}") from None
-    if max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+    if power > MAX_DIGITS:
         raise CFracError(
-            f"{text!r} has a numerator or denominator over {MAX_DIGITS} digits"
+            f"cannot parse {text!r}: a power of ten over {MAX_DIGITS} digits",
+            budget="MAX_DIGITS",
+            cap=MAX_DIGITS,
+            needed=power,
+        )
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        # A lower bound: the value may have more digits than Python prints.
+        raise CFracError(
+            f"{text!r} has a numerator or denominator over {MAX_DIGITS} digits",
+            budget="MAX_DIGITS",
+            cap=MAX_DIGITS,
+            needed=MAX_DIGITS + 1,
         )
     return value
 
@@ -252,10 +250,14 @@ def cmd_cfrac(args) -> dict:
         target = value
     else:
         raise CFracError(f"{args.value!r} is neither below -1 nor a slope in (0, 1)")
-    if cfrac_mod.neg_cfrac_length(target, MAX_CFRAC_TERMS) > MAX_CFRAC_TERMS:
+    length = cfrac_mod.neg_cfrac_length(target, MAX_CFRAC_TERMS)
+    if length > MAX_CFRAC_TERMS:
         raise CFracError(
             f"{args.value!r} expands to over {MAX_CFRAC_TERMS} coefficients,"
-            f" cap {MAX_CFRAC_TERMS}"
+            f" cap {MAX_CFRAC_TERMS}",
+            budget="MAX_CFRAC_TERMS",
+            cap=MAX_CFRAC_TERMS,
+            needed=length,
         )
     expansion = cfrac_mod.neg_cfrac(target)
     # In lowest terms already, and no longer than the target's MAX_DIGITS.
@@ -462,34 +464,21 @@ def _run(argv) -> int:
         payload.update(schema=SCHEMA, subcommand=args.subcommand, inputs_echo=echo)
         emit(payload, args.table, lines)
         return EXIT_OK
-    except (
-        SingularityError,
-        ReductionBudgetExceeded,
-        TupleBudgetExceeded,
-        ComponentBudgetExceeded,
-        MenuBudgetExceeded,
-        DigitLimitExceeded,
-    ) as exc:
-        code, kind, message = EXIT_NUMERIC, type(exc).__name__, str(exc)
-    except HypothesisError as exc:
-        code, kind, message = EXIT_HYPOTHESIS, type(exc).__name__, str(exc)
-    except (
-        UsageError,
-        BraidError,
-        CFracError,
-        LimitsError,
-        LegendrianError,
-        SurgeryError,
-    ) as exc:
-        code, kind, message = EXIT_PARSE, type(exc).__name__, str(exc)
+    except BraidsurgeryError as exc:
+        error = {"code": exc.code, "type": type(exc).__name__, "message": str(exc)}
+        if exc.budget is not None:
+            error.update(budget=exc.budget, cap=exc.cap, needed=exc.needed)
     except BrokenPipeError:
         raise
     except Exception as exc:
         # A bug, not bad input: still one JSON error object, never a traceback.
-        code, kind = EXIT_NUMERIC, "InternalError"
-        message = f"{type(exc).__name__}: {exc}"
-    emit({"schema": SCHEMA, "error": {"code": code, "type": kind, "message": message}})
-    return code
+        error = {
+            "code": EXIT_NUMERIC,
+            "type": "InternalError",
+            "message": f"{type(exc).__name__}: {exc}",
+        }
+    emit({"schema": SCHEMA, "error": error})
+    return error["code"]
 
 
 if __name__ == "__main__":

@@ -31,25 +31,15 @@ from . import braid as braid_mod
 from . import surgery
 from .braid import BraidWord
 from .cfrac import SlopeVector
+from .errors import (
+    HypothesisError,
+    LegendrianError,
+    MenuBudgetExceeded,
+    SingularityError,
+    TupleBudgetExceeded,
+)
 from .record import Record
 from .surgery import BRAID, SurgeryDiagram
-
-
-class LegendrianError(ValueError):
-    """Unrealizable stabilization target or invalid Legendrian data."""
-
-
-class HypothesisError(ValueError):
-    """The braid fails a checkable hypothesis required by an operation."""
-
-
-class MenuBudgetExceeded(RuntimeError):
-    """The unknot menus of an enumeration would hold too many unknots."""
-
-
-class TupleBudgetExceeded(RuntimeError):
-    """An all-tuples sweep would visit more tuples than its budget."""
-
 
 # Most Legendrian unknots the menus of one enumeration may hold: an unknot
 # framed f has a menu of |f + 1| of them, and a slope 1/n frames it -n.
@@ -217,7 +207,10 @@ class WeinsteinEnumeration:
         if total > MAX_MENU_PICKS:
             raise MenuBudgetExceeded(
                 f"the unknot menus would hold {total} Legendrian unknots,"
-                f" cap {MAX_MENU_PICKS}"
+                f" cap {MAX_MENU_PICKS}",
+                budget="MAX_MENU_PICKS",
+                cap=MAX_MENU_PICKS,
+                needed=total,
             )
         self.menus = [unknot_menu(int(c.framing)) for c in unknots]
         # Every diagram draws each component from these picks, so checking
@@ -370,7 +363,10 @@ class WeinsteinEnumeration:
             raise TupleBudgetExceeded(
                 f"theta over all tuples would visit {self.count} tuples, cap"
                 f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
-                " enumerate --count-only"
+                " enumerate --count-only",
+                budget="MAX_THETA_TUPLES",
+                cap=MAX_THETA_TUPLES,
+                needed=self.count,
             )
         det, rows = self.c1_forms()
         report = surgery.homology(self.base)
@@ -441,7 +437,7 @@ def _inverse_form(
     on the diagram; theta needs ``det(Q) != 0``, that is ``det(M) != 0``."""
     report = surgery.homology(base)
     if report.det == 0:
-        raise surgery.SingularityError("theta needs a nonsingular linking matrix")
+        raise SingularityError("theta needs a nonsingular linking matrix")
     return (report, *base._rotation_form)
 
 

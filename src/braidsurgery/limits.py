@@ -15,11 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 from .cfrac import SlopeVector, convergents, eval_cfrac, neg_cfrac
+from .errors import LimitsError
 from .record import Record
-
-
-class LimitsError(ValueError):
-    """Invalid stream/tuple data for the block model."""
 
 
 TAIL_ONES = "ones"
@@ -169,14 +166,24 @@ def block_decomposition(stream: CoeffStream, k: SignTuple, n: int) -> BlockDecom
     if n < 0:
         raise LimitsError("level must be >= 0")
     if n > MAX_LEVELS:
-        raise LimitsError(f"level {n} is over the cap {MAX_LEVELS}")
+        raise LimitsError(
+            f"level {n} is over the cap {MAX_LEVELS}",
+            budget="MAX_LEVELS",
+            cap=MAX_LEVELS,
+            needed=n,
+        )
     k.validate(stream, through=n)
     blocks = []
     for i in range(n + 1):
         blocks.append((abs(stream.coeff(i) + 2), k.value(i, stream) - 1))
     slices = sum(length for length, _ in blocks)
     if slices > MAX_SLICES:
-        raise LimitsError(f"levels 0..{n} hold {slices} basic slices, cap {MAX_SLICES}")
+        raise LimitsError(
+            f"levels 0..{n} hold {slices} basic slices, cap {MAX_SLICES}",
+            budget="MAX_SLICES",
+            cap=MAX_SLICES,
+            needed=slices,
+        )
     return BlockDecomposition(tuple(blocks))
 
 

@@ -36,6 +36,7 @@ from . import braid as braid_mod
 from . import linalg
 from .braid import BraidWord
 from .cfrac import SlopeVector, neg_cfrac, neg_cfrac_length
+from .errors import ComponentBudgetExceeded, SingularityError, SurgeryError
 from .record import Record, replace
 
 # Words are immutable: diagrams query pairwise linking repeatedly, and an
@@ -45,18 +46,6 @@ closure_stats = lru_cache(maxsize=512)(braid_mod.crossing_stats)
 # Most components an expansion may build.  ``surgery`` prints the dense
 # n x n linking matrix, so the output size, not the invariants, sets it.
 MAX_COMPONENTS = 1_000
-
-
-class SurgeryError(ValueError):
-    """Ill-formed diagram or inapplicable Kirby move."""
-
-
-class ComponentBudgetExceeded(RuntimeError):
-    """An expansion would build more than ``MAX_COMPONENTS`` components."""
-
-
-class SingularityError(SurgeryError):
-    """A computation required an invertible linking matrix."""
 
 
 class _Infinity:
@@ -424,7 +413,10 @@ def _expand(diagram: SurgeryDiagram, single_meridian_form: bool) -> SurgeryDiagr
             raise ComponentBudgetExceeded(
                 f"slope {c.framing} of closure component {c.component} would"
                 f" expand the diagram to at least {total} components,"
-                f" cap {MAX_COMPONENTS}"
+                f" cap {MAX_COMPONENTS}",
+                budget="MAX_COMPONENTS",
+                cap=MAX_COMPONENTS,
+                needed=total,
             )
     for idx, c in enumerate(diagram.components):
         comps.extend(

@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import importlib.util
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import build_parser, theta_payload_by_dicts
 
 from braidsurgery import argv as argv_mod
-from braidsurgery import braid, cfrac, cli, legendrian, surgery
+from braidsurgery import braid, cfrac, cli, errors, legendrian, surgery
 from braidsurgery.record import replace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -83,7 +84,7 @@ def parse_outcome(parse, argv):
     with redirect_stdout(io.StringIO()):
         try:
             args = parse(argv)
-        except cli.UsageError as exc:
+        except errors.UsageError as exc:
             return "usage", str(exc)
         except SystemExit as exc:
             assert exc.code == 0
@@ -144,11 +145,11 @@ def test_exit_code_zero_iff_no_error_object():
 def test_slope_parsing_forms():
     assert cli.parse_slope("5/2") == cli.parse_slope("2+1/2")
     assert cli.parse_slope("3") == 3
-    with pytest.raises(cli.CFracError):
+    with pytest.raises(errors.CFracError):
         cli.parse_slope("0")
-    with pytest.raises(cli.CFracError):
+    with pytest.raises(errors.CFracError):
         cli.parse_slope("-1/2")
-    with pytest.raises(cli.CFracError):
+    with pytest.raises(errors.CFracError):
         cli.parse_slope("a/b")
 
 
@@ -404,6 +405,9 @@ def test_theta_tuple_budget(monkeypatch):
         "type": "TupleBudgetExceeded",
         "message": "theta over all tuples would visit 3 tuples, cap 2; query one"
         " with --tuple or count them with enumerate --count-only",
+        "budget": "MAX_THETA_TUPLES",
+        "cap": 2,
+        "needed": 3,
     }
     assert built == []
     code, out = run_cli(argv + ["--tuple", "2,1"])
@@ -416,6 +420,157 @@ def test_theta_tuple_budget_default_is_checked_before_the_sweep():
     code, out = run_cli(["theta", "B2 s1^5", "--slope", "20305/241956"])
     assert code == cli.EXIT_NUMERIC
     assert "161051 tuples, cap 100000" in json.loads(out)["error"]["message"]
+
+
+# Each library error's exit code and builtin base.  An exit code is part of
+# the CLI's contract: a change to this table is a contract change.
+ERROR_TABLE = {
+    "BraidsurgeryError": (2, Exception),
+    "UsageError": (2, ValueError),
+    "BraidError": (2, ValueError),
+    "CFracError": (2, ValueError),
+    "LimitsError": (2, ValueError),
+    "LegendrianError": (2, ValueError),
+    "SurgeryError": (2, ValueError),
+    "HypothesisError": (3, ValueError),
+    "SingularityError": (4, errors.SurgeryError),
+    "ReductionBudgetExceeded": (4, RuntimeError),
+    "ComponentBudgetExceeded": (4, RuntimeError),
+    "MenuBudgetExceeded": (4, RuntimeError),
+    "TupleBudgetExceeded": (4, RuntimeError),
+    "DigitLimitExceeded": (4, RuntimeError),
+}
+ERROR_CLASSES = {
+    name: value
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_TABLE.keys() | ERROR_CLASSES.keys()))
+def test_every_library_error_exits_with_its_code(monkeypatch, name):
+    cls = ERROR_CLASSES[name]
+    code, base = ERROR_TABLE[name]
+    assert issubclass(cls, errors.BraidsurgeryError) and issubclass(cls, base)
+    assert cls.code == code
+
+    def failing(args):
+        raise cls
+
+    monkeypatch.setattr(cli, "cmd_analyze", failing)
+    exit_code, out = run_cli(["analyze", "B2 s1"])
+    error = json.loads(out)["error"]
+    assert exit_code == error["code"] == code
+    assert error["type"] == name
+    assert ("budget" in error) == (cls is errors.DigitLimitExceeded)
+
+
+def test_cli_names_no_error_class_outside_errors():
+    # cli imports no exception class but from errors, and no module but
+    # errors defines one (record's FrozenInstanceError is its own).
+    package = Path(cli.__file__).parent
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            origin = "braidsurgery" + (f".{node.module}" if node.module else "")
+            module = importlib.import_module(origin)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                is_error = isinstance(value, type) and issubclass(value, BaseException)
+                assert node.module == "errors" or not is_error, alias.name
+    defined = set()
+    for path in package.glob("*.py"):
+        origin = "braidsurgery" + ("" if path.stem == "__init__" else f".{path.stem}")
+        namespace = vars(importlib.import_module(origin))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = [eval(ast.unparse(base), namespace) for base in node.bases]
+                if any(issubclass(base, BaseException) for base in bases):
+                    defined.add(f"{path.stem}.{node.name}")
+    assert defined == {f"errors.{name}" for name in ERROR_CLASSES} | {
+        "record.FrozenInstanceError"
+    }
+
+
+B5_MOVES = "B5" + " s1^25 s2^25 s3^25 s4^25" * 5
+
+
+@pytest.mark.parametrize(
+    "argv,kind,budget,cap,needed",
+    [
+        (["cfrac", "10001/10002"], "CFracError", "MAX_CFRAC_TERMS", 10_000, 10_001),
+        (["cfrac", "1e-1001"], "CFracError", "MAX_DIGITS", 1_000, 1_001),
+        (["cfrac", "1/1" + "0" * 1000], "CFracError", "MAX_DIGITS", 1_000, 1_001),
+        # 5,000 digits, more than Python prints: needed is a lower bound.
+        (["cfrac", "5" * 4000 + "e1000"], "CFracError", "MAX_DIGITS", 1_000, 1_001),
+        (["analyze", "B3 s1^1000001"], "BraidError", "MAX_WORD_LENGTH", 10**6, 1 + 10**6),
+        (["analyze", "B1000001 s1"], "BraidError", "MAX_WORD_LENGTH", 10**6, 1 + 10**6),
+        # 1,001 closure components: 1001 x 1001 crossing tables.
+        (["analyze", "B1002 s1"], "BraidError", "MAX_WORD_LENGTH", 10**6, 1001**2),
+        (
+            ["limits", "--coeffs=-3", "--cycle=-2", "-n", "1001"],
+            "LimitsError",
+            "MAX_LEVELS",
+            1_000,
+            1_001,
+        ),
+        # 991 levels of 101 basic slices each.
+        (
+            ["limits", "--coeffs=-103", "--cycle=-103", "-n", "990"],
+            "LimitsError",
+            "MAX_SLICES",
+            100_000,
+            100_091,
+        ),
+        # The closure and 2 x 500 meridians.
+        (
+            ["surgery", "B2 s1^5", "--slopes", "500"],
+            "ComponentBudgetExceeded",
+            "MAX_COMPONENTS",
+            1_000,
+            1_001,
+        ),
+        # One unknot framed -100002: a menu of 100,001.
+        (
+            ["enumerate", "B2 s1^5", "--slopes", "1/100002", "--count-only"],
+            "MenuBudgetExceeded",
+            "MAX_MENU_PICKS",
+            100_000,
+            100_001,
+        ),
+        (
+            ["theta", "B2 s1^5", "--slope", "20305/241956"],
+            "TupleBudgetExceeded",
+            "MAX_THETA_TUPLES",
+            100_000,
+            161_051,
+        ),
+        # The letters moved when the count first passes the cap, here 2,000:
+        # the CI's exit-4 word with each exponent 25 for 25,000.
+        (
+            ["analyze", B5_MOVES],
+            "ReductionBudgetExceeded",
+            "MAX_LETTERS_MOVED",
+            2_000,
+            2_001,
+        ),
+    ],
+)
+def test_budget_errors_name_their_cap(monkeypatch, argv, kind, budget, cap, needed):
+    monkeypatch.setattr(braid, "MAX_LETTERS_MOVED", 2_000)
+    code, out = run_cli(argv)
+    error = json.loads(out)["error"]
+    assert error["type"] == kind
+    assert code == error["code"] == getattr(errors, kind).code
+    assert (error["budget"], error["cap"], error["needed"]) == (budget, cap, needed)
+
+
+def test_the_step_budget_names_its_parameter():
+    word = braid.parse_braid("B3 s1 s2 s1^-1 s2^-1 s1 s2 s1^-1 s2^-1")
+    braid.handle_reduce(word, max_steps=4)  # four reductions suffice
+    with pytest.raises(errors.ReductionBudgetExceeded) as info:
+        braid.handle_reduce(word, max_steps=3)
+    assert (info.value.budget, info.value.cap, info.value.needed) == ("max_steps", 3, 4)
+    assert braid.ReductionBudgetExceeded("a bare message").budget is None
 
 
 def test_enumerate_rejects_an_invalid_menu_pick_before_the_envelope(monkeypatch):
@@ -597,8 +752,11 @@ def test_integers_too_long_to_print_are_a_numeric_error():
         "code": cli.EXIT_NUMERIC,
         "type": "DigitLimitExceeded",
         "message": f"an output integer is over Python's {limit}-digit limit",
+        "budget": "int_max_str_digits",
+        "cap": limit,
+        "needed": limit + 1,
     }
-    with pytest.raises(cli.DigitLimitExceeded):
+    with pytest.raises(errors.DigitLimitExceeded):
         cli.frac_str(Fraction(10**limit, 3))
 
 
@@ -626,6 +784,9 @@ def test_component_budget(monkeypatch, slopes, total):
             "type": "ComponentBudgetExceeded",
             "message": f"slope {slopes} of closure component 1 would expand the"
             f" diagram to at least {total} components, cap 1000",
+            "budget": "MAX_COMPONENTS",
+            "cap": 1000,
+            "needed": total,
         }
 
 
@@ -669,6 +830,9 @@ def test_cfrac_cap_is_counted_before_the_expansion(monkeypatch):
         "code": cli.EXIT_PARSE,
         "type": "CFracError",
         "message": "'5/6' expands to over 4 coefficients, cap 4",
+        "budget": "MAX_CFRAC_TERMS",
+        "cap": 4,
+        "needed": 5,
     }
 
 
@@ -756,6 +920,9 @@ def test_floor_probes_check_every_length_before_reducing(monkeypatch):
         "type": "BraidError",
         "message": "power 4 of a 499500-letter word would have 1998000 letters,"
         " cap 1000000",
+        "budget": "MAX_WORD_LENGTH",
+        "cap": 1000000,
+        "needed": 1998000,
     }
 
 
@@ -958,7 +1125,7 @@ def test_exponents_are_checked_before_the_power_is_built(monkeypatch):
         raise AssertionError(f"parsed {text!r}")
 
     monkeypatch.setattr(cli, "Fraction", never)
-    with pytest.raises(cli.CFracError, match="a power of ten over 1000 digits"):
+    with pytest.raises(errors.CFracError, match="a power of ten over 1000 digits"):
         cli.parse_rational(f"1e-{cli.MAX_DIGITS + 1}")
 
 
@@ -990,6 +1157,9 @@ def test_menu_budget(monkeypatch):
         "code": cli.EXIT_NUMERIC,
         "type": "MenuBudgetExceeded",
         "message": "the unknot menus would hold 11 Legendrian unknots, cap 10",
+        "budget": "MAX_MENU_PICKS",
+        "cap": 10,
+        "needed": 11,
     }
 
 
@@ -1471,17 +1641,21 @@ def test_theta_writes_only_the_error_when_a_value_is_too_long(monkeypatch, k):
     def failing(value):
         calls.append(value)
         if len(calls) == k:
-            raise cli.DigitLimitExceeded
+            raise errors.DigitLimitExceeded
         return frac_str(value)
 
     monkeypatch.setattr(cli, "frac_str", failing)
     braid_text, slope = NEGATIVE_DET
     code, out = run_cli(["theta", braid_text, "--slope", slope])
     assert code == cli.EXIT_NUMERIC
+    limit = sys.get_int_max_str_digits()
     error = {
         "code": cli.EXIT_NUMERIC,
         "type": "DigitLimitExceeded",
-        "message": str(cli.DigitLimitExceeded()),
+        "message": str(errors.DigitLimitExceeded()),
+        "budget": "int_max_str_digits",
+        "cap": limit,
+        "needed": limit + 1,
     }
     expected = {"error": error, "schema": 1}
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
