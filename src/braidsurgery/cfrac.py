@@ -26,9 +26,6 @@ class NegContFrac(Record):
             raise CFracError(f"coefficients must be <= -2, got {list(coeffs)}")
         self._store(locals())
 
-    def phi(self) -> int:
-        return phi(self)
-
 
 class SlopeVector(Record):
     """Ordered surgery slopes, one per link component, in lowest terms."""

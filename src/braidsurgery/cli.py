@@ -415,7 +415,7 @@ def _family_braid(args, default_tour: bool = False) -> braid_mod.BraidWord:
     if args.braid is not None:
         return braid_mod.parse_braid(args.braid)
     if default_tour:
-        strands = args.strands or 3
+        strands = 3 if args.strands is None else args.strands
         braid_mod.check_strands(strands)
         return braid_mod.BraidWord(strands, tuple(range(1, strands)))
     raise BraidError(f"{args.kind} needs --braid")

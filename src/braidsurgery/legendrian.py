@@ -11,8 +11,9 @@ shares one linking matrix ``Q``, so ``c1^2 = r^T Q^-1 r`` is an integer
 quadratic form over one memoised adjugate, on the support S of the
 rotation vector ``r`` (see :func:`theta`), with no linear solve per
 tuple.  The walks over all tuples build no diagram: ``c1_forms`` gives
-the integer forms, ``theta_sweep`` the text of each distinct theta
-value, and ``json_lines`` the JSON line of each diagram.
+the integer forms of at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep``
+the text of each distinct theta value, and ``json_lines`` the JSON line
+of each diagram.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -45,7 +46,7 @@ from .surgery import BRAID, SurgeryDiagram
 # framed f has a menu of |f + 1| of them, and a slope 1/n frames it -n.
 MAX_MENU_PICKS = 100_000
 
-# Most tuples theta_sweep visits; TupleBudgetExceeded beyond it.
+# Most tuples c1_forms walks; TupleBudgetExceeded beyond it.
 MAX_THETA_TUPLES = 100_000
 
 
@@ -259,18 +260,28 @@ class WeinsteinEnumeration:
             yield self._assemble(ks)
 
     def c1_forms(self):
-        """``det(M)`` and ``(picks, rotation_tuple, form)`` for every tuple,
-        in the order of :meth:`tuples`, without building a diagram or a
-        ``Fraction``: ``c1^2 = form / det(M)``.
+        """``det(M)`` and the integer ``form`` of every tuple, in the order
+        of :meth:`tuples`, without building a diagram or a ``Fraction``:
+        ``c1^2 = form / det(M)``.
 
         ``form`` is ``r_S^T A r_S`` for the rotation vector ``r`` on S and
         ``A = L adj(M)`` (see :func:`theta`), fixed one menu ``u`` of more
         than one pick at a time: rot ``y`` adds ``y (2 l_u + A_uu y)``, with
         ``l_u`` the row ``u`` of ``A`` against the rots fixed so far, and
         moves every later ``l`` by ``y`` times column ``u``.  A one-pick
-        menu (rot 0) joins its ``1``/``0`` to the picks before it.  Raises
-        ``SingularityError`` when ``det(Q) == 0``.
+        menu (rot 0) adds nothing.  Raises :class:`TupleBudgetExceeded`
+        before the walk when there are more than ``MAX_THETA_TUPLES``
+        tuples, and ``SingularityError`` when ``det(Q) == 0``.
         """
+        if self.count > MAX_THETA_TUPLES:
+            raise TupleBudgetExceeded(
+                f"theta over all tuples would visit {self.count} tuples, cap"
+                f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
+                " enumerate --count-only",
+                budget="MAX_THETA_TUPLES",
+                cap=MAX_THETA_TUPLES,
+                needed=self.count,
+            )
         _, keep, det, adj = _inverse_form(self.base)
         pos = {i: s for s, i in enumerate(keep)}
         comps = self.base.components
@@ -280,30 +291,29 @@ class WeinsteinEnumeration:
             if c.kind == BRAID
         ]
         unknots = [i for i, c in enumerate(comps) if c.kind != BRAID]
-        # ``ones`` ends as the count of one-pick menus before every level.
-        ones, levels = 0, []
-        for u, menu in reversed(list(zip(unknots, self.menus))):
-            if len(menu) == 1:
-                ones += 1
-                continue
-            ks, rots = (1,) * ones, (0,) * ones
-            picks = [((k,) + ks, (l.rot,) + rots, l.rot) for k, l in enumerate(menu, 1)]
-            levels.append((pos[u], picks))
-            ones = 0
-        levels.reverse()
+        levels = [
+            (pos[u], [l.rot for l in menu])
+            for u, menu in zip(unknots, self.menus)
+            if len(menu) > 1
+        ]
         form = sum(x * adj[i][j] * y for i, x in fixed for j, y in fixed)
         lin = [sum(adj[a][i] * x for i, x in fixed) for a, _ in levels]
-        states = [((1,) * ones, (0,) * ones, form, lin)]
-        for depth, (a, picks) in enumerate(levels):
+        states = [(form, lin)]
+        for depth, (a, rots) in enumerate(levels):
             col = [adj[b][a] for b, _ in levels[depth + 1 :]]
-            states = _pick_level(states, picks, adj[a][a], col)
-        return det, ((ks, rots, form) for ks, rots, form, _ in states)
+            states = _pick_level(states, rots, adj[a][a], col)
+        return det, (form for form, _ in states)
 
     def c1_squares(self):
         """``(picks, rotation_tuple, c1^2)`` for every tuple: :meth:`c1_forms`
         with each form over ``det(M)``."""
-        det, rows = self.c1_forms()
-        return ((ks, rots, Fraction(form, det)) for ks, rots, form in rows)
+        det, forms = self.c1_forms()
+        squares = (Fraction(form, det) for form in forms)
+        return zip(self.tuples(), self._rotation_tuples(), squares)
+
+    def _rotation_tuples(self):
+        """The rotation tuple of every diagram, in the order of :meth:`tuples`."""
+        return itertools.product(*([l.rot for l in menu] for menu in self.menus))
 
     def json_lines(self):
         """The compact sorted-key JSON line of :func:`weinstein_to_dict` for
@@ -352,44 +362,32 @@ class WeinsteinEnumeration:
         """``(rows, values)``: theta over every tuple, with a ``Fraction``
         and its ``text`` per distinct value, none per tuple.
 
-        ``rows`` is the list of :meth:`c1_forms` rows.  ``values`` maps each
-        distinct ``form``, in increasing order of theta, to ``(text(c1^2),
-        text(theta), picks)``, where ``picks`` lists the tuples of that
-        form in the order of :meth:`tuples`.  Raises
-        :class:`TupleBudgetExceeded` before the walk when there are more than
-        ``MAX_THETA_TUPLES`` tuples.
+        ``rows`` yields ``(picks, rotation_tuple, form)`` for every tuple of
+        :meth:`c1_forms`.  ``values`` maps each distinct ``form``, in
+        increasing order of theta, to ``(text(c1^2), text(theta), picks)``,
+        where ``picks`` lists the tuples of that form in the order of
+        :meth:`tuples`.
         """
-        if self.count > MAX_THETA_TUPLES:
-            raise TupleBudgetExceeded(
-                f"theta over all tuples would visit {self.count} tuples, cap"
-                f" {MAX_THETA_TUPLES}; query one with --tuple or count them with"
-                " enumerate --count-only",
-                budget="MAX_THETA_TUPLES",
-                cap=MAX_THETA_TUPLES,
-                needed=self.count,
-            )
-        det, rows = self.c1_forms()
+        det, forms = self.c1_forms()
         report = surgery.homology(self.base)
         shift = 2 * report.euler_char + 3 * report.signature
-        rows = list(rows)
+        forms, picks = list(forms), list(self.tuples())
         groups: dict[int, list] = {}
-        for ks, _, form in rows:
+        for ks, form in zip(picks, forms):
             groups.setdefault(form, []).append(ks)
         c1sq = {form: Fraction(form, det) for form in groups}
-        return rows, {
+        return zip(picks, self._rotation_tuples(), forms), {
             form: (text(c1sq[form]), text(c1sq[form] - shift), groups[form])
             for form in sorted(groups, key=c1sq.get)
         }
 
 
-def _pick_level(states, picks, diag: int, col: list[int]):
-    """Extend each ``(picks, rots, form, lin)`` state by each ``(picks, rots, rot)``."""
-    for ks, rots, form, lin in states:
+def _pick_level(states, rots, diag: int, col: list[int]):
+    """Extend each ``(form, lin)`` state by each rot ``y`` of a menu."""
+    for form, lin in states:
         head, rest = lin[0], lin[1:]
-        for k, r, y in picks:
+        for y in rots:
             yield (
-                ks + k,
-                rots + r,
                 form + y * (2 * head + diag * y),
                 [x + y * c for x, c in zip(rest, col)],
             )

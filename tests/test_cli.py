@@ -373,6 +373,11 @@ def test_theta_adjugate_sees_only_the_rotation_support(monkeypatch):
             ["family", "lspace", "--strands", "100000000", "-k", "1", "--ell", "1"],
             "braid on 100000000 strands, cap",
         ),
+        # Zero strands is given, not the default of three.
+        (
+            ["family", "lspace", "--strands", "0", "-k", "1", "--ell", "1"],
+            "need at least 2 strands, got 0",
+        ),
     ],
 )
 def test_strand_counts_over_the_cap_are_parse_errors(argv, message):
@@ -380,7 +385,9 @@ def test_strand_counts_over_the_cap_are_parse_errors(argv, message):
     assert code == cli.EXIT_PARSE
     error = json.loads(out)["error"]
     assert error["type"] == "BraidError"
-    assert error["message"] == f"{message} 1000000"
+    # A message that names the cap ends in its value.
+    cap = " 1000000" if message.endswith("cap") else ""
+    assert error["message"] == message + cap
 
 
 def test_theta_tuple_budget(monkeypatch):
@@ -1610,8 +1617,8 @@ def test_the_negative_determinant_example_has_three_values():
     enum = legendrian.enumerate_weinstein(
         braid.parse_braid(braid_text), cli.parse_slopes(slope)
     )
-    det, rows = enum.c1_forms()
-    assert det < 0 and len({form for _, _, form in rows}) == 3
+    det, forms = enum.c1_forms()
+    assert det < 0 and len(set(forms)) == 3
 
 
 def test_theta_converts_each_distinct_value_once(monkeypatch):

@@ -400,6 +400,19 @@ def test_c1_squares_on_a_singular_base():
         L.theta(next(iter(enum)))
 
 
+@pytest.mark.parametrize("levels", [995, 998])
+def test_c1_walks_over_the_tuple_cap_raise_the_budget_error(levels):
+    # A chain of -3s: 2^levels tuples, one walk level per unknot.
+    enum = L.enumerate_weinstein(
+        KNOT, SlopeVector((WORKLOADS.chain_slope([-3] * levels),))
+    )
+    for walk in (enum.c1_forms, enum.c1_squares):
+        with pytest.raises(L.TupleBudgetExceeded) as caught:
+            walk()
+        assert caught.value.budget == "MAX_THETA_TUPLES"
+        assert caught.value.needed == 2**levels
+
+
 def test_theta_requires_nonsingular_matrix():
     base = S.SurgeryDiagram(
         KNOT,
