@@ -9,8 +9,8 @@ A braid word on ``m`` strands is a sequence of Artin generators
   inter-component crossings, linking numbers, axis winding),
 * the word problem via handle reduction, with the derived sigma-order
   tests and the floor probe used to certify hyperbolicity hypotheses,
-* the half-twist generator and the small braid families the rest of
-  the pipeline feeds on.
+* the half-twist generator, powers, products and inverses (the paper's
+  families built from them are in :mod:`.families`).
 
 Strand-tracking convention: letters act left to right on *positions*;
 the letter ``(g, sign)`` crosses the strands currently occupying
@@ -385,11 +385,6 @@ def power(word: BraidWord, k: int) -> BraidWord:
     return BraidWord(word.strands, word.letters * k if word.letters else ())
 
 
-def delta_squared_times(word: BraidWord, ell: int) -> BraidWord:
-    """``Delta^(2*ell) * word``; full twists only add positive letters."""
-    return compose(power(garside(word.strands), 2 * ell), word)
-
-
 def handle_reduce(word: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> BraidWord:
     """Handle-free word representing the same braid element.
 
@@ -568,18 +563,3 @@ def check_hypothesis(
         per_component_cond=per_cond,
         hyperbolicity="asserted" if hyperbolic_asserted else "unknown",
     )
-
-
-def square_knot_recipe(word: BraidWord) -> bool:
-    """True when ``strands`` is odd and the square of the word closes to a knot."""
-    if word.strands % 2 == 0:
-        return False
-    return permutation(power(word, 2)).is_knot
-
-
-def example_braid(k: int) -> BraidWord:
-    """The two-bridge family ``s1^(2k+1) s2^-1`` on three strands."""
-    if k < 0:
-        raise BraidError(f"family parameter must be >= 0, got {k}")
-    _check_length(2 * k + 2, f"example braid for k = {k}")
-    return BraidWord(3, tuple([1] * (2 * k + 1) + [-2]))

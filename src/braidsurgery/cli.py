@@ -11,6 +11,9 @@ the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
 to :func:`emit`, which writes canonical JSON (sorted keys, rationals as
 ``p/q`` strings) or ``--table`` lines.
 Identical inputs produce byte-identical output.
+``limits`` and ``families`` each serve one subcommand, and
+``cmd_limits`` and ``cmd_family`` import them when they run, so a process
+of the pipeline's subcommands never compiles them.
 
 Parsing runs inside the same error boundary, so any argv gives JSON on
 stdout, with an ``error`` object exactly when the exit code is nonzero.
@@ -46,7 +49,7 @@ from types import GeneratorType
 
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
-from . import legendrian, limits, surgery
+from . import legendrian, surgery
 from .argv import parse_argv
 from .cfrac import SlopeVector
 # The exit codes stay importable from here: callers compare with them.
@@ -61,7 +64,6 @@ from .errors import (
     LegendrianError,
     LimitsError,
 )
-from .limits import CoeffStream, SignTuple
 
 SCHEMA = 1
 
@@ -149,10 +151,15 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
     """Write ``data`` as ``json.dumps(data, sort_keys=True, indent=2,
     default=jsonify)`` would (see :func:`_indented`), as ``key = value``
     lines with ``table``, or as a compact line before the streamed
-    ``lines``, one ``write`` each.  A generator value of ``data`` is the
-    indent-2 text of its top-level key's value, written block by block in
-    its place.  Nothing is written if an integer of ``data`` is too long to
-    print: that raises :class:`DigitLimitExceeded`.
+    ``lines``.  A generator value of ``data`` is the indent-2 text of its
+    top-level key's value, written block by block in its place.  Nothing
+    is written if an integer of ``data`` is too long to print: that raises
+    :class:`DigitLimitExceeded`.
+
+    The text before the first generator or line goes out in one ``write``
+    of its own; what follows it is joined into writes of at least
+    ``_WRITE_SIZE`` characters (the last may be shorter), each of them at
+    most one item past that size.
     """
     try:
         if table:
@@ -166,11 +173,24 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
     # Each generator value is written at its NUL (JSON text holds none,
     # ``_quote`` escapes it); ``lines`` follow the end.
     streams = [v for _, v in sorted(data.items()) if type(v) is GeneratorType]
+    head, *texts = f"{text}\n".split("\0")
     write = sys.stdout.write
-    for text, blocks in zip(f"{text}\n".split("\0"), [*streams, lines or ()]):
-        write(text)
-        for block in blocks:
-            write(block)
+    write(head)
+    chunk, size = [], 0
+    for blocks, text in zip([*streams, lines or ()], [*texts, ""]):
+        for item in itertools.chain(blocks, [text]):
+            chunk.append(item)
+            size += len(item)
+            if size >= _WRITE_SIZE:
+                write("".join(chunk))
+                chunk, size = [], 0
+    if size:
+        write("".join(chunk))
+
+
+# Characters of one ``write`` of streamed output.  Under an unbuffered
+# stdout (``python -u``) each write is a system call.
+_WRITE_SIZE = 65_536
 
 
 # The JSON text of a scalar, by its exact type; a generator's is a NUL
@@ -342,12 +362,14 @@ _BLOCK = 1024
 
 
 def cmd_limits(args) -> dict:
+    from . import limits
+
     prefix = parse_int_list(args.coeffs) if args.coeffs else ()
     cycle = parse_int_list(args.cycle) if args.cycle else ()
-    stream = CoeffStream(prefix, cycle)
+    stream = limits.CoeffStream(prefix, cycle)
     tail, pattern = _parse_tail(args.tail)
     tuple_prefix = parse_int_list(args.tuple_prefix) if args.tuple_prefix else ()
-    sign_tuple = SignTuple(tuple_prefix, tail, pattern)
+    sign_tuple = limits.SignTuple(tuple_prefix, tail, pattern)
     n = args.levels
     blocks = limits.block_decomposition(stream, sign_tuple, n)
     data = {
@@ -370,6 +392,8 @@ def cmd_limits(args) -> dict:
 
 
 def _parse_tail(text: str) -> tuple[str, tuple[int, ...]]:
+    from . import limits
+
     if text in (limits.TAIL_ONES, limits.TAIL_MAX):
         return text, ()
     if text.startswith("periodic:"):
@@ -378,10 +402,12 @@ def _parse_tail(text: str) -> tuple[str, tuple[int, ...]]:
 
 
 def cmd_family(args) -> dict:
+    from . import families
+
     if args.kind == "example420":
         if args.k is None:
             raise BraidError("example420 needs -k")
-        return {"braid": braid_mod.format_braid(braid_mod.example_braid(args.k))}
+        return {"braid": braid_mod.format_braid(families.example_braid(args.k))}
     if args.kind == "power":
         word = _family_braid(args)
         if args.k is None:
@@ -391,13 +417,13 @@ def cmd_family(args) -> dict:
         word = _family_braid(args)
         if args.ell is None:
             raise BraidError("delta2l needs --ell")
-        twisted = braid_mod.delta_squared_times(word, args.ell)
+        twisted = families.delta_squared_times(word, args.ell)
         return {"braid": braid_mod.format_braid(twisted)}
     if args.k is None or args.ell is None:  # lspace, the last of the choices
         raise BraidError("lspace needs -k and --ell")
     word = _family_braid(args, default_tour=True)
     diagram, report, additivity, axis_report, next_report = (
-        surgery.lspace_family_diagram(word, args.k, args.ell)
+        families.lspace_family_diagram(word, args.k, args.ell)
     )
     return {
         "braid": braid_mod.format_braid(word),

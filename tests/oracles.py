@@ -11,8 +11,9 @@ handle reducer that rescans the word from index 0 after every step, and
 itself with it.  ``parse_braid_per_token`` matches and converts every
 token of a braid text, repeated or not.
 ``presentation_matrix_by_pairs`` reads the linking number of every pair
-off the two components' kinds, and ``end_slope_from_scratch`` multiplies
-the gluing matrices of one level from the first.
+off the two components' kinds, ``parse_framing`` reads back the text of
+``surgery.framing_str``, and ``end_slope_from_scratch`` multiplies the
+gluing matrices of one level from the first.
 ``neg_cfrac_by_fractions`` runs the ceiling algorithm on ``Fraction``
 values, and ``end_slopes_by_gluing`` keeps one running product of
 inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
@@ -379,6 +380,13 @@ def presentation_matrix_by_pairs(diagram) -> list[list[int]]:
             m[i][j] = c.framing.denominator * lk
             m[j][i] = comps[j].framing.denominator * lk
     return m
+
+
+def parse_framing(text: str):
+    """The framing whose :func:`surgery.framing_str` is ``text``."""
+    if text == "inf":
+        return surgery_mod.INF
+    return Fraction(text)
 
 
 def theta_payload_by_dicts(enum) -> dict:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from braidsurgery import braid as B
 from braidsurgery import cfrac as C
+from braidsurgery import families as F
 from braidsurgery import legendrian as L
 from braidsurgery import limits as LM
 from braidsurgery import surgery as S
@@ -36,7 +37,7 @@ def random_hypothesis_knot(rng):
         if not B.permutation(w).is_knot:
             continue
         for ell in range(0, 5):
-            boosted = B.delta_squared_times(w, ell)
+            boosted = F.delta_squared_times(w, ell)
             if B.check_hypothesis(boosted).cond_tb:
                 return boosted
     raise AssertionError("unreachable")
@@ -59,7 +60,7 @@ def test_criterion_2_conjugated_family_identity():
     gamma = B.parse_braid("B3 s2 s1^2 s2")
     for k in range(1, 6):
         start = time.perf_counter()
-        lhs = B.compose(B.power(B.garside(3), 2), B.example_braid(k))
+        lhs = B.compose(B.power(B.garside(3), 2), F.example_braid(k))
         rhs = B.compose(
             B.compose(gamma, B.parse_braid(f"B3 s1^{2 * k + 5} s2")),
             B.inverse(gamma),
@@ -89,20 +90,20 @@ def test_criterion_4_homology_identities():
         tour = B.BraidWord(m, tuple(range(1, m)))
         assert B.permutation(tour).is_knot
         for k in range(1, 11):
-            d = S.axis_surgery(tour, [Fraction(k)])
+            d = F.axis_surgery(tour, [Fraction(k)])
             assert S.linking_matrix(d) == [[0, m], [m, k]]
             assert S.homology(d).h1_order == m * m
     for m in (2, 3, 4):
         tour = B.BraidWord(m, tuple(range(1, m)))
         for k, ell in itertools.product(range(1, 6), range(1, 5)):
-            d = S.axis_surgery(
+            d = F.axis_surgery(
                 tour, [Fraction(k)], axis_framing=Fraction(-1, ell)
             )
-            out = S.rolfsen_twist(d, 0, ell)
+            out = F.rolfsen_twist(d, 0, ell)
             assert len(out.components) == 1
             assert out.components[0].framing == k + ell * m * m
             assert S.h1_invariants(out)[0] == k + ell * m * m
-            _, report, additive, *_ = S.lspace_family_diagram(tour, k, ell)
+            _, report, additive, *_ = F.lspace_family_diagram(tour, k, ell)
             assert additive
             assert report.h1_order == k + ell * m * m
     print("AC4 PASS: axis determinants, twist orders, and additivity hold")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
+from braidsurgery import families as F
 from oracles import (
     burau3,
     burau3_is_identity,
@@ -256,7 +257,7 @@ def test_compose_power_inverse():
 def test_delta_squared_times_adds_positive_letters():
     w = B.parse_braid("B3 s1^3 s2^-1")
     for ell in (1, 2, 3):
-        out = B.delta_squared_times(w, ell)
+        out = F.delta_squared_times(w, ell)
         assert len(out) == len(w) + 2 * ell * 3
         assert out.c_plus == w.c_plus + ell * 6
         assert out.c_minus == w.c_minus
@@ -566,23 +567,23 @@ def test_knot_case_conditions_agree(w):
 # -- families ----------------------------------------------------------------
 
 def test_square_knot_recipe():
-    assert B.square_knot_recipe(word(3, 1, 2))  # 3-cycle squared is a 3-cycle
-    assert not B.square_knot_recipe(word(4, 1, 2, 3))
-    assert not B.square_knot_recipe(word(3, 1))  # transposition squares to id
+    assert F.square_knot_recipe(word(3, 1, 2))  # 3-cycle squared is a 3-cycle
+    assert not F.square_knot_recipe(word(4, 1, 2, 3))
+    assert not F.square_knot_recipe(word(3, 1))  # transposition squares to id
 
 
 def test_example_braid():
-    assert B.example_braid(1).letters == (1, 1, 1, -2)
-    assert B.example_braid(0).letters == (1, -2)
-    assert B.example_braid(2).letters == (1, 1, 1, 1, 1, -2)
+    assert F.example_braid(1).letters == (1, 1, 1, -2)
+    assert F.example_braid(0).letters == (1, -2)
+    assert F.example_braid(2).letters == (1, 1, 1, 1, 1, -2)
     with pytest.raises(B.BraidError):
-        B.example_braid(-1)
+        F.example_braid(-1)
 
 
 def test_example_braid_checks_the_length_cap_first():
     # 2k + 2 letters: the cap is checked before the word is allocated.
     with pytest.raises(B.BraidError, match="would have 2000000000002 letters"):
-        B.example_braid(10**12)
+        F.example_braid(10**12)
 
 
 def test_relation_insertion_preserves_element():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import build_parser, theta_payload_by_dicts
 
 from braidsurgery import argv as argv_mod
-from braidsurgery import braid, cfrac, cli, errors, legendrian, surgery
+from braidsurgery import braid, cfrac, cli, errors, legendrian, limits, surgery
 from braidsurgery.record import replace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -896,6 +896,47 @@ def test_closed_stdout_is_a_clean_exit(argv, read_first):
     assert stderr == ""
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that keeps the length of every ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        # 5,184 lines of about 860 characters.
+        (["enumerate", "B3 s1^3 s2^5", "--slopes", "9713/35369"], "}\n"),
+        # 288 entries and 65 groups, in blocks of 1,024 items at most.
+        (["theta", "B2 s1^7", "--slope", "505/1406"], '"entries": '),
+    ],
+    ids=["enumerate", "theta"],
+)
+def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
+    out = CountingStdout()
+    with redirect_stdout(out):
+        assert cli.main(argv) == cli.EXIT_OK
+    text, writes = out.getvalue(), out.writes
+    # The head goes out alone, before the first streamed item.
+    assert text[: writes[0]].endswith(head)
+    assert len(writes) <= len(text.encode()) // 65_536 + 3
+    assert all(size >= 65_536 for size in writes[1:-1])
+    if argv[0] == "enumerate":
+        lines = text.splitlines(keepends=True)
+        assert writes[0] == len(lines[0])
+        # At most one line past the size.
+        longest = max(map(len, lines))
+        assert all(size < 65_536 + longest for size in writes)
+        _, streamed = cli.cmd_enumerate(cli.parse_argv(argv))
+        assert "".join(lines[1:]) == "".join(streamed)
+
+
 def test_theta_over_65536_tuples_into_a_reader_that_closes_is_a_clean_exit():
     # The chain of sixteen -3 unknots; the reader takes one line and closes.
     root = Path(__file__).parents[1]
@@ -1180,15 +1221,15 @@ def test_limits_levels_are_capped_before_any_level_is_read():
 
 def test_limits_cap_boundaries(monkeypatch):
     argv = ["limits", "--coeffs=-5", "--cycle=-4", "-n"]
-    monkeypatch.setattr(cli.limits, "MAX_LEVELS", 3)
+    monkeypatch.setattr(limits, "MAX_LEVELS", 3)
     assert run_cli(argv + ["3"])[0] == cli.EXIT_OK
     code, out = run_cli(argv + ["4"])
     assert code == cli.EXIT_PARSE
     assert json.loads(out)["error"]["message"] == "level 4 is over the cap 3"
     # Levels 0..2 have the coefficients -5, -4, -4: blocks of 3, 2 and 2 slices.
-    monkeypatch.setattr(cli.limits, "MAX_SLICES", 7)
+    monkeypatch.setattr(limits, "MAX_SLICES", 7)
     assert run_cli(argv + ["2"])[0] == cli.EXIT_OK
-    monkeypatch.setattr(cli.limits, "MAX_SLICES", 6)
+    monkeypatch.setattr(limits, "MAX_SLICES", 6)
     code, out = run_cli(argv + ["2"])
     assert code == cli.EXIT_PARSE
     assert json.loads(out)["error"]["message"] == (
@@ -1308,7 +1349,7 @@ def argvs(draw):
             + _option(draw, "--cycle", int_lists)
             + _option(draw, "--tuple-prefix", int_lists)
             + _option(draw, "--tail", tails)
-            + _option(draw, "-n", ints | st.just(cli.limits.MAX_LEVELS + 1))
+            + _option(draw, "-n", ints | st.just(limits.MAX_LEVELS + 1))
             + _option(draw, "--braid", argv_braids)
             + table
         )

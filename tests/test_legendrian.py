@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
+from braidsurgery import families as F
 from braidsurgery import legendrian as L
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, phi_vector
@@ -345,9 +346,9 @@ def _star_of_twos(leaves=5):
 @pytest.mark.parametrize(
     "base",
     [
-        S.axis_surgery(KNOT, [Fraction(5)], axis_framing=Fraction(-3)),
-        S.axis_surgery(SEVEN, [Fraction(-4)], axis_framing=Fraction(2)),
-        S.lspace_family_diagram(SEVEN, 7, 2)[0],
+        F.axis_surgery(KNOT, [Fraction(5)], axis_framing=Fraction(-3)),
+        F.axis_surgery(SEVEN, [Fraction(-4)], axis_framing=Fraction(2)),
+        F.lspace_family_diagram(SEVEN, 7, 2)[0],
         _star_of_twos(),
     ],
 )

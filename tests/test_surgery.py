@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
+from braidsurgery import families as F
 from braidsurgery import linalg
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, neg_cfrac
-from oracles import presentation_matrix_by_pairs
+from oracles import parse_framing, presentation_matrix_by_pairs
 from test_cli import UNBALANCED_LINK, WORKLOADS
 
 
@@ -127,16 +128,16 @@ def test_general_form_uses_chain_kind():
 def test_axis_matrix_and_h1():
     w = B.parse_braid("B3 s1^7 s2^-1")
     for k in range(1, 8):
-        d = S.axis_surgery(w, [Fraction(k)])
+        d = F.axis_surgery(w, [Fraction(k)])
         assert S.linking_matrix(d) == [[0, 3], [3, k]]
         assert S.homology(d).h1_order == 9
 
 
 def test_axis_h1_group_structure():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    rep = S.homology(S.axis_surgery(w, [Fraction(7)]))
+    rep = S.homology(F.axis_surgery(w, [Fraction(7)]))
     assert rep.elementary_divisors == (9,)  # gcd(3, 7) = 1 makes it cyclic
-    rep = S.homology(S.axis_surgery(w, [Fraction(3)]))
+    rep = S.homology(F.axis_surgery(w, [Fraction(3)]))
     assert rep.elementary_divisors == (3, 3)
 
 
@@ -180,7 +181,7 @@ def test_rational_presentation_order():
     w = B.parse_braid("B3 s1^7 s2^-1")
     for ell in (1, 2, 3):
         for k in (1, 5, 9):
-            d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
+            d = F.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
             assert S.h1_invariants(d)[0] == k + 9 * ell
             assert S.h1_invariants(d)[0] == k + 9 * ell
 
@@ -188,8 +189,8 @@ def test_rational_presentation_order():
 # -- Kirby moves ---------------------------------------------------------------
 
 def test_rolfsen_identity_twist():
-    d = S.axis_surgery(KNOT, [Fraction(3)])
-    assert S.rolfsen_twist(d, 0, 0) == d
+    d = F.axis_surgery(KNOT, [Fraction(3)])
+    assert F.rolfsen_twist(d, 0, 0) == d
 
 
 def test_rolfsen_blowdown_example():
@@ -203,7 +204,7 @@ def test_rolfsen_blowdown_example():
         ),
     )
     before = S.h1_invariants(d)[0]
-    out = S.rolfsen_twist(d, 1, 1)
+    out = F.rolfsen_twist(d, 1, 1)
     assert len(out.components) == 1
     assert out.components[0].framing == 1
     assert S.h1_invariants(out)[0] == before == 1
@@ -213,8 +214,8 @@ def test_rolfsen_axis_twist_matches_closed_form():
     w = B.parse_braid("B3 s1^7 s2^-1")
     for ell in (1, 2, 4):
         for k in (1, 3, 10):
-            d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
-            out = S.rolfsen_twist(d, 0, ell)
+            d = F.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
+            out = F.rolfsen_twist(d, 0, ell)
             assert len(out.components) == 1
             assert out.components[0].framing == k + ell * 9
             assert S.h1_invariants(out)[0] == k + 9 * ell
@@ -227,21 +228,21 @@ def test_rolfsen_preserves_h1_invariants():
         k = rng.randint(1, 12)
         ell = rng.randint(1, 6)
         t = rng.randint(-3, 3)
-        d = S.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
-        out = S.rolfsen_twist(d, 0, t)
+        d = F.axis_surgery(w, [Fraction(k)], axis_framing=Fraction(-1, ell))
+        out = F.rolfsen_twist(d, 0, t)
         assert S.h1_invariants(out) == S.h1_invariants(d)
 
 
 def test_rolfsen_rejects_braid_component():
-    d = S.axis_surgery(KNOT, [Fraction(3)])
+    d = F.axis_surgery(KNOT, [Fraction(3)])
     with pytest.raises(S.SurgeryError):
-        S.rolfsen_twist(d, 1, 1)
+        F.rolfsen_twist(d, 1, 1)
 
 
 def test_slam_dunk_meridian_collapses_leaf():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    d, *_ = S.lspace_family_diagram(w, 7, 2)
-    out = S.slam_dunk_meridian(d, 0)
+    d, *_ = F.lspace_family_diagram(w, 7, 2)
+    out = F.slam_dunk_meridian(d, 0)
     assert [c.kind for c in out.components] == [S.AXIS, S.BRAID]
     assert out.components[0].framing == Fraction(-1, 2)
     assert S.h1_invariants(out)[0] == S.h1_invariants(d)[0]
@@ -249,10 +250,10 @@ def test_slam_dunk_meridian_collapses_leaf():
 
 def test_slam_dunk_meridian_guards():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    d, *_ = S.lspace_family_diagram(w, 7, 2)
+    d, *_ = F.lspace_family_diagram(w, 7, 2)
     with pytest.raises(S.SurgeryError):
-        S.slam_dunk_meridian(d, 1)  # axis is not a meridian leaf
-    collapsed = S.slam_dunk_meridian(d, 0)
+        F.slam_dunk_meridian(d, 1)  # axis is not a meridian leaf
+    collapsed = F.slam_dunk_meridian(d, 0)
     bad = S.SurgeryDiagram(
         w,
         (
@@ -261,7 +262,7 @@ def test_slam_dunk_meridian_guards():
         ),
     )
     with pytest.raises(S.SurgeryError):
-        S.slam_dunk_meridian(bad, 1)  # parent framing not integral
+        F.slam_dunk_meridian(bad, 1)  # parent framing not integral
     del collapsed
 
 
@@ -269,30 +270,30 @@ def test_slam_dunk_meridian_guards():
 
 def test_lspace_family_orders():
     w = B.parse_braid("B3 s1^7 s2^-1")
-    diagram, report, additive, axis_report, next_report = S.lspace_family_diagram(
+    diagram, report, additive, axis_report, next_report = F.lspace_family_diagram(
         w, 7, 2
     )
     assert S.linking_matrix(diagram) == [[2, 1, 0], [1, 0, 3], [0, 3, 7]]
     assert report.h1_order == 7 + 2 * 9 == 25
-    assert axis_report == S.homology(S.axis_surgery(w, [Fraction(7)]))
+    assert axis_report == S.homology(F.axis_surgery(w, [Fraction(7)]))
     assert axis_report.h1_order == 9
-    assert next_report == S.lspace_family_diagram(w, 7, 3)[1]
+    assert next_report == F.lspace_family_diagram(w, 7, 3)[1]
     assert next_report.h1_order == 7 + 3 * 9
     assert additive
 
 
 def test_lspace_family_small_case():
     w = B.parse_braid("B2 s1^3")
-    _, report, additive, *_ = S.lspace_family_diagram(w, 1, 1)
+    _, report, additive, *_ = F.lspace_family_diagram(w, 1, 1)
     assert report.h1_order == 1 + 4 == 5
     assert additive
 
 
 def test_lspace_family_guards():
     with pytest.raises(S.SurgeryError):
-        S.lspace_family_diagram(HOPF, 1, 1)  # link, not knot
+        F.lspace_family_diagram(HOPF, 1, 1)  # link, not knot
     with pytest.raises(S.SurgeryError):
-        S.lspace_family_diagram(KNOT, 0, 1)
+        F.lspace_family_diagram(KNOT, 0, 1)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -300,8 +301,8 @@ def test_lspace_family_guards():
 def test_framing_strings():
     assert S.framing_str(Fraction(-7, 2)) == "-7/2"
     assert S.framing_str(S.INF) == "inf"
-    assert S.parse_framing("inf") is S.INF
-    assert S.parse_framing("-7/2") == Fraction(-7, 2)
+    assert parse_framing("inf") is S.INF
+    assert parse_framing("-7/2") == Fraction(-7, 2)
 
 
 def test_diagram_to_dict_round_trip_fields():
@@ -466,13 +467,13 @@ def test_folded_kernels_see_at_most_2k_rows(monkeypatch):
 def test_other_diagrams_match_the_dense_oracle(monkeypatch):
     sizes = spy_kernels(monkeypatch)
     e = S.slam_dunk_expand(knot_slope_diagram(Fraction(5, 2)))
-    twisted = S.rolfsen_twist(e, 1, 1)  # a meridian framed -2 becomes +2
+    twisted = F.rolfsen_twist(e, 1, 1)  # a meridian framed -2 becomes +2
     assert twisted.is_integral
     # (diagram, Smith form residual, signature residual): an axis framed 0
     # is a zero pivot, kept with the closure.
     cases = [
-        (S.axis_surgery(KNOT, [Fraction(7)]), 2, 2),
-        (S.lspace_family_diagram(B.parse_braid("B3 s1 s2"), 7, 2)[0], 1, 2),
+        (F.axis_surgery(KNOT, [Fraction(7)]), 2, 2),
+        (F.lspace_family_diagram(B.parse_braid("B3 s1 s2"), 7, 2)[0], 1, 2),
         (twisted, 2, 1),
         # An unknot framed -2 under five or four leaves framed -2: Schur
         # pivot 1/2 (eliminated) or 0 (kept).
@@ -507,7 +508,7 @@ def test_other_diagrams_match_the_dense_oracle(monkeypatch):
     )
     # A meridian framed -2/3; three -2 leaves on a closure framed 3/2 (its
     # column holds 2s, so they are not a stack).
-    for rational in (S.rolfsen_twist(e, 1, -1), rational_stack):
+    for rational in (F.rolfsen_twist(e, 1, -1), rational_stack):
         assert not rational.is_integral
         dense = linalg.smith_normal_form(S.h1_presentation_matrix(rational))
         assert S.h1_invariants(rational) == (
@@ -530,7 +531,7 @@ def test_twisted_expansion_kernels_see_at_most_2_rows(monkeypatch):
     # links every meridian; its row goes last, or Bareiss elimination
     # fills the whole matrix in at its first pivot (about 25 s more).
     e = S.slam_dunk_expand(knot_slope_diagram(200))
-    twisted = S.rolfsen_twist(e, 1, 1)
+    twisted = F.rolfsen_twist(e, 1, 1)
     assert len(twisted.components) == 401
     expected = dense_report(twisted, order=[*range(1, 401), 0])
     sizes = spy_kernels(monkeypatch)
