@@ -231,7 +231,7 @@ def _table_lines(data, prefix: str):
 def cmd_analyze(args) -> dict:
     word = braid_mod.parse_braid(args.braid)
     parts = braid_mod.permutation(word)
-    stats = braid_mod.crossing_stats(word)
+    stats = braid_mod.crossing_stats(word, parts)
     report = braid_mod.check_hypothesis(word, args.assert_hyperbolic, stats)
     floor = {str(d): v for d, v in braid_mod.dehornoy_floors(word).items()}
     return {
@@ -239,9 +239,9 @@ def cmd_analyze(args) -> dict:
             "canonical": braid_mod.format_braid(word),
             "strands": word.strands,
             "length": len(word),
-            "c_plus": word.c_plus,
-            "c_minus": word.c_minus,
-            "exponent_sum": word.exponent_sum,
+            "c_plus": stats.c_plus,
+            "c_minus": stats.c_minus,
+            "exponent_sum": stats.c_plus - stats.c_minus,
         },
         "components": {
             "permutation": parts.permutation,

@@ -333,11 +333,10 @@ def _merge_twos(snf: list[int], twos: int) -> list[int]:
 
 def rational_surgery(word: BraidWord, v: SlopeVector) -> SurgeryDiagram:
     """One framed braid-closure component per slope."""
-    parts = braid_mod.permutation(word)
-    if len(v) != parts.num_components:
+    ncomp = len(closure_stats(word).axis_linking)
+    if len(v) != ncomp:
         raise SurgeryError(
-            f"slope vector has {len(v)} entries for "
-            f"{parts.num_components} closure components"
+            f"slope vector has {len(v)} entries for {ncomp} closure components"
         )
     comps = tuple(
         SurgeryComponent(kind=BRAID, framing=s, component=i + 1)

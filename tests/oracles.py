@@ -9,7 +9,12 @@ eliminate over ``Fraction``.  ``handle_reduce_rescan`` is the plain
 handle reducer that rescans the word from index 0 after every step, and
 ``floor_at_least_by_probes`` reduces each floor probe from the word
 itself with it.  ``parse_braid_per_token`` matches and converts every
-token of a braid text, repeated or not.
+token of a braid text, repeated or not, ``out_of_range_message`` checks
+letters one by one, and ``format_braid_by_groups`` builds one token text
+per run.  ``permutation_by_following`` follows each strand through the
+word on its own, ``crossing_stats_per_strand`` tracks strands with one
+table per kind of crossing, and ``analyze_payload_by_oracles`` builds
+the ``analyze`` payload from these oracles and the floor probes.
 ``presentation_matrix_by_pairs`` reads the linking number of every pair
 off the two components' kinds, ``parse_framing`` reads back the text of
 ``surgery.framing_str``, and ``end_slope_from_scratch`` multiplies the
@@ -281,6 +286,147 @@ def parse_braid_per_token(text: str) -> BraidWord:
         raise BraidError(f"B{strands} word would have {length} letters, cap {cap}")
     letters = itertools.chain.from_iterable([x] * n for x, n in runs)
     return BraidWord(strands, tuple(letters))
+
+
+def out_of_range_message(strands: int, letters) -> str | None:
+    """The message ``BraidWord`` raises for the first letter out of range,
+    each letter checked on its own; ``None`` when every letter is in range."""
+    for x in letters:
+        if not 1 <= abs(x) <= strands - 1:
+            return f"generator index {abs(x)} out of range for {strands} strands"
+    return None
+
+
+def format_braid_by_groups(word: BraidWord) -> str:
+    """``braid.format_braid`` with one new token text per run, its length
+    read off a list of the run's letters."""
+    parts = [f"B{word.strands}"]
+    for x, run in itertools.groupby(word.letters):
+        exp = len(list(run)) * (1 if x > 0 else -1)
+        parts.append(f"s{abs(x)}" if exp == 1 else f"s{abs(x)}^{exp}")
+    return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Closure components and crossings, strand by strand.
+
+def permutation_by_following(word: BraidWord) -> braid_mod.ComponentPartition:
+    """``braid.permutation`` with each strand followed through every letter
+    on its own, and each cycle walked from its smallest position."""
+    m = word.strands
+    perm = []
+    for pos in range(1, m + 1):
+        for x in word.letters:
+            if pos in (abs(x), abs(x) + 1):
+                pos = 2 * abs(x) + 1 - pos
+        perm.append(pos)
+    component_of = [0] * m
+    cycle_type = []
+    for start in range(1, m + 1):
+        if component_of[start - 1]:
+            continue
+        cycle = [start]
+        while perm[cycle[-1] - 1] != start:
+            cycle.append(perm[cycle[-1] - 1])
+        for pos in cycle:
+            component_of[pos - 1] = len(cycle_type) + 1
+        cycle_type.append(len(cycle))
+    return braid_mod.ComponentPartition(tuple(perm), tuple(component_of), tuple(cycle_type))
+
+
+def crossing_stats_per_strand(word: BraidWord) -> braid_mod.CrossingStats:
+    """``braid.crossing_stats`` tracking which strand sits at each
+    position, with separate tables of self, negative and signed
+    inter-component crossings, and ``c_plus`` and ``c_minus`` counted
+    off the letters."""
+    m = word.strands
+    parts = permutation_by_following(word)
+    ncomp = parts.num_components
+    comp_of = (0,) + parts.component_of  # 1-based strand -> component
+    per_plus = [0] * (ncomp + 1)
+    per_minus = [0] * (ncomp + 1)
+    inter_minus = [[0] * (ncomp + 1) for _ in range(ncomp + 1)]
+    signed_inter = [[0] * (ncomp + 1) for _ in range(ncomp + 1)]
+    pos_to_strand = list(range(m + 1))
+    for x in word.letters:
+        g = abs(x)
+        sign = 1 if x > 0 else -1
+        a = pos_to_strand[g]
+        b = pos_to_strand[g + 1]
+        ca, cb = comp_of[a], comp_of[b]
+        if ca == cb:
+            if sign > 0:
+                per_plus[ca] += 1
+            else:
+                per_minus[ca] += 1
+        else:
+            signed_inter[ca][cb] += sign
+            signed_inter[cb][ca] += sign
+            if sign < 0:
+                inter_minus[ca][cb] += 1
+                inter_minus[cb][ca] += 1
+        pos_to_strand[g], pos_to_strand[g + 1] = b, a
+    linking = [[0] * ncomp for _ in range(ncomp)]
+    for i in range(1, ncomp + 1):
+        for j in range(1, ncomp + 1):
+            if i == j:
+                continue
+            if signed_inter[i][j] % 2:
+                raise BraidError(
+                    f"non-integral linking number between components {i}, {j}"
+                )
+            linking[i - 1][j - 1] = signed_inter[i][j] // 2
+    return braid_mod.CrossingStats(
+        c_plus=sum(1 for x in word.letters if x > 0),
+        c_minus=sum(1 for x in word.letters if x < 0),
+        per_component=tuple(
+            (per_plus[i], per_minus[i]) for i in range(1, ncomp + 1)
+        ),
+        inter_negative=tuple(
+            tuple(inter_minus[i][1:]) for i in range(1, ncomp + 1)
+        ),
+        d_minus=tuple(sum(inter_minus[i][1:]) for i in range(1, ncomp + 1)),
+        linking=tuple(tuple(row) for row in linking),
+        axis_linking=parts.cycle_type,
+    )
+
+
+def analyze_payload_by_oracles(text: str, hyperbolic_asserted: bool = False) -> dict:
+    """The payload of ``cli.cmd_analyze`` from the oracles of this module:
+    the per-token parse, the per-strand closure data, the run-list
+    format and the floor probes reduced by rescanning."""
+    word = parse_braid_per_token(text)
+    parts = permutation_by_following(word)
+    stats = crossing_stats_per_strand(word)
+    report = braid_mod.check_hypothesis(word, hyperbolic_asserted, stats)
+    return {
+        "braid": {
+            "canonical": format_braid_by_groups(word),
+            "strands": word.strands,
+            "length": len(word.letters),
+            "c_plus": stats.c_plus,
+            "c_minus": stats.c_minus,
+            "exponent_sum": sum(1 if x > 0 else -1 for x in word.letters),
+        },
+        "components": {
+            "permutation": parts.permutation,
+            "component_of": parts.component_of,
+            "cycle_type": parts.cycle_type,
+            "count": len(parts.cycle_type),
+            "is_knot": len(parts.cycle_type) == 1,
+        },
+        "crossing_stats": {
+            "per_component": stats.per_component,
+            "inter_negative": stats.inter_negative,
+            "d_minus": stats.d_minus,
+            "linking": stats.linking,
+            "axis_linking": stats.axis_linking,
+        },
+        "hypothesis": vars(report),
+        "dehornoy_floor_at_least": {
+            str(d): floor_at_least_by_probes(word, d) for d in (1, 2, 3)
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

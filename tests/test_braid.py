@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsurgery import braid as B
+from braidsurgery import cli
 from braidsurgery import families as F
 from oracles import (
+    analyze_payload_by_oracles,
     burau3,
     burau3_is_identity,
+    crossing_stats_per_strand,
     floor_at_least_by_probes,
+    format_braid_by_groups,
     handle_reduce_rescan,
+    out_of_range_message,
     parse_braid_per_token,
+    permutation_by_following,
 )
 
 
@@ -114,6 +120,60 @@ def test_parse_reads_each_distinct_token_once(monkeypatch):
     w = B.parse_braid("B3 s1 s2^-1 s1 s1 s2^-1 s01 s1^2")
     assert w.letters == (1, -2, 1, 1, -2, 1, 1, 1)
     assert read == ["s1", "s2^-1", "s01", "s1^2"]
+
+
+@st.composite
+def analyze_texts(draw):
+    """Braid texts on 2..10 strands over a drawn subset of the generators,
+    so that closures with many components come up: tokens of both signs,
+    bare or with exponents, repeated into runs, sometimes followed by
+    their inverse (a trivial word whose reductions are all adjacent)."""
+    m = draw(st.integers(2, 10))
+    gens = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=4, unique=True))
+    exps = st.sampled_from([None, 1, -1, 2, -2, 3, -4])
+    tokens = []
+    for g, e, n in draw(
+        st.lists(st.tuples(st.sampled_from(gens), exps, st.integers(1, 3)), max_size=10)
+    ):
+        tokens += [(g, e)] * n
+    if draw(st.booleans()):
+        tokens += [(g, -(e or 1)) for g, e in reversed(tokens)]
+    texts = [f"s{g}" if e is None else f"s{g}^{e}" for g, e in tokens]
+    return " ".join([f"B{m}"] + texts)
+
+
+@given(analyze_texts())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_analyze_matches_the_oracles(text):
+    w = B.parse_braid(text)
+    assert w == parse_braid_per_token(text)
+    parts = B.permutation(w)
+    assert parts == permutation_by_following(w)
+    stats = crossing_stats_per_strand(w)
+    assert B.crossing_stats(w) == stats == B.crossing_stats(w, parts)
+    assert B.format_braid(w) == format_braid_by_groups(w)
+    for max_steps in (0, 3, 20_000):
+        assert _reduce_or_overrun(B.handle_reduce, w, max_steps) == (
+            _reduce_or_overrun(handle_reduce_rescan, w, max_steps)
+        )
+    payload = cli.cmd_analyze(cli.parse_argv(["analyze", text]))
+    assert payload == analyze_payload_by_oracles(text)
+
+
+@given(
+    st.integers(2, 10).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(-m - 1, m + 1), max_size=12))
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_out_of_range_letters_report_the_first(case):
+    m, letters = case
+    try:
+        B.BraidWord(m, tuple(letters))
+        message = None
+    except B.BraidError as error:
+        message = str(error)
+    assert message == out_of_range_message(m, letters)
 
 
 def test_format_merges_runs():
@@ -225,6 +285,11 @@ def test_word_length_cap(monkeypatch):
     assert len(B.garside(4)) == 6
     with pytest.raises(B.BraidError, match="B3 word would have 7 letters, cap 6"):
         B.parse_braid("B3 s1^4 s2^-3")
+    # Every exponent +-1: the token count is the length, checked before
+    # the tokens are mapped to letters.
+    assert len(B.parse_braid("B3 s1 s2^-1 s1 s1^1 s2^-1 s1")) == 6
+    with pytest.raises(B.BraidError, match="B3 word would have 7 letters, cap 6"):
+        B.parse_braid("B3 s1 s2^-1 s1 s1^1 s2^-1 s1 s2")
     with pytest.raises(B.BraidError, match="power -4 of a 2-letter word would have 8"):
         B.power(B.parse_braid("B2 s1^2"), -4)
     with pytest.raises(B.BraidError, match="half twist on 5 strands would have 10"):
@@ -337,6 +402,21 @@ def test_budget_cap_raises():
     assert str(info.value) == (
         "no reduced form within 2 handle reductions"
         " (4 strands, input 36 letters, word now 36 letters)"
+    )
+
+
+def test_budget_counts_adjacent_cancellations():
+    # u u^-1 with u positive: every reduction cancels two adjacent letters
+    # at the centre, and each counts against max_steps.
+    u = B.parse_braid("B4 s1 s2^2 s3 s1 s3")
+    w = B.compose(u, B.inverse(u))
+    assert B.handle_reduce(w, max_steps=6).letters == ()
+    with pytest.raises(B.ReductionBudgetExceeded) as info:
+        B.handle_reduce(w, max_steps=5)
+    assert (info.value.budget, info.value.cap, info.value.needed) == ("max_steps", 5, 6)
+    assert str(info.value) == (
+        "no reduced form within 5 handle reductions"
+        " (4 strands, input 12 letters, word now 2 letters)"
     )
 
 

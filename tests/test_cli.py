@@ -293,19 +293,37 @@ def test_braid_numbers_too_long_to_convert_are_parse_errors(template):
     assert json.loads(out)["error"]["type"] == "BraidError"
 
 
+def _count_calls(monkeypatch, module, names):
+    """Spy on ``module``'s functions ``names``; returns the call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_analyze_computes_crossing_stats_once(monkeypatch):
-    calls = []
-    crossing_stats = braid.crossing_stats
-
-    def counted(word):
-        calls.append(word)
-        return crossing_stats(word)
-
-    monkeypatch.setattr(braid, "crossing_stats", counted)
+    calls = _count_calls(monkeypatch, braid, ["crossing_stats", "permutation"])
     code, out = run_cli(CASES["analyze_seven"])
     assert code == cli.EXIT_OK
     assert out == (GOLDEN_DIR / "analyze_seven.txt").read_text()
-    assert len(calls) == 1
+    assert calls == {"crossing_stats": 1, "permutation": 1}
+
+
+def test_surgery_computes_the_permutation_once(monkeypatch):
+    calls = _count_calls(monkeypatch, braid, ["crossing_stats", "permutation"])
+    # A fresh cache of the spy, so no earlier test has the word's stats.
+    fresh = lru_cache(maxsize=None)(braid.crossing_stats)
+    monkeypatch.setattr(surgery, "closure_stats", fresh)
+    code, out = run_cli(CASES["surgery_two_sevenths"])
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN_DIR / "surgery_two_sevenths.txt").read_text()
+    assert calls == {"crossing_stats": 1, "permutation": 1}
 
 
 def test_theta_table_renders_the_json_output():
