@@ -378,9 +378,11 @@ def garside(m: int) -> BraidWord:
     if m < 2:
         raise BraidError(f"half twist needs at least 2 strands, got {m}")
     _check_length(m * (m - 1) // 2, f"half twist on {m} strands")
+    # Slices of one list of the generators: each letter s_i is one int object.
+    generators = list(range(1, m))
     letters: list[int] = []
     for k in range(m - 1, 0, -1):
-        letters.extend(range(1, k + 1))
+        letters += generators[:k]
     return BraidWord(m, tuple(letters))
 
 

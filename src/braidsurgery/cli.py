@@ -2,8 +2,9 @@
 
 Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
-diagram lines, and ``theta`` over all tuples gives its ``entries`` and
-``theta_groups`` as generators of text made from per-tuple templates).
+blocks of diagram lines, and ``theta`` over all tuples gives its
+``entries`` and ``theta_groups`` as generators of text made from
+per-tuple templates).
 ``_run`` is the one writer: it parses the argv (``argv.parse_argv``
 walks it through the grammar's table, which is built at import), runs
 the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
@@ -315,7 +316,8 @@ def cmd_enumerate(args):
         )
     if args.count_only:
         return payload
-    return payload, enum.json_lines()
+    # Each block reaches the write size, so emit writes it as it is.
+    return payload, enum.json_blocks(_WRITE_SIZE)
 
 
 def cmd_theta(args) -> dict:

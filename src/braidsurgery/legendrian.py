@@ -12,8 +12,8 @@ quadratic form over one memoised adjugate, on the support S of the
 rotation vector ``r`` (see :func:`theta`), with no linear solve per
 tuple.  The walks over all tuples build no diagram: ``c1_forms`` gives
 the integer forms of at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep``
-the text of each distinct theta value, and ``json_lines`` the JSON line
-of each diagram.
+the text of each distinct theta value, and ``json_blocks`` the JSON lines
+of every diagram, a block of whole lines at a time.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -22,6 +22,7 @@ rot by 1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -315,48 +316,83 @@ class WeinsteinEnumeration:
         """The rotation tuple of every diagram, in the order of :meth:`tuples`."""
         return itertools.product(*([l.rot for l in menu] for menu in self.menus))
 
-    def json_lines(self):
-        """The compact sorted-key JSON line of :func:`weinstein_to_dict` for
+    def json_blocks(self, size: int):
+        """The compact sorted-key JSON lines of :func:`weinstein_to_dict` for
         every diagram, in the order of :meth:`tuples`, without building a
-        diagram.
+        diagram, as blocks: each the fewest whole lines that reach ``size``
+        characters, but the last.
 
         The text every line shares (the base diagram, ``tb``, the closure
-        components' arrays) is made once.  The rot, stab_neg and stab_pos
-        texts of the picks grow one menu at a time, as the forms of
-        :meth:`c1_forms` do.  Every pick of a menu has one tb, as
-        ``__init__`` checked ``tb - 1 == framing``.
+        components' arrays) is made once.  So are the rot, stab_neg and
+        stab_pos texts of the picks of the trailing menus whose product fits
+        ``size`` characters of that text.  The four texts of each pick of the
+        product of the other menus go before each of them in one list of
+        pieces, and a block is one ``str.join`` of the pieces of its lines.
+        If the menu before the trailing ones has more picks than fit, its
+        texts are made one slice of picks at a time.  Every pick of a menu has
+        one tb, as ``__init__`` checked ``tb - 1 == framing``.
         """
         base = surgery.diagram_to_dict(self.base)
         head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
-        closure = self.braid_legendrian
+        closure, menus = self.braid_legendrian, self.menus
         braid_rot, braid_neg, braid_pos = (
             ",".join(str(getattr(l, field)) for l in closure)
             for field in ("rot", "stab_neg", "stab_pos")
         )
-        tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in self.menus))
-        # A menu of one pick joins the text of the level before it, so each
-        # level at least doubles the lines; ``fixed`` ends as the text before all.
-        fixed, levels = ("", "", ""), []
-        for menu in reversed(self.menus):
-            texts = [(f",{l.rot}", f",{l.stab_neg}", f",{l.stab_pos}") for l in menu]
-            texts = [tuple(map(str.__add__, t, fixed)) for t in texts]
-            if len(texts) == 1:
-                fixed = texts[0]
-            else:
-                fixed, levels = ("", "", ""), [texts, *levels]
-        # One generator frame per level: the picks of all but the last _NESTED
-        # levels (each at least 2^_NESTED lines apart) come from a product,
-        # joined once per prefix.
-        for prefix in itertools.product(*levels[:-_NESTED]):
-            states = iter([tuple(map("".join, zip(fixed, *prefix)))])
-            for texts in levels[-_NESTED:]:
-                states = _extend(states, texts)
-            for rot, neg, pos in states:
-                yield (
-                    f'{head},"rot":[{braid_rot}{rot}],"rotation_tuple":[{rot[1:]}],'
-                    f'"stab_neg":[{braid_neg}{neg}],"stab_pos":[{braid_pos}{pos}],'
-                    f'"tb":[{tb}]}}\n'
-                )
+        tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in menus))
+        end = f'],"tb":[{tb}]}}\n'
+
+        # ``tail``: the texts of the product of menus[cut:], at most ``lines``.
+        lines = size // len(head) or 1
+        cut, tail = len(menus), [("", "", "")]
+        while cut and len(tail) * len(menus[cut - 1]) <= lines:
+            cut -= 1
+            tail = _texts(menus[cut], tail)
+        # A menu of more than ``lines`` picks before them: ``step`` at a time.
+        step, sliced, last = lines // len(tail), [], None
+        if cut and len(menus[cut - 1]) > lines:
+            cut -= 1
+            sliced = menus[cut]
+
+        def ends(k):  # the characters of the first k lines of ``pieces``
+            return k * width + sums[k]
+
+        # ``carry``: the pieces of the lines not yet in a block.  ``start``:
+        # where that block began, in characters into ``pieces`` (below 0
+        # while ``carry`` holds lines of earlier pieces).
+        carry, start = [], 0
+        for picks in itertools.product(*map(_texts, menus[:cut])):
+            rot, neg, pos = map("".join, zip(("", "", ""), *picks))
+            prefix = (
+                f'{head},"rot":[{braid_rot}{rot}',
+                f'],"rotation_tuple":[{rot[1:]}',
+                f'],"stab_neg":[{braid_neg}{neg}',
+                f'],"stab_pos":[{braid_pos}{pos}',
+            )
+            width = sum(map(len, prefix), len(end))
+            for i in range(0, len(sliced) or 1, step):
+                texts = _texts(sliced[i : i + step], tail) if sliced else tail
+                if texts is not last:
+                    last, n, pieces = texts, len(texts), [end] * (9 * len(texts))
+                    rots, negs, poss = zip(*texts)
+                    # With no menu before them the texts start the rotation tuple.
+                    columns = (rots, rots if cut else [r[1:] for r in rots], negs, poss)
+                    for j, column in enumerate(columns):
+                        pieces[2 * j + 1 :: 9] = column
+                    lengths = map(len, map("".join, zip(*columns)))
+                    sums = [*itertools.accumulate(lengths, initial=0)]
+                for j, text in enumerate(prefix):
+                    pieces[2 * j :: 9] = [text] * n
+                j = 0
+                while (
+                    k := bisect.bisect_left(range(n + 1), start + size, j + 1, key=ends)
+                ) <= n:
+                    yield "".join(carry + pieces[9 * j : 9 * k])
+                    carry, start, j = [], ends(k), k
+                carry += pieces[9 * j :]
+                start -= ends(n)
+        if carry:
+            yield "".join(carry)
 
     def theta_sweep(self, text):
         """``(rows, values)``: theta over every tuple, with a ``Fraction``
@@ -375,10 +411,10 @@ class WeinsteinEnumeration:
         groups: dict[int, list] = {}
         for ks, form in zip(picks, forms):
             groups.setdefault(form, []).append(ks)
-        c1sq = {form: Fraction(form, det) for form in groups}
+        # c1^2 = form / det: increasing in form exactly when det > 0.
         return zip(picks, self._rotation_tuples(), forms), {
-            form: (text(c1sq[form]), text(c1sq[form] - shift), groups[form])
-            for form in sorted(groups, key=c1sq.get)
+            form: (text(c1sq := Fraction(form, det)), text(c1sq - shift), groups[form])
+            for form in sorted(groups, reverse=det < 0)
         }
 
 
@@ -393,14 +429,14 @@ def _pick_level(states, rots, diag: int, col: list[int]):
             )
 
 
-_NESTED = 64  # well inside the recursion limit
-
-
-def _extend(states, texts):
-    """Extend every ``(rot, stab_neg, stab_pos)`` text by each menu pick."""
-    for rot, neg, pos in states:
-        for r, n, p in texts:
-            yield rot + r, neg + n, pos + p
+def _texts(picks, tail=(("", "", ""),)):
+    """The ``(rot, stab_neg, stab_pos)`` texts of each pick, each followed
+    by each of ``tail``."""
+    return [
+        (f",{l.rot}{r}", f",{l.stab_neg}{n}", f",{l.stab_pos}{p}")
+        for l in picks
+        for r, n, p in tail
+    ]
 
 
 def enumerate_weinstein(word: BraidWord, v: SlopeVector) -> WeinsteinEnumeration:

@@ -273,6 +273,12 @@ def test_garside_three_strands():
     assert B.garside(3).letters == (1, 2, 1)
 
 
+def test_garside_shares_one_int_per_generator():
+    letters = B.garside(600).letters
+    assert len(letters) == 600 * 599 // 2
+    assert len({id(x) for x in letters}) == 599
+
+
 def test_garside_rejects_small():
     with pytest.raises(B.BraidError):
         B.garside(1)

@@ -674,12 +674,9 @@ def test_streamed_lines_match_weinstein_to_dict(case):
         assert line == expected
 
 
-def oracle_lines(braid_text, slopes, limit=None):
+def dict_lines(enum, limit=None):
     """The first ``limit`` lines of ``enumerate``, diagram by diagram."""
-    enum = legendrian.enumerate_weinstein(
-        braid.parse_braid(braid_text), cli.parse_slopes(slopes)
-    )
-    return enum, [
+    return [
         json.dumps(
             legendrian.weinstein_to_dict(diagram),
             sort_keys=True,
@@ -691,12 +688,19 @@ def oracle_lines(braid_text, slopes, limit=None):
     ]
 
 
+def oracle_lines(braid_text, slopes, limit=None):
+    enum = legendrian.enumerate_weinstein(
+        braid.parse_braid(braid_text), cli.parse_slopes(slopes)
+    )
+    return enum, dict_lines(enum, limit)
+
+
 @pytest.mark.parametrize(
     "slopes,count",
     [
         # A chain of twenty -5s: 4^20 tuples, of which three are read.
         ("8870244889325/42499896542376", 4**20),
-        # A chain of 995 -3s: more levels than the walk nests generators.
+        # A chain of 995 -3s: each line is longer than a block.
         (WORKLOADS.slope_text(0, [-3] * 995), 2**995),
     ],
     ids=["twenty-levels", "995-levels"],
@@ -704,7 +708,9 @@ def oracle_lines(braid_text, slopes, limit=None):
 def test_first_lines_come_without_walking_the_product(slopes, count):
     enum, expected = oracle_lines("B2 s1^5", slopes, 3)
     assert enum.count == count
-    assert list(itertools.islice(enum.json_lines(), 3)) == expected
+    blocks = enum.json_blocks(cli._WRITE_SIZE)
+    lines = (line for block in blocks for line in block.splitlines(True))
+    assert list(itertools.islice(lines, 3)) == expected
 
 
 @pytest.mark.parametrize(
@@ -719,15 +725,91 @@ def test_first_lines_come_without_walking_the_product(slopes, count):
 )
 def test_menus_of_one_pick_fold_into_the_text(braid_text, slopes):
     enum, expected = oracle_lines(braid_text, slopes)
-    assert list(enum.json_lines()) == expected
+    assert "".join(enum.json_blocks(cli._WRITE_SIZE)) == "".join(expected)
 
 
-def test_levels_past_the_nesting_depth_come_from_a_product(monkeypatch):
+def assert_blocks_match(enum, expected):
+    """``json_blocks`` joins to ``expected`` at sizes of 1, 2, 3 and 7
+    times the text every line shares and at the CLI's write size: each
+    block is the fewest whole lines that reach the size, but the last."""
+    width = expected[0].index(',"rot":[')
+    for size in (width, 2 * width, 3 * width, 7 * width, cli._WRITE_SIZE):
+        blocks = list(enum.json_blocks(size))
+        assert "".join(blocks) == "".join(expected)
+        for block in blocks:
+            *lines, last = block.splitlines(keepends=True)
+            assert last.endswith("\n") and sum(map(len, lines)) < size
+        assert all(len(block) >= size for block in blocks[:-1])
+
+
+def test_blocks_of_every_size_join_to_the_lines():
+    # Menus of 1, 1, 2, 3, 1, 2 and 4 picks: at 1, 2 and 3 lines a block
+    # is smaller than some menus, whose texts then come a slice at a time.
     slopes = WORKLOADS.slope_text(1, [-3, -4, -2, -3, -5])
     enum, expected = oracle_lines("B3 s1^3 s2^5", slopes)
-    for nested in (1, 2, 4):
-        monkeypatch.setattr(legendrian, "_NESTED", nested)
-        assert list(enum.json_lines()) == expected
+    assert len(expected) == enum.count == 48
+    assert_blocks_match(enum, expected)
+
+
+def test_a_menu_larger_than_a_block_is_cut_into_slices(monkeypatch):
+    # One menu of 999 picks, more than a block at the write size holds.
+    enum, expected = oracle_lines("B2 s1^5", "1/1000")
+    assert [len(menu) for menu in enum.menus] == [999]
+    assert cli._WRITE_SIZE // expected[0].index(',"rot":[') < 999
+    assert_blocks_match(enum, expected)
+    # Its pick texts are made a slice at a time, never for the whole menu.
+    texts, sliced = legendrian._texts, []
+
+    def counted(picks, *tail):
+        sliced.append(len(picks))
+        return texts(picks, *tail)
+
+    monkeypatch.setattr(legendrian, "_texts", counted)
+    assert "".join(enum.json_blocks(cli._WRITE_SIZE)) == "".join(expected)
+    assert sum(sliced) == 999 and max(sliced) < 999
+
+
+def without_unknots(enum):
+    """``enum`` with its unknots dropped: one diagram, no rotation tuple."""
+    comps = tuple(c for c in enum.base.components if c.kind == surgery.BRAID)
+    enum.base = surgery.SurgeryDiagram(enum.base.braid, comps)
+    enum.menus = []
+    return enum
+
+
+@st.composite
+def menu_shapes(draw):
+    """A closure and no unknot at all, or up to eight chain levels with
+    menus of one pick anywhere and maybe one menu of 12 or 600 picks (more
+    than a default block holds): at most 256 diagrams, or two per pick of
+    the big menu."""
+    braid_text = draw(st.sampled_from(WORKLOADS.KNOTS + (UNBALANCED_LINK,)))
+    link = ",1" if braid_text == UNBALANCED_LINK else ""
+    big = draw(st.sampled_from(["bare", None, None, 12, 600]))
+    if big == "bare":
+        return braid_text, "1" + link, True
+    coeffs, count, budget = [], big or 1, max(256, 2 * (big or 0))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        fits = [a for a in (-2, -2, -3, -4, -5) if count * (-a - 1) <= budget]
+        coeffs.append(draw(st.sampled_from(fits)))
+        count *= -coeffs[-1] - 1
+    if big:
+        coeffs.insert(draw(st.integers(0, len(coeffs))), -big - 1)
+    whole = draw(st.integers(0, 1))
+    slope = WORKLOADS.slope_text(whole, coeffs) if coeffs else str(whole + 1)
+    return braid_text, slope + link, False
+
+
+@given(menu_shapes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_blocks_join_to_the_lines_of_weinstein_to_dict(case):
+    braid_text, slopes, bare = case
+    enum = legendrian.enumerate_weinstein(
+        braid.parse_braid(braid_text), cli.parse_slopes(slopes)
+    )
+    if bare:
+        enum = without_unknots(enum)
+    assert_blocks_match(enum, dict_lines(enum))
 
 
 json_texts = st.text(max_size=8) | st.text(
@@ -948,11 +1030,14 @@ def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
     if argv[0] == "enumerate":
         lines = text.splitlines(keepends=True)
         assert writes[0] == len(lines[0])
-        # At most one line past the size.
+        _, streamed = cli.cmd_enumerate(cli.parse_argv(argv))
+        blocks = list(streamed)
+        assert "".join(lines[1:]) == "".join(blocks)
+        # Each block of lines goes out as one write, at most one line past
+        # the size.
+        assert writes[1:] == [len(block) for block in blocks]
         longest = max(map(len, lines))
         assert all(size < 65_536 + longest for size in writes)
-        _, streamed = cli.cmd_enumerate(cli.parse_argv(argv))
-        assert "".join(lines[1:]) == "".join(streamed)
 
 
 def test_theta_over_65536_tuples_into_a_reader_that_closes_is_a_clean_exit():

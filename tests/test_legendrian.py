@@ -286,6 +286,19 @@ def test_theta_invariant_under_tuple_negation():
         assert by_tuple[mirrored] == value
 
 
+@pytest.mark.parametrize(
+    "braid_text,slope,det",
+    [("B2 s1^9", Fraction(62, 489), -62), ("B3 s1^3 s2^5", Fraction(519, 1445), 519)],
+)
+def test_theta_sweep_lists_the_forms_by_increasing_theta(braid_text, slope, det):
+    # The bench's two sweeps: 24 and 65 distinct forms, c1^2 = form / det.
+    enum = L.enumerate_weinstein(B.parse_braid(braid_text), SlopeVector((slope,)))
+    _, values = enum.theta_sweep(str)
+    assert enum.c1_forms()[0] == det
+    assert list(values) == sorted(values, key=lambda form: Fraction(form, det))
+    assert len(values) == {-62: 24, 519: 65}[det]
+
+
 @st.composite
 def sweep_cases(draw):
     """A bench knot or link, each slope a whole part 0-6 plus a chain or
@@ -311,9 +324,17 @@ def sweep_cases(draw):
 @given(sweep_cases())
 # A -2 between two unknots framed -3: eliminating it links them.
 @example((KNOT, SlopeVector((WORKLOADS.chain_slope((-3, -2, -3)),))))
+# det(Q) = 0: there is no c1^2 to match.
+@example(
+    (B.parse_braid("B4 s1^5 s3^5 s2^-2"), SlopeVector((Fraction(2, 3), Fraction(3, 2))))
+)
 @settings(max_examples=40, deadline=None)
 def test_c1_squares_match_rational_solve(case):
     enum = L.enumerate_weinstein(*case)
+    if S.homology(enum.base).det == 0:
+        with pytest.raises(L.SingularityError):
+            enum.c1_squares()
+        return
     q = S.linking_matrix(enum.base)
     # Q^-1 r is the sum of r_i Q^-1 e_i: one dense rational solve per
     # component that ever has a nonzero rot.
