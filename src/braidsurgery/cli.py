@@ -2,9 +2,13 @@
 
 Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
-blocks of diagram lines, and ``theta`` over all tuples gives its
-``entries`` and ``theta_groups`` as generators of text made from
-per-tuple templates).
+blocks of diagram lines, ``theta`` over all tuples gives its ``entries``
+and ``theta_groups`` as generators of text made from per-tuple templates,
+and ``surgery`` gives its ``linking_matrix`` as a generator of blocks of
+rows made from the diagram's sparse rows).  A builder runs every check
+that can raise before it returns, so a generator only formats, and its
+integers, whose digits the parser caps at ``MAX_DIGITS``, never meet the
+interpreter's limit on printing one.
 ``_run`` is the one writer: it parses the argv (``argv.parse_argv``
 walks it through the grammar's table, which is built at import), runs
 the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
@@ -153,9 +157,14 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
     default=jsonify)`` would (see :func:`_indented`), as ``key = value``
     lines with ``table``, or as a compact line before the streamed
     ``lines``.  A generator value of ``data`` is the indent-2 text of its
-    top-level key's value, written block by block in its place.  Nothing
-    is written if an integer of ``data`` is too long to print: that raises
-    :class:`DigitLimitExceeded`.
+    top-level key's value, written block by block in its place: the
+    ``entries`` and ``theta_groups`` of ``theta`` over all tuples and the
+    ``linking_matrix`` of ``surgery``.  Nothing is written if an integer of
+    ``data`` is too long to print: that raises :class:`DigitLimitExceeded`.
+    A stream cannot meet that limit once the head is out: theta's values
+    are texts before ``emit`` runs, and every entry of a linking matrix has
+    at most ``MAX_DIGITS`` digits (framings come from parsed slopes, and
+    every other entry is a linking number of the braid).
 
     The text before the first generator or line goes out in one ``write``
     of its own; what follows it is joined into writes of at least
@@ -300,7 +309,8 @@ def cmd_surgery(args) -> dict:
     return {
         "rational_diagram": surgery.diagram_to_dict(rational),
         "expanded_diagram": surgery.diagram_to_dict(expanded),
-        "linking_matrix": surgery.linking_matrix(expanded),
+        # Checked integral here, before anything is written.
+        "linking_matrix": _matrix_blocks(surgery.linking_rows(expanded), _WRITE_SIZE),
         "homology": vars(surgery.homology(expanded)),
     }
 
@@ -361,6 +371,29 @@ def _blocks(items):
 
 
 _BLOCK = 1024
+
+
+def _matrix_blocks(rows, size: int):
+    """The indent-2 text of a top-level square matrix from its sparse rows
+    (at least one, as :func:`surgery.linking_rows` gives them), in blocks:
+    each the fewest whole rows that reach ``size`` characters, but the
+    last.  A row's cells start as ``"0"``, its nonzero entries are set by
+    ``repr``, and the row is one ``str.join``."""
+    zeros, sep = ["0"] * len(rows), "[\n    [\n      "
+    block, length = [], 0
+    for row in rows:
+        cells = zeros.copy()
+        for j, x in row.items():
+            cells[j] = repr(x)
+        text = sep + ",\n      ".join(cells) + "\n    ]"
+        block.append(text)
+        length += len(text)
+        if length >= size:
+            yield "".join(block)
+            block, length = [], 0
+        sep = ",\n    [\n      "
+    block.append("\n  ]")
+    yield "".join(block)
 
 
 def cmd_limits(args) -> dict:

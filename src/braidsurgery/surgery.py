@@ -40,9 +40,15 @@ from .cfrac import SlopeVector, neg_cfrac, neg_cfrac_length
 from .errors import ComponentBudgetExceeded, SingularityError, SurgeryError
 from .record import Record, replace
 
-# Words are immutable: diagrams query pairwise linking repeatedly, and an
-# enumeration's hypothesis check and fronts read the same stats.
-closure_stats = lru_cache(maxsize=512)(braid_mod.crossing_stats)
+
+@lru_cache(maxsize=512)
+def closure_stats(word: BraidWord) -> braid_mod.CrossingStats:
+    """:func:`braid.crossing_stats` of ``word``, looked up when called (so a
+    rebound ``braid.crossing_stats`` is the one that runs) and cached: words
+    are immutable, diagrams query pairwise linking repeatedly, and an
+    enumeration's hypothesis check and fronts read the same stats."""
+    return braid_mod.crossing_stats(word)
+
 
 # Most components an expansion may build.  ``surgery`` prints the dense
 # n x n linking matrix, so the output size, not the invariants, sets it.
@@ -168,15 +174,6 @@ class SurgeryDiagram(Record):
             if i in rows[-1]:
                 rows[-1][i] = c.framing.numerator
         return rows
-
-    @cached_property
-    def _matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Presentation matrix of H1, built once; see :func:`h1_presentation_matrix`."""
-        m = [[0] * len(self.components) for _ in self.components]
-        for row, relation in zip(m, self._relations):
-            for j, x in relation.items():
-                row[j] = x
-        return tuple(map(tuple, m))
 
     @cached_property
     def _unknots(self) -> list[int]:
@@ -442,11 +439,20 @@ def expand_general(diagram: SurgeryDiagram) -> SurgeryDiagram:
     return _expand(diagram, single_meridian_form=False)
 
 
+def linking_rows(diagram: SurgeryDiagram) -> list[dict[int, int]]:
+    """The sparse rows of :func:`linking_matrix`, the rows that
+    :func:`homology` folds: row ``i`` maps ``j`` to entry ``(i, j)``, and
+    leaves out the zeros.  Requires an integral diagram.  Shared, so never
+    changed in place."""
+    if not diagram.is_integral:
+        raise SurgeryError("linking matrix needs an integral diagram")
+    return diagram._relations
+
+
 def linking_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     """Symmetric integer matrix: framings on the diagonal, linking
     numbers off it.  Requires an integral diagram."""
-    if not diagram.is_integral:
-        raise SurgeryError("linking matrix needs an integral diagram")
+    linking_rows(diagram)  # raises unless the diagram is integral
     return h1_presentation_matrix(diagram)
 
 
@@ -480,9 +486,17 @@ def h1_presentation_matrix(diagram: SurgeryDiagram) -> list[list[int]]:
     """Integer presentation matrix of H1 for a rational-framed diagram.
 
     Row ``i`` encodes the filling relation ``p_i mu_i + q_i lambda_i``;
-    for an integral diagram this is the linking matrix.
+    for an integral diagram this is the linking matrix.  Its rows are
+    made from the sparse rows that :func:`linking_rows` gives.
     """
-    return [list(row) for row in diagram._matrix]
+    n = len(diagram.components)
+    matrix = []
+    for relation in diagram._relations:
+        row = [0] * n
+        for j, x in relation.items():
+            row[j] = x
+        matrix.append(row)
+    return matrix
 
 
 def h1_invariants(diagram: SurgeryDiagram) -> tuple[int, tuple[int, ...], int]:

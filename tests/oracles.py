@@ -19,6 +19,9 @@ the ``analyze`` payload from these oracles and the floor probes.
 off the two components' kinds, ``parse_framing`` reads back the text of
 ``surgery.framing_str``, and ``end_slope_from_scratch`` multiplies the
 gluing matrices of one level from the first.
+``surgery_payload_by_dense`` builds the ``surgery`` payload with the dense
+linking matrix, and ``linking_matrix_text`` encodes that matrix entry by
+entry with the CLI's recursive encoder.
 ``neg_cfrac_by_fractions`` runs the ceiling algorithm on ``Fraction``
 values, and ``end_slopes_by_gluing`` keeps one running product of
 inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
@@ -57,6 +60,7 @@ from braidsurgery.braid import (
     power,
 )
 from braidsurgery.cfrac import CFracError
+from braidsurgery.cli import _indented, parse_slopes
 from braidsurgery.legendrian import LegendrianError
 from braidsurgery.limits import LimitsError, gluing_matrix
 from braidsurgery.surgery import SurgeryError
@@ -526,6 +530,28 @@ def presentation_matrix_by_pairs(diagram) -> list[list[int]]:
             m[i][j] = c.framing.denominator * lk
             m[j][i] = comps[j].framing.denominator * lk
     return m
+
+
+def linking_matrix_text(diagram) -> str:
+    """The indent-2 text of the ``linking_matrix`` value of ``surgery``,
+    from the dense matrix, one encoder call per entry."""
+    return _indented(surgery_mod.linking_matrix(diagram), "\n  ")
+
+
+def surgery_payload_by_dense(braid_text: str, slopes: str, general: bool) -> dict:
+    """The ``surgery`` payload, without its envelope, with the dense
+    :func:`surgery.linking_matrix`."""
+    rational = surgery_mod.rational_surgery(
+        braid_mod.parse_braid(braid_text), parse_slopes(slopes)
+    )
+    expand = surgery_mod.expand_general if general else surgery_mod.slam_dunk_expand
+    expanded = expand(rational)
+    return {
+        "rational_diagram": surgery_mod.diagram_to_dict(rational),
+        "expanded_diagram": surgery_mod.diagram_to_dict(expanded),
+        "linking_matrix": surgery_mod.linking_matrix(expanded),
+        "homology": vars(surgery_mod.homology(expanded)),
+    }
 
 
 def parse_framing(text: str):

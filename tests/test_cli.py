@@ -18,7 +18,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import build_parser, theta_payload_by_dicts
+from oracles import (
+    build_parser,
+    linking_matrix_text,
+    surgery_payload_by_dense,
+    theta_payload_by_dicts,
+)
 
 from braidsurgery import argv as argv_mod
 from braidsurgery import braid, cfrac, cli, errors, legendrian, limits, surgery
@@ -1015,8 +1020,10 @@ class CountingStdout(io.StringIO):
         (["enumerate", "B3 s1^3 s2^5", "--slopes", "9713/35369"], "}\n"),
         # 288 entries and 65 groups, in blocks of 1,024 items at most.
         (["theta", "B2 s1^7", "--slope", "505/1406"], '"entries": '),
+        # 201 rows of about 1,600 characters.
+        (["surgery", "B2 s1^5", "--slopes", "100"], '"linking_matrix": '),
     ],
-    ids=["enumerate", "theta"],
+    ids=["enumerate", "theta", "surgery"],
 )
 def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
     out = CountingStdout()
@@ -1038,6 +1045,15 @@ def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
         assert writes[1:] == [len(block) for block in blocks]
         longest = max(map(len, lines))
         assert all(size < 65_536 + longest for size in writes)
+    if argv[0] == "surgery":
+        ends = list(itertools.accumulate(writes))
+        chunks = [text[a:b] for a, b in zip([0] + ends, ends)]
+        blocks = list(cli.cmd_surgery(cli.parse_argv(argv))["linking_matrix"])
+        # Each block of rows but the last goes out as one write, and its
+        # rows but the last stay under the size.
+        assert len(blocks) == 6
+        assert chunks[1:-1] == blocks[:-1]
+        assert all(block.rfind("\n    [\n") - 1 < 65_536 for block in blocks)
 
 
 def test_theta_over_65536_tuples_into_a_reader_that_closes_is_a_clean_exit():
@@ -1821,4 +1837,94 @@ def test_theta_reports_an_unreadable_tuple_as_a_legendrian_error(picks):
         "type": "LegendrianError",
         "message": f"cannot parse integer list {picks!r}:"
         f" invalid literal for int() with base 10: {picks.split(',')[-1]!r}",
+    }
+
+
+# Knots, and links whose components link -1 (``B3 s1^-2 s2^3``, the first
+# two of THETA_LINKS) or -2 (``B3 s1^-4 s2^3``).
+SURGERY_BRAIDS = THETA_KNOTS[:3] + THETA_LINKS[:2] + ("B3 s1^-2 s2^3", "B3 s1^-4 s2^3")
+
+
+@st.composite
+def expanded_diagrams(draw):
+    """A closure from SURGERY_BRAIDS with a slope per component (``n+p/q``
+    from a chain, or ``n+1/N`` with N of up to ``MAX_DIGITS`` digits, which
+    frames an unknot -N), expanded by either rule."""
+    word = braid.parse_braid(draw(st.sampled_from(SURGERY_BRAIDS)))
+    slopes = []
+    for _ in surgery.closure_stats(word).axis_linking:
+        if draw(st.booleans()):
+            slopes.append(cli.parse_slope(draw(theta_slope_texts(6))))
+        else:
+            digits = draw(st.integers(1, cli.MAX_DIGITS))
+            big = draw(st.integers(2, 10**digits - 1))
+            slopes.append(draw(st.integers(0, 6)) + Fraction(1, big))
+    rational = surgery.rational_surgery(word, cfrac.SlopeVector(tuple(slopes)))
+    expand = draw(st.sampled_from([surgery.slam_dunk_expand, surgery.expand_general]))
+    return expand(rational)
+
+
+MATRIX_BLOCK_SIZES = st.sampled_from([1, 2, 3, 40, 1000, cli._WRITE_SIZE])
+
+
+@given(expanded_diagrams(), MATRIX_BLOCK_SIZES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_matrix_blocks_join_to_the_dense_text(diagram, size):
+    blocks = cli._matrix_blocks(surgery.linking_rows(diagram), size)
+    assert "".join(blocks) == linking_matrix_text(diagram)
+
+
+@given(expanded_diagrams(), MATRIX_BLOCK_SIZES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_matrix_blocks_are_the_fewest_whole_rows_that_reach_the_size(diagram, size):
+    *blocks, last = cli._matrix_blocks(surgery.linking_rows(diagram), size)
+    assert last.endswith("\n  ]")
+    for block in blocks:
+        # Whole rows that reach the size; without the last row, they do not.
+        assert block.endswith("\n    ]")
+        assert len(block) >= size
+        assert block.rfind("\n    [\n") - 1 < size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surgery", "B2 s1^5", "--slopes", "2/7"],
+        ["surgery", "B3 s1^-4 s2^3", "--slopes", "1/" + "9" * 1000 + ",3+5/13"],
+        ["surgery", "B4 s1^5 s3^5 s2^-2", "--slopes", "6+2/5,7+3/7", "--general"],
+        ["surgery", "B2 s1^5", "--slopes", "100"],
+    ],
+    ids=["two-sevenths", "thousand-digits", "general-link", "n201"],
+)
+def test_surgery_writes_the_dense_payload(argv):
+    args = cli.parse_argv(argv)
+    payload = surgery_payload_by_dense(args.braid, args.slopes, args.general)
+    echo = {k: v for k, v in vars(args).items() if k not in ("subcommand", "table")}
+    payload.update(schema=cli.SCHEMA, subcommand="surgery", inputs_echo=echo)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    code, table = run_cli(argv + ["--table"])
+    assert code == cli.EXIT_OK
+    assert table == "\n".join(cli._table_lines(payload, "")) + "\n"
+
+
+def test_a_non_integral_linking_matrix_fails_before_anything_is_written(monkeypatch):
+    # An expansion that leaves the slope 2/7 on the closure, and a homology
+    # that does not check: only the linking matrix's check can fail.
+    argv = ["surgery", "B2 s1^5", "--slopes", "2/7"]
+    word, slopes = braid.parse_braid(argv[1]), cli.parse_slopes(argv[3])
+    rational = surgery.rational_surgery(word, slopes)
+    report = surgery.homology(surgery.slam_dunk_expand(rational))
+    monkeypatch.setattr(surgery, "slam_dunk_expand", lambda diagram: diagram)
+    monkeypatch.setattr(surgery, "homology", lambda diagram: report)
+    out = CountingStdout()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == errors.SurgeryError.code
+    assert len(out.writes) == 1
+    assert json.loads(out.getvalue())["error"] == {
+        "code": errors.SurgeryError.code,
+        "type": "SurgeryError",
+        "message": "linking matrix needs an integral diagram",
     }

@@ -415,7 +415,11 @@ def test_folded_divisors_pinned():
     assert eighty.signature == 1 - 160
 
 
-def test_fold_builds_no_dense_matrix():
+def test_fold_builds_no_dense_matrix(monkeypatch):
+    def spy(diagram):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(S, "h1_presentation_matrix", spy)
     link = B.parse_braid("B4 s1^5 s3^5 s2^-2")
     diagrams = [
         knot_slope_diagram(Fraction(9713, 35369)),
@@ -425,7 +429,6 @@ def test_fold_builds_no_dense_matrix():
         for expand in (S.slam_dunk_expand, S.expand_general):
             e = expand(d)
             S.homology(e)
-            assert "_matrix" not in e.__dict__
 
 
 def test_merge_twos_by_two_adic_valuation():
