@@ -8,9 +8,11 @@ tuples feed the distinguishing invariants: the Chern pairing vector,
 the exact ``c1^2``, and the plane-field invariant
 ``theta = c1^2 - 2*chi - 3*sigma``.  Every diagram of an enumeration
 shares one linking matrix ``Q``, so ``c1^2 = r^T Q^-1 r`` is an integer
-quadratic form over one memoised adjugate, on the support S of the
-rotation vector ``r`` (see :func:`theta`), with no linear solve per
-tuple.  The walks over all tuples build no diagram: ``c1_forms`` gives
+quadratic form in the menus' rots over one Gram matrix ``B^T Q^-1 B``,
+with no linear solve per tuple: the surgery fold carries the columns of
+``B``, and one :func:`linalg.solve` on what it leaves gives the matrix,
+``k x k`` for one tuple on ``k`` closures and at most ``k + 16`` rows
+for a sweep.  The walks over all tuples build no diagram: ``c1_forms`` gives
 the integer forms of at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep``
 the text of each distinct theta value, and ``json_blocks`` the JSON lines
 of every diagram, a block of whole lines at a time.
@@ -26,7 +28,6 @@ import bisect
 import itertools
 import json
 import math
-import operator
 from fractions import Fraction
 
 from . import braid as braid_mod
@@ -261,18 +262,20 @@ class WeinsteinEnumeration:
             yield self._assemble(ks)
 
     def c1_forms(self):
-        """``det(M)`` and the integer ``form`` of every tuple, in the order
-        of :meth:`tuples`, without building a diagram or a ``Fraction``:
-        ``c1^2 = form / det(M)``.
+        """``D`` and the integer ``form`` of every tuple, in the order of
+        :meth:`tuples`, without building a diagram or a ``Fraction``:
+        ``c1^2 = form / D``.
 
-        ``form`` is ``r_S^T A r_S`` for the rotation vector ``r`` on S and
-        ``A = L adj(M)`` (see :func:`theta`), fixed one menu ``u`` of more
-        than one pick at a time: rot ``y`` adds ``y (2 l_u + A_uu y)``, with
-        ``l_u`` the row ``u`` of ``A`` against the rots fixed so far, and
-        moves every later ``l`` by ``y`` times column ``u``.  A one-pick
-        menu (rot 0) adds nothing.  Raises :class:`TupleBudgetExceeded`
-        before the walk when there are more than ``MAX_THETA_TUPLES``
-        tuples, and ``SingularityError`` when ``det(Q) == 0``.
+        ``form`` is ``(1, y)^T N (1, y)`` for the rots ``y`` of the menus of
+        more than one pick (levels) and ``N / D = B^T Q^-1 B``, ``B = [r_0 |
+        e_u for each level u]`` with ``r_0`` the closures' rots, from the
+        fold of the unknots framed -2 (rot 0) and one :func:`linalg.solve`
+        of at most ``k + 16`` rows (see ``SurgeryDiagram._gram``).  Rot ``y``
+        of level ``a`` adds ``y (2 l_a + N_aa y)``, ``l_a`` the entry ``a``
+        of ``N`` against the rots fixed so far, and moves every later ``l``
+        by ``y`` times row ``a``.  Raises :class:`TupleBudgetExceeded` before
+        the walk when there are more than ``MAX_THETA_TUPLES`` tuples, and
+        ``SingularityError`` when ``det(Q) == 0``.
         """
         if self.count > MAX_THETA_TUPLES:
             raise TupleBudgetExceeded(
@@ -283,26 +286,24 @@ class WeinsteinEnumeration:
                 cap=MAX_THETA_TUPLES,
                 needed=self.count,
             )
-        _, keep, det, adj = _inverse_form(self.base)
-        pos = {i: s for s, i in enumerate(keep)}
         comps = self.base.components
-        fixed = [
-            (pos[i], self.braid_legendrian[c.component - 1].rot)
+        fixed = {
+            i: self.braid_legendrian[c.component - 1].rot
             for i, c in enumerate(comps)
             if c.kind == BRAID
-        ]
+        }
         unknots = [i for i, c in enumerate(comps) if c.kind != BRAID]
         levels = [
-            (pos[u], [l.rot for l in menu])
+            (u, [l.rot for l in menu])
             for u, menu in zip(unknots, self.menus)
             if len(menu) > 1
         ]
-        form = sum(x * adj[i][j] * y for i, x in fixed for j, y in fixed)
-        lin = [sum(adj[a][i] * x for i, x in fixed) for a, _ in levels]
-        states = [(form, lin)]
-        for depth, (a, rots) in enumerate(levels):
-            col = [adj[b][a] for b, _ in levels[depth + 1 :]]
-            states = _pick_level(states, rots, adj[a][a], col)
+        twos = [u for u in reversed(unknots) if comps[u].framing == -2]
+        units = [{u: 1} for u, _ in levels]
+        det, g = self.base._gram(twos, [fixed, *units])
+        states = [(g[0][0], g[0][1:])]
+        for a, (_, rots) in enumerate(levels, 1):
+            states = _pick_level(states, rots, g[a][a], g[a][a + 1 :])
         return det, (form for form, _ in states)
 
     def c1_squares(self):
@@ -464,39 +465,25 @@ class ThetaReport(Record):
         self._store(locals())
 
 
-def _inverse_form(
-    base: SurgeryDiagram,
-) -> tuple[surgery.HomologyReport, list[int], int, tuple[tuple[int, ...], ...]]:
-    """The homology report of ``base`` and ``(S, det M, A)``, both memoised
-    on the diagram; theta needs ``det(Q) != 0``, that is ``det(M) != 0``."""
-    report = surgery.homology(base)
-    if report.det == 0:
-        raise SingularityError("theta needs a nonsingular linking matrix")
-    return (report, *base._rotation_form)
-
-
 def theta(w: WeinsteinDiagram) -> ThetaReport:
     """``c1^2 - 2 chi - 3 sigma`` of the presented filling.
 
     ``c1^2`` is ``r^T Q^{-1} r`` for the rotation vector ``r`` and the
-    nonsingular linking matrix ``Q``.  An unknot framed -2 has rot 0 (a
-    nonzero rot there is a ``LegendrianError``), so on any base ``r``
-    lives on S, the components left when those unknots are eliminated (on
-    an expansion, the closures and the unknots framed ``<= -3``), and
-    ``c1^2 = r_S^T A r_S / det(M)`` with ``M`` the Schur complement of the
-    rest scaled by ``L`` and ``A = L adj(M)``, memoised on ``w.base``.
-    The value is a complete homotopy invariant only over integer homology
+    nonsingular linking matrix ``Q``: the fold of every unknot with a
+    nonzero pivot carries ``r`` as a border column, and one
+    :func:`linalg.solve` on what it leaves (the closures, plus any zero
+    pivot: ``k x k`` on an expansion) gives the form.  An unknot framed
+    -2 has rot 0 (a nonzero rot there is a ``LegendrianError``).  The
+    value is a complete homotopy invariant only over integer homology
     spheres, reported by ``complete_invariant``.
     """
-    report, keep, det, adj = _inverse_form(w.base)
+    report = surgery.homology(w.base)
     r = c1_pairing(w)
+    det, g = w.base._gram(w.base._unknots, [dict(enumerate(r))])
     comps = w.base.components
     if any(x and c.kind != BRAID and c.framing == -2 for x, c in zip(r, comps)):
         raise LegendrianError("an unknot framed -2 must have rot 0")
-    r = [r[i] for i in keep]
-    c1sq = Fraction(
-        sum(x * sum(map(operator.mul, row, r)) for x, row in zip(r, adj)), det
-    )
+    c1sq = Fraction(g[0][0], det)
     value = c1sq - 2 * report.euler_char - 3 * report.signature
     return ThetaReport(
         c1_squared=c1sq,

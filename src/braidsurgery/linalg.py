@@ -1,15 +1,17 @@
 """Exact integer matrix routines, fraction-free throughout.
 
-``det``, ``adjugate`` and ``solve_exact`` share one Bareiss (1968)
-forward elimination and ``signature`` is its symmetric counterpart:
-stored entries stay minors, so every division is exact and only ints
-are used (``solve_exact`` builds ``Fraction`` values for its result
-alone).  ``adjugate`` eliminates ``[m | I]`` once, so a quadratic form
-``x^T m^-1 x`` is ``x^T adj(m) x / det(m)`` in integers for any number
-of vectors ``x``.  ``smith_normal_form`` uses Euclidean row and column
-operations, modulo ``|det|`` when that is nonzero.  ``surgery`` calls
-them only on the residuals of its sparse fold: at most ``2k`` rows on an
-expansion with ``k`` closure components.
+``det`` and ``solve`` share one Bareiss (1968) forward elimination,
+``solve`` and ``solve_exact`` one back substitution, and ``signature``
+is its symmetric counterpart: stored entries stay minors, so every
+division is exact and only ints are used (``solve_exact`` builds
+``Fraction`` values for its result alone).  ``solve`` eliminates
+``[m | b]`` once, so a Gram matrix ``b^T m^-1 b`` is
+``b^T (det(m) m^-1 b) / det(m)`` in integers for any number of columns.
+``smith_normal_form`` uses Euclidean row and column operations, modulo
+``|det|`` when that is nonzero.  ``surgery`` calls them only on the
+residuals of its sparse fold: on an expansion with ``k`` closure
+components at most ``2k`` rows, and for theta's solve ``k`` rows on one
+tuple and at most ``k + 16`` on a sweep.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def _eliminate(a: Matrix) -> tuple[int, Matrix]:
     ``D_k`` the k-th leading principal minor of the row-permuted matrix.
     """
     sign, prev, rows = 1, 1, []
+    # Row i holds its entries as of ``at[i]``, the last pivot to change it:
+    # ``prev / at[i]`` times them are current.  So a row is scaled only when
+    # a pivot updates it (over ``at[i]``, not ``prev``) or it is chosen.
+    at = [1] * len(a)
     while a:
         for k, r in enumerate(a):
             if r[0]:
@@ -45,16 +51,16 @@ def _eliminate(a: Matrix) -> tuple[int, Matrix]:
         if k % 2:
             sign = -sign
         del a[k]
+        if (s := at.pop(k)) != prev:
+            r = [x * prev // s for x in r]
         rows.append(r)
         piv, tail = r[0], r[1:]
         for i, row in enumerate(a):
-            f = row[0]
-            if f:
-                a[i] = [(x * piv - f * y) // prev for x, y in zip(row[1:], tail)]
-            elif piv == prev:
-                del row[0]
+            if f := row[0]:
+                a[i] = [(x * piv - f * y) // at[i] for x, y in zip(row[1:], tail)]
+                at[i] = piv
             else:
-                a[i] = [x * piv // prev for x in row[1:]]
+                del row[0]
         prev = piv
     return sign, rows
 
@@ -165,23 +171,24 @@ def signature(m: Matrix) -> int:
     return sig
 
 
-def adjugate(m: Matrix) -> tuple[int, Matrix]:
-    """``(det(m), adj(m))`` of a nonsingular integer matrix.
+def solve(m: Matrix, b: Matrix) -> tuple[int, Matrix]:
+    """``(det m, det(m) m^-1 b)`` for a nonsingular integer matrix ``m``
+    and the ``n`` rows of ``b``: with ``b`` the identity, ``(det, adj)``.
 
-    One Bareiss elimination of ``[m | I]``, then fraction-free back
-    substitution of every identity column: ``D m^-1`` is integral for
+    One Bareiss elimination of ``[m | b]``, then fraction-free back
+    substitution of every column of ``b``: ``D m^-1 b`` is integral for
     the final pivot ``D = +-det(m)``.  Raises ``ZeroDivisionError`` if
     the matrix is singular.
     """
     a = _square(m)
     n = len(a)
-    sign, rows = _eliminate(
-        [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    )
+    if len(b) != n:
+        raise ValueError("right-hand side length does not match the matrix")
+    sign, rows = _eliminate([row + list(c) for row, c in zip(a, b)])
     if not sign:
         raise ZeroDivisionError("singular matrix")
     d = rows[-1][0] if rows else 1
-    # Row k of D m^-1 from the rows below it, last row first.
+    # Row k of D m^-1 b from the rows below it, last row first.
     solved: list[list[int]] = []
     for k in range(n - 1, -1, -1):
         r = rows[k]
@@ -194,21 +201,7 @@ def adjugate(m: Matrix) -> tuple[int, Matrix]:
 
 
 def solve_exact(m: Matrix, rhs: list[int]) -> list[Fraction]:
-    """Solve ``m x = rhs`` exactly for a nonsingular integer matrix.
-
-    Fraction-free back substitution on the Bareiss rows gives the
-    integer numerators ``D x_i`` over the final pivot ``D``.  Raises
-    ``ZeroDivisionError`` if the matrix is singular.
-    """
-    a = _square(m)
-    if len(rhs) != len(a):
-        raise ValueError("right-hand side length does not match the matrix")
-    sign, rows = _eliminate([row + [b] for row, b in zip(a, rhs)])
-    if not sign:
-        raise ZeroDivisionError("singular matrix")
-    d = rows[-1][0] if rows else 1
-    nums: list[int] = []
-    for r in reversed(rows):
-        s = d * r[-1] - sum(c * x for c, x in zip(r[1:-1], reversed(nums)))
-        nums.append(s // r[0])
-    return [Fraction(x, d) for x in reversed(nums)]
+    """Solve ``m x = rhs`` exactly, as :func:`solve` of one column over
+    ``det(m)``; ``ZeroDivisionError`` if ``m`` is singular."""
+    d, x = solve(m, [[v] for v in rhs])
+    return [Fraction(row[0], d) for row in x]

@@ -14,15 +14,18 @@ expansion costs what its closure costs, not what its slopes cost.  For
 the signature and ``c1^2``, one sparse elimination removes unknots, last
 first (children before their parents in an expansion), and scales the
 Schur complement on the rest to integers: of every unknot for the
-signature (its signature plus the sign of each pivot), of those framed
--2 (rot 0) for ``c1^2``; an unknot whose pivot is zero stays.  For the
-invariant factors, rational framings included, each stack of ``m >= 2``
-leaves framed -2 on one integral component splits off ``m - 2`` factors
-2 in closed form, every remaining entry ``+-1`` is a unimodular pivot,
-and the Smith form of the residual takes the 2s back in by 2-adic
-valuation.  On an expansion with ``k`` closure components the kernels
-see at most ``k x k`` (signature) and ``2k x 2k`` (Smith form); the
-dense kernels on the full matrix are the test oracle.
+signature (its signature plus the sign of each pivot) and for one
+tuple's ``c1^2``, of those framed -2 for a sweep; an unknot whose pivot
+is zero stays.  The rotation vectors border the form and ride through,
+and one solve on the rest gives their Gram matrix and so ``c1^2``.  For
+the invariant factors, rational framings included, each stack of ``m >=
+2`` leaves framed -2 on one integral component splits off ``m - 2``
+factors 2 in closed form, every remaining entry ``+-1`` is a unimodular
+pivot, and the Smith form of the residual takes the 2s back in by
+2-adic valuation.  On an expansion with ``k`` closure components the
+kernels see at most ``k x k`` (signature; theta's solve on one tuple),
+``k + 16`` rows (theta's solve on a sweep) and ``2k x 2k`` (Smith form);
+the dense kernels on the full matrix are the test oracle.
 Expansions are capped at :data:`MAX_COMPONENTS` components, checked from
 the slopes before anything is built.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
+from operator import mul
 
 from . import braid as braid_mod
 from . import linalg
@@ -182,14 +186,20 @@ class SurgeryDiagram(Record):
         comps = self.components
         return [i for i in range(len(comps) - 1, -1, -1) if comps[i].kind != BRAID]
 
-    def _schur(self, unknots) -> tuple[list[int], list[list[int]], int, int]:
+    def _schur(self, unknots, border=()) -> tuple[list[int], list[list[int]], int, int]:
         """``(keep, M, L, s)`` after eliminating in turn each of ``unknots``
         whose pivot is nonzero (T) from the sparse form ``Q`` of an integral
         diagram: ``M = L (Q/Q_TT)`` on the other components ``keep``, ``L``
         the lcm of its denominators, ``s`` the sum of the pivot signs.  By
         Haynsworth's inertia additivity ``sig Q = s + sig M``, and ``det Q``
-        is 0 exactly when ``det M`` is.  A zero pivot keeps its unknot."""
+        is 0 exactly when ``det M`` is.  A zero pivot keeps its unknot.  The
+        sparse columns ``border`` of ``B`` make ``Q`` ``[[Q, B], [B^T, 0]]``;
+        they are never eliminated and come last in ``keep`` and ``M``."""
         rows = [dict(row) for row in self._relations]
+        for c, col in enumerate(border, len(rows)):
+            rows.append({i: x for i, x in col.items() if x})
+            for i, x in rows[c].items():
+                rows[i][c] = x
         signs = 0
         for u in unknots:
             pivot = rows[u].pop(u, 0)
@@ -207,6 +217,25 @@ class SurgeryDiagram(Record):
         scale = lcm(*(x.denominator for row in m for x in row))
         m = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
         return keep, m, scale, signs
+
+    def _gram(self, unknots, border) -> tuple[int, list[list[int]]]:
+        """``(D, N)`` with ``B^T Q^-1 B = N / D`` for the sparse columns
+        ``border`` of ``B``: the :meth:`_schur` of ``unknots`` on ``Q``
+        bordered by ``B`` leaves ``L [[M, C], [C^T, E]]``, and one
+        :func:`linalg.solve` of ``(LM) X = LC`` gives ``d = det(LM)``, ``N =
+        (LC)^T X - d LE`` and ``D = L d``, as ``B^T Q^-1 B = C^T M^-1 C - E``.
+        Raises ``SingularityError`` when ``det(Q) == 0``."""
+        if not self._homology.det:
+            raise SingularityError("theta needs a nonsingular linking matrix")
+        keep, m, scale, _ = self._schur(unknots, border)
+        k = len(keep) - len(border)
+        d, x = linalg.solve([row[:k] for row in m[:k]], [row[k:] for row in m[:k]])
+        x = [[row[j] for row in x] for j in range(len(border))]
+        # M is symmetric, so row k + i of it starts with column i of LC.
+        return scale * d, [
+            [sum(map(mul, row, xj)) - d * e for xj, e in zip(x, row[k:])]
+            for row in m[k:]
+        ]
 
     @cached_property
     def _invariants(self) -> tuple[int, tuple[int, ...], int]:
@@ -280,20 +309,6 @@ class SurgeryDiagram(Record):
         snf = _merge_twos(linalg.smith_normal_form(residual), twos)
         # |H1| is the product of the invariant factors: 0 when H1 is infinite.
         return prod(snf), tuple(x for x in snf if x > 1), snf.count(0)
-
-    @cached_property
-    def _rotation_form(self) -> tuple[list[int], int, tuple[tuple[int, ...], ...]]:
-        """``(S, det M, L adj M)`` of the :meth:`_schur` of the unknots
-        framed -2: ``r^T Q^-1 r = r_S^T (L adj M) r_S / det M`` if ``r`` is
-        0 on the eliminated T (tb -1 means rot 0).  On an expansion T is
-        every unknot framed -2 and S the closures and the unknots framed
-        ``<= -3``; an unknot framed -2 with a zero pivot stays in S."""
-        comps = self.components
-        keep, m, scale, _ = self._schur(
-            [u for u in self._unknots if comps[u].framing == -2]
-        )
-        d, adj = linalg.adjugate(m)
-        return keep, d, tuple(tuple(scale * x for x in row) for row in adj)
 
     @cached_property
     def _homology(self) -> HomologyReport:

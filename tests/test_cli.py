@@ -342,7 +342,7 @@ def test_theta_table_renders_the_json_output():
 def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     from braidsurgery import linalg
 
-    calls = {"smith_normal_form": 0, "signature": 0, "solve_exact": 0, "adjugate": 0}
+    calls = {"smith_normal_form": 0, "signature": 0, "solve_exact": 0, "solve": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -360,28 +360,48 @@ def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
         "smith_normal_form": 1,
         "signature": 1,
         "solve_exact": 0,
-        "adjugate": 1,
+        "solve": 1,
     }
 
 
-def test_theta_adjugate_sees_only_the_rotation_support(monkeypatch):
-    # 2+2/7 expands to the closure, four meridians framed -2 and the chain
-    # (-4, -2): n = 7, but only the closure and the -4 carry a rot.
+@pytest.mark.parametrize(
+    "slope,tuple_,expected",
+    [
+        # 2+2/7 expands to the closure, four meridians framed -2 and the
+        # chain (-4, -2): n = 7, but the sweep folds the -2s, so its solve
+        # sees the closure and the -4, which carry a rot.
+        ("2+2/7", None, {"smith_normal_form": [2], "signature": [1], "solve": [2]}),
+        # One tuple of the chain of 200 unknots framed -3: n = 201, but
+        # every unknot folds, and the solve sees the closure alone.
+        (
+            [-3] * 200,
+            ",".join(["2"] * 200),
+            {"smith_normal_form": [1], "signature": [1], "solve": [1]},
+        ),
+    ],
+    ids=["sweep", "tuple"],
+)
+def test_theta_solve_sees_only_what_the_fold_leaves(monkeypatch, slope, tuple_, expected):
     from braidsurgery import linalg
 
-    sizes = {"smith_normal_form": [], "signature": [], "adjugate": []}
+    sizes = {"smith_normal_form": [], "signature": [], "solve": []}
     for name, seen in sizes.items():
         original = getattr(linalg, name)
 
-        def spy(m, _original=original, _seen=seen):
+        def spy(m, *rest, _original=original, _seen=seen):
             _seen.append(len(m))
-            return _original(m)
+            return _original(m, *rest)
 
         monkeypatch.setattr(linalg, name, spy)
-    code, out = run_cli(["theta", "B2 s1^5", "--slope", "2+2/7"])
+    if tuple_ is None:
+        code, out = run_cli(["theta", "B2 s1^5", "--slope", slope])
+        assert json.loads(out)["count"] == 3
+    else:
+        slope = WORKLOADS.slope_text(0, slope)
+        code, out = run_cli(["theta", "B2 s1^5", "--slope", slope, "--tuple", tuple_])
+        assert json.loads(out)["rotation_tuple"] == [1] * 200
     assert code == cli.EXIT_OK
-    assert json.loads(out)["count"] == 3
-    assert sizes == {"smith_normal_form": [2], "signature": [1], "adjugate": [2]}
+    assert sizes == expected
 
 
 @pytest.mark.parametrize(

@@ -374,11 +374,10 @@ def _star_of_twos(leaves=5):
     ],
 )
 def test_theta_on_other_bases_matches_rational_solve(base):
-    # S is every component but the unknots framed -2, where tb -1 forces
-    # rot 0; the oracle solves with the full Q.
+    # r is 0 on the unknots framed -2, where tb -1 forces rot 0; the
+    # oracle solves with the full Q.
     comps = base.components
     twos = [i for i, c in enumerate(comps) if c.kind != S.BRAID and c.framing == -2]
-    assert base._rotation_form[0] == [i for i in range(len(comps)) if i not in twos]
     q = S.linking_matrix(base)
     rng = random.Random(len(q))
     for _ in range(20):
@@ -392,14 +391,9 @@ def test_theta_needs_rot_zero_on_unknots_framed_minus_two():
     expansion = S.slam_dunk_expand(S.rational_surgery(KNOT, SlopeVector((Fraction(1),))))
     assert [c.framing for c in expansion.components] == [0, -2, -2]
     closure = L.LegendrianComponent(tb=1, rot=0, cusps=4)
-    # Component 1 is a meridian framed -2: eliminated, but kept in S by
-    # its zero pivot in the star of four.
-    for base, support in (
-        (expansion, [0]),
-        (_star_of_twos(), [0]),
-        (_star_of_twos(4), [0, 1]),
-    ):
-        assert base._rotation_form[0] == support
+    # Component 1 is a meridian framed -2: eliminated, but kept by its
+    # zero pivot in the star of four.
+    for base in (expansion, _star_of_twos(), _star_of_twos(4)):
         unknots = (L.legendrian_unknot(),) * (len(base.components) - 2)
         for rot, ok in ((0, True), (2, False)):
             meridian = L.LegendrianComponent(tb=-1, rot=rot, cusps=2)
@@ -410,6 +404,35 @@ def test_theta_needs_rot_zero_on_unknots_framed_minus_two():
             else:
                 with pytest.raises(L.LegendrianError):
                     L.theta(diagram)
+
+
+@st.composite
+def one_tuples(draw):
+    """One diagram: a pick from each menu of a chain of up to 60 unknots
+    framed -2, -3 or -4 on the knot, or a rot on the closure of the star
+    of four, whose meridian's pivot is zero."""
+    if draw(st.booleans()):
+        r = (draw(st.integers(-9, 9)),) + (0,) * 5
+        legendrian = tuple(L.LegendrianComponent(tb=0, rot=x, cusps=2) for x in r)
+        return L.WeinsteinDiagram(_star_of_twos(4), legendrian, r[1:])
+    n = draw(st.integers(1, 60))
+    coeffs = draw(st.lists(st.sampled_from([-2, -3, -4]), min_size=n, max_size=n))
+    return _chain_tuple(coeffs, lambda menu: draw(st.integers(1, len(menu))))
+
+
+def _chain_tuple(coeffs, pick):
+    enum = L.enumerate_weinstein(KNOT, SlopeVector((WORKLOADS.chain_slope(coeffs),)))
+    return enum.diagram_for(pick(menu) for menu in enum.menus)
+
+
+@given(one_tuples())
+# The longest chain of -3s, each with rot 1.
+@example(_chain_tuple([-3] * 60, lambda menu: 2))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_one_tuple_theta_matches_rational_solve(w):
+    q = S.linking_matrix(w.base)
+    r = L.c1_pairing(w)
+    assert L.theta(w).c1_squared == sum(x * y for x, y in zip(r, solve_rational(q, r)))
 
 
 def test_c1_squares_on_a_singular_base():

@@ -209,24 +209,56 @@ def test_adjugate_matches_cofactor_det(m):
     d = det_cofactor(m)
     if d == 0:
         with pytest.raises(ZeroDivisionError):
-            linalg.adjugate(m)
+            linalg.solve(m, identity(n))
         return
-    det, adj = linalg.adjugate(m)
+    det, adj = linalg.solve(m, identity(n))
     assert det == d
     product = [
         [sum(m[i][t] * adj[t][j] for t in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
+    assert product == identity(n, d)
+
+
+def identity(n, d=1):
+    return [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_adjugate_known_values():
-    assert linalg.adjugate([]) == (1, [])
-    assert linalg.adjugate([[-3]]) == (-3, [[1]])
+    assert linalg.solve([], []) == (1, [])
+    assert linalg.solve([[-3]], [[1]]) == (-3, [[1]])
     # The row swap at the first pivot flips the sign of det and adj.
-    assert linalg.adjugate([[0, 1], [1, -5]]) == (-1, [[-5, -1], [-1, 0]])
+    assert linalg.solve([[0, 1], [1, -5]], identity(2)) == (-1, [[-5, -1], [-1, 0]])
     with pytest.raises(ValueError):
-        linalg.adjugate([[1, 2]])
+        linalg.solve([[1, 2]], [[1]])
+
+
+def test_solve_of_three_columns_is_det_times_the_inverse():
+    rng = random.Random(707)
+    solved = 0
+    while solved < 40:
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n)
+        b = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
+        d = det_cofactor(m)
+        if d == 0:
+            continue
+        det, x = linalg.solve(m, b)
+        assert det == d
+        assert [len(row) for row in x] == [3] * n
+        product = [
+            [sum(m[i][t] * x[t][j] for t in range(n)) for j in range(3)]
+            for i in range(n)
+        ]
+        assert product == [[d * y for y in row] for row in b]
+        solved += 1
+
+
+def test_solve_rejects_a_length_mismatch():
+    with pytest.raises(ValueError):
+        linalg.solve([[1, 0], [0, 1]], [[1, 2]])
+    with pytest.raises(ValueError):
+        linalg.solve([[2]], [[1], [1]])
 
 
 def test_kernels_match_rational_oracles_at_n41():
@@ -238,6 +270,6 @@ def test_kernels_match_rational_oracles_at_n41():
     assert linalg.signature(m) == signature_rational(m)
     rhs = [(-1) ** i * (i % 5) for i in range(41)]
     assert linalg.solve_exact(m, rhs) == solve_rational(m, rhs)
-    det, adj = linalg.adjugate(m)
+    det, adj = linalg.solve(m, identity(41))
     assert det == linalg.det(m)
     assert [Fraction(x, det) for x in adj[7]] == solve_rational(m, [int(i == 7) for i in range(41)])
