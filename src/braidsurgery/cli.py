@@ -50,6 +50,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from types import GeneratorType
 
 from . import braid as braid_mod
@@ -142,13 +143,26 @@ def frac_str(value: Fraction) -> str:
         raise DigitLimitExceeded from None
 
 
+class _Text:
+    """JSON text made before :func:`emit` runs: :func:`_indented` writes it
+    as it is, and :func:`jsonify` reads it back for ``json.dumps``."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def jsonify(value):
     """The ``json.dumps`` hook: a Fraction as its ``p/q`` string, and a
-    generator of JSON text (see :func:`emit`) as the data it reads as."""
+    generator of JSON text (see :func:`emit`) or a :class:`_Text` as the
+    data it reads as."""
     if isinstance(value, Fraction):
         return frac_str(value)
     if isinstance(value, GeneratorType):
         return json.loads("".join(value))
+    if isinstance(value, _Text):
+        return json.loads(value.text)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -204,10 +218,11 @@ _WRITE_SIZE = 65_536
 
 
 # The JSON text of a scalar, by its exact type; a generator's is a NUL
-# that emit replaces with the generator's text.
+# that emit replaces with the generator's text, and a ``_Text`` is its text.
 _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get}
 _SCALARS[type(None)] = {None: "null"}.get
 _SCALARS[GeneratorType] = "\0".format
+_SCALARS[_Text] = attrgetter("text")
 
 
 def _indented(value, pad: str) -> str:
@@ -306,13 +321,42 @@ def cmd_surgery(args) -> dict:
     rational = surgery.rational_surgery(word, slopes)
     expand = surgery.expand_general if args.general else surgery.slam_dunk_expand
     expanded = expand(rational)
+    text = braid_mod.format_braid(word)
     return {
-        "rational_diagram": surgery.diagram_to_dict(rational),
-        "expanded_diagram": surgery.diagram_to_dict(expanded),
+        "rational_diagram": _diagram(text, rational),
+        "expanded_diagram": _diagram(text, expanded),
         # Checked integral here, before anything is written.
         "linking_matrix": _matrix_blocks(surgery.linking_rows(expanded), _WRITE_SIZE),
         "homology": vars(surgery.homology(expanded)),
     }
+
+
+# One component of a diagram of the ``surgery`` payload, as indent-2 JSON
+# at its place: the texts of its values in the order of its sorted keys.
+_COMPONENT = """{
+        "component": %s,
+        "depth": %s,
+        "framing": "%s",
+        "kind": "%s",
+        "parent": %s
+      }"""
+
+
+def _diagram(braid: str, diagram: surgery.SurgeryDiagram) -> dict:
+    """:func:`surgery.diagram_to_dict` of ``diagram``, given the text of its
+    braid, with its ``components`` as their text at their place in the
+    ``surgery`` payload: one :data:`_COMPONENT` per component."""
+    text = ",\n      ".join(
+        [
+            _COMPONENT
+            % (c.component, c.depth, surgery.framing_str(c.framing), c.kind, c.parent)
+            for c in diagram.components
+        ]
+    )
+    # A missing index prints as None, and no kind, framing or index has
+    # that text otherwise.
+    text = f"[\n      {text}\n    ]".replace("None", "null")
+    return {"braid": braid, "components": _Text(text)}
 
 
 def cmd_enumerate(args):

@@ -30,6 +30,11 @@ def _square(m: Matrix) -> Matrix:
     return [list(row) for row in m]
 
 
+def _current(row: list[int], at: int, prev: int) -> list[int]:
+    """``row``, kept as of the pivot ``at``, at the scale of the pivot ``prev``."""
+    return row if at == prev else [x * prev // at for x in row]
+
+
 def _eliminate(a: Matrix) -> tuple[int, Matrix]:
     """Bareiss forward elimination of an ``n x (n + e)`` matrix, in place.
 
@@ -51,8 +56,7 @@ def _eliminate(a: Matrix) -> tuple[int, Matrix]:
         if k % 2:
             sign = -sign
         del a[k]
-        if (s := at.pop(k)) != prev:
-            r = [x * prev // s for x in r]
+        r = _current(r, at.pop(k), prev)
         rows.append(r)
         piv, tail = r[0], r[1:]
         for i, row in enumerate(a):
@@ -145,6 +149,9 @@ def signature(m: Matrix) -> int:
     if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     sig, prev = 0, 1
+    # Row i is kept as of ``at[i]``, as in :func:`_eliminate`: a pivot
+    # rescales only the rows it reaches.
+    at = [1] * len(a)
     while a:
         for k, row in enumerate(a):
             if row[k]:
@@ -154,19 +161,20 @@ def signature(m: Matrix) -> int:
             if k is None:
                 break
             j = next(j for j, x in enumerate(a[k]) if x)
-            # x_k -> x_k + x_j turns the hyperbolic corner into a pivot.
-            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            # x_k -> x_k + x_j turns the hyperbolic corner into a pivot; the
+            # two rows are added at the current scale.
+            a[j] = _current(a[j], at[j], prev)
+            a[k] = [x + y for x, y in zip(_current(a[k], at[k], prev), a[j])]
+            at[j] = at[k] = prev
             for row in a:
                 row[k] += row[j]
-        r = a.pop(k)
+        r = _current(a.pop(k), at.pop(k), prev)
         piv = r.pop(k)
         sig += 1 if (piv > 0) == (prev > 0) else -1
         for i, row in enumerate(a):
-            f = row.pop(k)
-            if f:
-                a[i] = [(x * piv - f * y) // prev for x, y in zip(row, r)]
-            elif piv != prev:
-                a[i] = [x * piv // prev for x in row]
+            if f := row.pop(k):
+                a[i] = [(x * piv - f * y) // at[i] for x, y in zip(row, r)]
+                at[i] = piv
         prev = piv
     return sig
 

@@ -12,8 +12,10 @@ components cleanly.
 Every diagram gets its invariants from its sparse rows, so a slam-dunk
 expansion costs what its closure costs, not what its slopes cost.  For
 the signature and ``c1^2``, one sparse elimination removes unknots, last
-first (children before their parents in an expansion), and scales the
-Schur complement on the rest to integers: of every unknot for the
+first (children before their parents in an expansion), in integers
+throughout (an entry is a numerator over a denominator, reduced by their
+gcd at each update), and scales the Schur complement on the rest by the
+lcm of its denominators: of every unknot for the
 signature (its signature plus the sign of each pivot) and for one
 tuple's ``c1^2``, of those framed -2 for a sweep; an unknot whose pivot
 is zero stays.  The rotation vectors border the form and ride through,
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import braid as braid_mod
@@ -194,28 +196,49 @@ class SurgeryDiagram(Record):
         Haynsworth's inertia additivity ``sig Q = s + sig M``, and ``det Q``
         is 0 exactly when ``det M`` is.  A zero pivot keeps its unknot.  The
         sparse columns ``border`` of ``B`` make ``Q`` ``[[Q, B], [B^T, 0]]``;
-        they are never eliminated and come last in ``keep`` and ``M``."""
+        they are never eliminated and come last in ``keep`` and ``M``.
+
+        In integers: entry ``(i, j)`` is ``rows[i][j] / dens[i][j]`` in
+        lowest terms, and ``dens[i]`` holds the entries the fold changed
+        (every other denominator is 1)."""
         rows = [dict(row) for row in self._relations]
         for c, col in enumerate(border, len(rows)):
             rows.append({i: x for i, x in col.items() if x})
             for i, x in rows[c].items():
                 rows[i][c] = x
+        dens: list[dict[int, int]] = [{} for _ in rows]
         signs = 0
         for u in unknots:
-            pivot = rows[u].pop(u, 0)
-            if not pivot:
+            p = rows[u].pop(u, 0)
+            if not p:
                 continue
-            signs += 1 if pivot > 0 else -1
             row, rows[u] = rows[u], None
-            p, q = pivot.numerator, pivot.denominator
-            for i, x in row.items():
-                del rows[i][u]
-                for j, y in row.items():
-                    rows[i][j] = rows[i].get(j, 0) - Fraction(x * y * q, p)
+            q = dens[u].pop(u, 1)
+            signs += 1 if p > 0 else -1
+            if p < 0:
+                p, q = -p, -q
+            # Entry (i, j) loses x y q / (a b p), for row u's x / a and y / b.
+            col = [(i, x, dens[u].get(i, 1)) for i, x in row.items()]
+            for i, x, a in col:
+                ri, di = rows[i], dens[i]
+                del ri[u]
+                di.pop(u, 0)
+                xq, ap = x * q, a * p
+                for j, y, b in col:
+                    e = di.get(j, 1)
+                    d = ap * b
+                    n = ri.get(j, 0) * d - xq * y * e
+                    d *= e
+                    g = gcd(n, d)
+                    ri[j], di[j] = n // g, d // g
         keep = [i for i, row in enumerate(rows) if row is not None]
-        m = [[rows[i].get(j, 0) for j in keep] for i in keep]
-        scale = lcm(*(x.denominator for row in m for x in row))
-        m = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+        scale = lcm(*(d for i in keep for d in dens[i].values()))
+        pos = {i: k for k, i in enumerate(keep)}
+        m = []
+        for i in keep:
+            m.append([0] * len(keep))
+            for j, x in rows[i].items():
+                m[-1][pos[j]] = x * (scale // dens[i].get(j, 1))
         return keep, m, scale, signs
 
     def _gram(self, unknots, border) -> tuple[int, list[list[int]]]:
@@ -242,44 +265,37 @@ class SurgeryDiagram(Record):
         """(order, invariant factors > 1, free rank) of H1, from the sparse
         presentation rows; the invariant factors of the eliminated rows
         are omitted."""
-        rows = {i: dict(row) for i, row in enumerate(self._relations)}
-        cols = {j: set() for j in rows}
-        for i, row in rows.items():
-            for j in row:
-                cols[j].add(i)
-
-        def drop(i: int) -> dict[int, int]:
-            row = rows.pop(i)
-            for j in row:
-                cols[j].discard(i)
-            return row
-
         # A leaf u is framed -2 and links only a, an integral component, by
         # +-1 (so its row and column hold -2 and that +-1).  A stack of m >= 2 leaves on
         # a (the meridians of a whole part, and a 1/2) splits off m - 2
         # factors 2 and leaves a with its row and column doubled and
-        # diagonal 2(2 f_a + m).
+        # diagonal 2(2 f_a + m).  The stacks are found on the shared rows,
+        # so only the rows and columns they leave are copied.
+        relations = self._relations
         stacks: dict[int, list[int]] = {}
-        for u, row in rows.items():
+        for u, row in enumerate(relations):
             if len(row) == 2 and row.get(u) == -2:
                 a = next(j for j in row if j != u)
-                if row[a] in (1, -1) and rows[a][u] == row[a]:
+                if row[a] in (1, -1) and relations[a][u] == row[a]:
                     stacks.setdefault(a, []).append(u)
+        stacks = {a: stack for a, stack in stacks.items() if len(stack) > 1}
+        leaves = {u for stack in stacks.values() for u in stack}
+        rows = {i: dict(row) for i, row in enumerate(relations) if i not in leaves}
         twos = 0
         for a, stack in stacks.items():
-            if len(stack) < 2:
-                continue
             twos += len(stack) - 2
+            row = rows[a]
             for u in stack:
-                drop(u)
-                del cols[u]
-                del rows[a][u]
-            f = rows[a].pop(a, 0)
-            for j in rows[a]:
-                rows[a][j] *= 2
+                del row[u]
+            f = row.pop(a, 0)
+            for j in row:
+                row[j] *= 2
                 rows[j][a] *= 2
-            rows[a][a] = 2 * (2 * f + len(stack))
-            cols[a].add(a)
+            row[a] = 2 * (2 * f + len(stack))
+        cols = {j: set() for j in rows}
+        for i, row in rows.items():
+            for j in row:
+                cols[j].add(i)
 
         # Every entry +-1 is a unimodular pivot: splitting it off as a
         # factor 1 removes its row and its column.  Last rows first, so an
@@ -290,7 +306,9 @@ class SurgeryDiagram(Record):
                 j = next((j for j, x in rows[i].items() if x in (1, -1)), None)
                 if j is None:
                     continue
-                pivot = drop(i)
+                pivot = rows.pop(i)
+                for c in pivot:
+                    cols[c].discard(i)
                 s = pivot.pop(j)
                 for r in cols.pop(j):
                     row = rows[r]

@@ -22,6 +22,8 @@ gluing matrices of one level from the first.
 ``surgery_payload_by_dense`` builds the ``surgery`` payload with the dense
 linking matrix, and ``linking_matrix_text`` encodes that matrix entry by
 entry with the CLI's recursive encoder.
+``schur_by_fractions`` is the sparse fold of ``SurgeryDiagram._schur``
+with one ``Fraction`` per update.
 ``neg_cfrac_by_fractions`` runs the ceiling algorithm on ``Fraction``
 values, and ``end_slopes_by_gluing`` keeps one running product of
 inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
@@ -228,6 +230,34 @@ def signature_rational(m) -> int:
                 for t in range(n):
                     a[t][i] -= f * a[t][k]
     return pos - neg
+
+
+def schur_by_fractions(relations, unknots, border=()):
+    """``SurgeryDiagram._schur`` of the sparse symmetric ``relations``, in
+    ``Fraction``: each update of the fold is one ``Fraction``, and the
+    residual is scaled by the lcm of its denominators at the end."""
+    rows = [dict(row) for row in relations]
+    for c, col in enumerate(border, len(rows)):
+        rows.append({i: x for i, x in col.items() if x})
+        for i, x in rows[c].items():
+            rows[i][c] = x
+    signs = 0
+    for u in unknots:
+        pivot = rows[u].pop(u, 0)
+        if not pivot:
+            continue
+        signs += 1 if pivot > 0 else -1
+        row, rows[u] = rows[u], None
+        p, q = pivot.numerator, pivot.denominator
+        for i, x in row.items():
+            del rows[i][u]
+            for j, y in row.items():
+                rows[i][j] = rows[i].get(j, 0) - Fraction(x * y * q, p)
+    keep = [i for i, row in enumerate(rows) if row is not None]
+    m = [[rows[i].get(j, 0) for j in keep] for i in keep]
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    return keep, m, scale, signs
 
 
 def solve_rational(m, rhs) -> list[Fraction]:

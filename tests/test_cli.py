@@ -1906,6 +1906,16 @@ def test_matrix_blocks_are_the_fewest_whole_rows_that_reach_the_size(diagram, si
         assert block.rfind("\n    [\n") - 1 < size
 
 
+@given(expanded_diagrams())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_surgery_diagram_text_is_the_dict_at_its_place(diagram):
+    payload = {"expanded_diagram": cli._diagram(braid.format_braid(diagram.braid), diagram)}
+    expected = {"expanded_diagram": surgery.diagram_to_dict(diagram)}
+    assert cli._indented(payload, "\n") == json.dumps(expected, sort_keys=True, indent=2)
+    assert json.loads(json.dumps(payload, default=cli.jsonify)) == expected
+    assert list(cli._table_lines(payload, "")) == list(cli._table_lines(expected, ""))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from math import prod
 
 import pytest
@@ -11,7 +12,7 @@ from braidsurgery import families as F
 from braidsurgery import linalg
 from braidsurgery import surgery as S
 from braidsurgery.cfrac import SlopeVector, neg_cfrac
-from oracles import parse_framing, presentation_matrix_by_pairs
+from oracles import parse_framing, presentation_matrix_by_pairs, schur_by_fractions
 from test_cli import UNBALANCED_LINK, WORKLOADS
 
 
@@ -558,6 +559,45 @@ def test_folded_forest_that_is_not_a_path_matches_dense():
         ),
     )
     assert folded_report(d) == dense_report(d)
+
+
+@st.composite
+def sparse_folds(draw):
+    """Sparse symmetric integer rows (unknots linked to each other, so the
+    fold fills in), zero and negative pivots, the unknots to fold in any
+    order, and up to three sparse border columns."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 7])
+    rows = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if x := draw(entry):
+                rows[i][j] = rows[j][i] = x
+    unknots = draw(st.lists(st.integers(0, n - 1), unique=True))
+    border = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry), max_size=3))
+    return rows, unknots, border
+
+
+@given(sparse_folds())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_integer_fold_matches_the_fraction_fold(case):
+    rows, unknots, border = case
+    shared = [dict(row) for row in rows]
+    folded = S.SurgeryDiagram._schur(SimpleNamespace(_relations=shared), unknots, border)
+    assert folded == schur_by_fractions(rows, unknots, border)
+    _, m, scale, _ = folded
+    assert all(type(x) is int for row in m for x in [scale, *row])
+    assert shared == rows  # the shared rows are read, never changed
+
+
+@given(folded_cases())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_integer_fold_of_an_expansion_matches_the_fraction_fold(diagram):
+    rows, unknots = diagram._relations, diagram._unknots
+    rot = {i: (-1) ** i * (i % 3) for i in range(len(rows))}
+    for border in ((), [rot], [rot, {unknots[-1]: 1}] if unknots else [rot]):
+        expected = schur_by_fractions(rows, unknots, border)
+        assert diagram._schur(unknots, border) == expected
 
 
 # -- presentation matrix -------------------------------------------------------
