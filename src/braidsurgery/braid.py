@@ -176,10 +176,6 @@ class HypothesisReport(Record):
     ):
         self._store(locals())
 
-    @property
-    def all_checkable(self) -> bool:
-        return self.is_knot and self.cond_tb and self.cond_parity
-
 
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 

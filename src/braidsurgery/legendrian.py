@@ -11,11 +11,11 @@ shares one linking matrix ``Q``, so ``c1^2 = r^T Q^-1 r`` is an integer
 quadratic form in the menus' rots over one Gram matrix ``B^T Q^-1 B``,
 with no linear solve per tuple: the surgery fold carries the columns of
 ``B``, and one :func:`linalg.solve` on what it leaves gives the matrix,
-``k x k`` for one tuple on ``k`` closures and at most ``k + 16`` rows
-for a sweep.  The walks over all tuples build no diagram: ``c1_forms`` gives
-the integer forms of at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep``
-the text of each distinct theta value, and ``json_blocks`` the JSON lines
-of every diagram, a block of whole lines at a time.
+``k x k`` on ``k`` closures, for one tuple and for a sweep.  The walks
+over all tuples build no diagram: ``c1_forms`` gives the integer forms of
+at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep`` the text of each
+distinct theta value, and ``json_blocks`` the JSON lines of every
+diagram, a block of whole lines at a time.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -24,7 +24,6 @@ rot by 1.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -269,8 +268,8 @@ class WeinsteinEnumeration:
         ``form`` is ``(1, y)^T N (1, y)`` for the rots ``y`` of the menus of
         more than one pick (levels) and ``N / D = B^T Q^-1 B``, ``B = [r_0 |
         e_u for each level u]`` with ``r_0`` the closures' rots, from the
-        fold of the unknots framed -2 (rot 0) and one :func:`linalg.solve`
-        of at most ``k + 16`` rows (see ``SurgeryDiagram._gram``).  Rot ``y``
+        fold of every unknot and one :func:`linalg.solve` on what it leaves,
+        ``k x k`` on ``k`` closures (see ``SurgeryDiagram._gram``).  Rot ``y``
         of level ``a`` adds ``y (2 l_a + N_aa y)``, ``l_a`` the entry ``a``
         of ``N`` against the rots fixed so far, and moves every later ``l``
         by ``y`` times row ``a``.  Raises :class:`TupleBudgetExceeded` before
@@ -298,9 +297,8 @@ class WeinsteinEnumeration:
             for u, menu in zip(unknots, self.menus)
             if len(menu) > 1
         ]
-        twos = [u for u in reversed(unknots) if comps[u].framing == -2]
         units = [{u: 1} for u, _ in levels]
-        det, g = self.base._gram(twos, [fixed, *units])
+        det, g = self.base._gram([fixed, *units])
         states = [(g[0][0], g[0][1:])]
         for a, (_, rots) in enumerate(levels, 1):
             states = _pick_level(states, rots, g[a][a], g[a][a + 1 :])
@@ -320,18 +318,21 @@ class WeinsteinEnumeration:
     def json_blocks(self, size: int):
         """The compact sorted-key JSON lines of :func:`weinstein_to_dict` for
         every diagram, in the order of :meth:`tuples`, without building a
-        diagram, as blocks: each the fewest whole lines that reach ``size``
-        characters, but the last.
+        diagram, as blocks of whole lines.
 
-        The text every line shares (the base diagram, ``tb``, the closure
-        components' arrays) is made once.  So are the rot, stab_neg and
-        stab_pos texts of the picks of the trailing menus whose product fits
-        ``size`` characters of that text.  The four texts of each pick of the
-        product of the other menus go before each of them in one list of
-        pieces, and a block is one ``str.join`` of the pieces of its lines.
-        If the menu before the trailing ones has more picks than fit, its
-        texts are made one slice of picks at a time.  Every pick of a menu has
-        one tb, as ``__init__`` checked ``tb - 1 == framing``.
+        A line is longer than the text every line shares (the base diagram,
+        ``tb``, the closure components' arrays), so ``lines``, the ceiling of
+        ``size`` over that text's length, always reach ``size`` characters.
+        That text is made once.  So are the rot, stab_neg and stab_pos texts
+        of the picks of the trailing menus whose product holds at most
+        ``lines`` lines.  The four texts of each pick of the product of the
+        other menus go before each of them in one list of pieces.  If the
+        menu before the trailing ones has more picks than ``lines``, its
+        texts are made one slice of picks at a time.  A block ends only
+        between picks (or slices) once it holds ``lines`` lines, so every
+        block but the last reaches ``size`` and holds fewer than ``2 *
+        lines`` lines; each is one ``str.join`` of its pieces.  Every pick
+        of a menu has one tb, as ``__init__`` checked ``tb - 1 == framing``.
         """
         base = surgery.diagram_to_dict(self.base)
         head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
@@ -344,7 +345,7 @@ class WeinsteinEnumeration:
         end = f'],"tb":[{tb}]}}\n'
 
         # ``tail``: the texts of the product of menus[cut:], at most ``lines``.
-        lines = size // len(head) or 1
+        lines = -(-size // len(head))
         cut, tail = len(menus), [("", "", "")]
         while cut and len(tail) * len(menus[cut - 1]) <= lines:
             cut -= 1
@@ -355,13 +356,7 @@ class WeinsteinEnumeration:
             cut -= 1
             sliced = menus[cut]
 
-        def ends(k):  # the characters of the first k lines of ``pieces``
-            return k * width + sums[k]
-
-        # ``carry``: the pieces of the lines not yet in a block.  ``start``:
-        # where that block began, in characters into ``pieces`` (below 0
-        # while ``carry`` holds lines of earlier pieces).
-        carry, start = [], 0
+        block = []
         for picks in itertools.product(*map(_texts, menus[:cut])):
             rot, neg, pos = map("".join, zip(("", "", ""), *picks))
             prefix = (
@@ -370,7 +365,6 @@ class WeinsteinEnumeration:
                 f'],"stab_neg":[{braid_neg}{neg}',
                 f'],"stab_pos":[{braid_pos}{pos}',
             )
-            width = sum(map(len, prefix), len(end))
             for i in range(0, len(sliced) or 1, step):
                 texts = _texts(sliced[i : i + step], tail) if sliced else tail
                 if texts is not last:
@@ -380,20 +374,14 @@ class WeinsteinEnumeration:
                     columns = (rots, rots if cut else [r[1:] for r in rots], negs, poss)
                     for j, column in enumerate(columns):
                         pieces[2 * j + 1 :: 9] = column
-                    lengths = map(len, map("".join, zip(*columns)))
-                    sums = [*itertools.accumulate(lengths, initial=0)]
                 for j, text in enumerate(prefix):
                     pieces[2 * j :: 9] = [text] * n
-                j = 0
-                while (
-                    k := bisect.bisect_left(range(n + 1), start + size, j + 1, key=ends)
-                ) <= n:
-                    yield "".join(carry + pieces[9 * j : 9 * k])
-                    carry, start, j = [], ends(k), k
-                carry += pieces[9 * j :]
-                start -= ends(n)
-        if carry:
-            yield "".join(carry)
+                block += pieces
+                if len(block) >= 9 * lines:
+                    yield "".join(block)
+                    block = []
+        if block:
+            yield "".join(block)
 
     def theta_sweep(self, text):
         """``(rows, values)``: theta over every tuple, with a ``Fraction``
@@ -479,7 +467,7 @@ def theta(w: WeinsteinDiagram) -> ThetaReport:
     """
     report = surgery.homology(w.base)
     r = c1_pairing(w)
-    det, g = w.base._gram(w.base._unknots, [dict(enumerate(r))])
+    det, g = w.base._gram([dict(enumerate(r))])
     comps = w.base.components
     if any(x and c.kind != BRAID and c.framing == -2 for x, c in zip(r, comps)):
         raise LegendrianError("an unknot framed -2 must have rot 0")

@@ -10,8 +10,7 @@ division is exact and only ints are used (``solve_exact`` builds
 ``smith_normal_form`` uses Euclidean row and column operations, modulo
 ``|det|`` when that is nonzero.  ``surgery`` calls them only on the
 residuals of its sparse fold: on an expansion with ``k`` closure
-components at most ``2k`` rows, and for theta's solve ``k`` rows on one
-tuple and at most ``k + 16`` on a sweep.
+components at most ``2k`` rows, and ``k`` for theta's solve.
 """
 
 from __future__ import annotations

@@ -15,19 +15,19 @@ the signature and ``c1^2``, one sparse elimination removes unknots, last
 first (children before their parents in an expansion), in integers
 throughout (an entry is a numerator over a denominator, reduced by their
 gcd at each update), and scales the Schur complement on the rest by the
-lcm of its denominators: of every unknot for the
-signature (its signature plus the sign of each pivot) and for one
-tuple's ``c1^2``, of those framed -2 for a sweep; an unknot whose pivot
-is zero stays.  The rotation vectors border the form and ride through,
-and one solve on the rest gives their Gram matrix and so ``c1^2``.  For
+lcm of its denominators: of every unknot, for the signature (its
+signature plus the sign of each pivot) and for ``c1^2``; an unknot whose
+pivot is zero stays.  The rotation vectors border the form and ride
+through, and one solve on the rest gives their Gram matrix and so
+``c1^2``.  For
 the invariant factors, rational framings included, each stack of ``m >=
 2`` leaves framed -2 on one integral component splits off ``m - 2``
 factors 2 in closed form, every remaining entry ``+-1`` is a unimodular
 pivot, and the Smith form of the residual takes the 2s back in by
 2-adic valuation.  On an expansion with ``k`` closure components the
-kernels see at most ``k x k`` (signature; theta's solve on one tuple),
-``k + 16`` rows (theta's solve on a sweep) and ``2k x 2k`` (Smith form);
-the dense kernels on the full matrix are the test oracle.
+kernels see at most ``k x k`` (signature and theta's solve) and ``2k x
+2k`` (Smith form); the dense kernels on the full matrix are the test
+oracle.
 Expansions are capped at :data:`MAX_COMPONENTS` components, checked from
 the slopes before anything is built.
 """
@@ -129,11 +129,11 @@ class SurgeryDiagram(Record):
         _check_indices(braid, components)
         self._store(locals())
 
-    @property
+    # Diagrams are frozen, so each memo below is computed at most once.
+
+    @cached_property
     def is_integral(self) -> bool:
         return all(c.is_integral for c in self.components)
-
-    # Diagrams are frozen, so each memo below is computed at most once.
 
     @cached_property
     def _form(self) -> list[dict[int, int]]:
@@ -188,15 +188,16 @@ class SurgeryDiagram(Record):
         comps = self.components
         return [i for i in range(len(comps) - 1, -1, -1) if comps[i].kind != BRAID]
 
-    def _schur(self, unknots, border=()) -> tuple[list[int], list[list[int]], int, int]:
-        """``(keep, M, L, s)`` after eliminating in turn each of ``unknots``
-        whose pivot is nonzero (T) from the sparse form ``Q`` of an integral
-        diagram: ``M = L (Q/Q_TT)`` on the other components ``keep``, ``L``
-        the lcm of its denominators, ``s`` the sum of the pivot signs.  By
-        Haynsworth's inertia additivity ``sig Q = s + sig M``, and ``det Q``
-        is 0 exactly when ``det M`` is.  A zero pivot keeps its unknot.  The
-        sparse columns ``border`` of ``B`` make ``Q`` ``[[Q, B], [B^T, 0]]``;
-        they are never eliminated and come last in ``keep`` and ``M``.
+    def _schur(self, border=()) -> tuple[list[int], list[list[int]], int, int]:
+        """``(keep, M, L, s)`` after eliminating in turn each of
+        :attr:`_unknots` whose pivot is nonzero (T) from the sparse form
+        ``Q`` of an integral diagram: ``M = L (Q/Q_TT)`` on the other
+        components ``keep``, ``L`` the lcm of its denominators, ``s`` the
+        sum of the pivot signs.  By Haynsworth's inertia additivity ``sig Q
+        = s + sig M``, and ``det Q`` is 0 exactly when ``det M`` is.  A zero
+        pivot keeps its unknot.  The sparse columns ``border`` of ``B`` make
+        ``Q`` ``[[Q, B], [B^T, 0]]``; they are never eliminated and come
+        last in ``keep`` and ``M``.
 
         In integers: entry ``(i, j)`` is ``rows[i][j] / dens[i][j]`` in
         lowest terms, and ``dens[i]`` holds the entries the fold changed
@@ -208,7 +209,7 @@ class SurgeryDiagram(Record):
                 rows[i][c] = x
         dens: list[dict[int, int]] = [{} for _ in rows]
         signs = 0
-        for u in unknots:
+        for u in self._unknots:
             p = rows[u].pop(u, 0)
             if not p:
                 continue
@@ -241,16 +242,16 @@ class SurgeryDiagram(Record):
                 m[-1][pos[j]] = x * (scale // dens[i].get(j, 1))
         return keep, m, scale, signs
 
-    def _gram(self, unknots, border) -> tuple[int, list[list[int]]]:
+    def _gram(self, border) -> tuple[int, list[list[int]]]:
         """``(D, N)`` with ``B^T Q^-1 B = N / D`` for the sparse columns
-        ``border`` of ``B``: the :meth:`_schur` of ``unknots`` on ``Q``
-        bordered by ``B`` leaves ``L [[M, C], [C^T, E]]``, and one
-        :func:`linalg.solve` of ``(LM) X = LC`` gives ``d = det(LM)``, ``N =
-        (LC)^T X - d LE`` and ``D = L d``, as ``B^T Q^-1 B = C^T M^-1 C - E``.
+        ``border`` of ``B``: the :meth:`_schur` of ``Q`` bordered by ``B``
+        leaves ``L [[M, C], [C^T, E]]``, and one :func:`linalg.solve` of
+        ``(LM) X = LC`` gives ``d = det(LM)``, ``N = (LC)^T X - d LE`` and
+        ``D = L d``, as ``B^T Q^-1 B = C^T M^-1 C - E``.
         Raises ``SingularityError`` when ``det(Q) == 0``."""
         if not self._homology.det:
             raise SingularityError("theta needs a nonsingular linking matrix")
-        keep, m, scale, _ = self._schur(unknots, border)
+        keep, m, scale, _ = self._schur(border)
         k = len(keep) - len(border)
         d, x = linalg.solve([row[:k] for row in m[:k]], [row[k:] for row in m[:k]])
         x = [[row[j] for row in x] for j in range(len(border))]
@@ -332,7 +333,7 @@ class SurgeryDiagram(Record):
     def _homology(self) -> HomologyReport:
         order, divisors, free_rank = self._invariants
         n = len(self.components)
-        _, m, _, signs = self._schur(self._unknots)
+        _, m, _, signs = self._schur()
         sigma = signs + linalg.signature(m)
         return HomologyReport(
             # Sylvester: det has the sign of (-1)^(negative eigenvalues).
@@ -399,8 +400,9 @@ def _expand_component(
     n = framing.numerator // framing.denominator
     frac = framing - n
     out: list[SurgeryComponent] = []
-    for _ in range(2 * n):
-        out.append(SurgeryComponent(kind=MERIDIAN, framing=Fraction(-2), parent=idx))
+    if n:  # records are frozen, so the 2n meridians share one
+        meridian = SurgeryComponent(kind=MERIDIAN, framing=Fraction(-2), parent=idx)
+        out = [meridian] * (2 * n)
     if frac != 0:
         chain = neg_cfrac(Fraction(-frac.denominator, frac.numerator)).coeffs
         parent = idx

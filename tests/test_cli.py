@@ -368,9 +368,9 @@ def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     "slope,tuple_,expected",
     [
         # 2+2/7 expands to the closure, four meridians framed -2 and the
-        # chain (-4, -2): n = 7, but the sweep folds the -2s, so its solve
-        # sees the closure and the -4, which carry a rot.
-        ("2+2/7", None, {"smith_normal_form": [2], "signature": [1], "solve": [2]}),
+        # chain (-4, -2): n = 7, but the sweep folds every unknot, so its
+        # solve sees the closure alone.
+        ("2+2/7", None, {"smith_normal_form": [2], "signature": [1], "solve": [1]}),
         # One tuple of the chain of 200 unknots framed -3: n = 201, but
         # every unknot folds, and the solve sees the closure alone.
         (
@@ -755,15 +755,15 @@ def test_menus_of_one_pick_fold_into_the_text(braid_text, slopes):
 
 def assert_blocks_match(enum, expected):
     """``json_blocks`` joins to ``expected`` at sizes of 1, 2, 3 and 7
-    times the text every line shares and at the CLI's write size: each
-    block is the fewest whole lines that reach the size, but the last."""
+    times the text every line shares and at the CLI's write size: every
+    block but the last reaches the size, and each holds fewer than twice
+    the lines of that text's length it takes to reach it."""
     width = expected[0].index(',"rot":[')
     for size in (width, 2 * width, 3 * width, 7 * width, cli._WRITE_SIZE):
         blocks = list(enum.json_blocks(size))
         assert "".join(blocks) == "".join(expected)
-        for block in blocks:
-            *lines, last = block.splitlines(keepends=True)
-            assert last.endswith("\n") and sum(map(len, lines)) < size
+        lines = -(-size // width)
+        assert all(block.count("\n") < 2 * lines for block in blocks)
         assert all(len(block) >= size for block in blocks[:-1])
 
 
@@ -780,7 +780,7 @@ def test_a_menu_larger_than_a_block_is_cut_into_slices(monkeypatch):
     # One menu of 999 picks, more than a block at the write size holds.
     enum, expected = oracle_lines("B2 s1^5", "1/1000")
     assert [len(menu) for menu in enum.menus] == [999]
-    assert cli._WRITE_SIZE // expected[0].index(',"rot":[') < 999
+    assert -(-cli._WRITE_SIZE // expected[0].index(',"rot":[')) < 999
     assert_blocks_match(enum, expected)
     # Its pick texts are made a slice at a time, never for the whole menu.
     texts, sliced = legendrian._texts, []
@@ -1038,12 +1038,15 @@ class CountingStdout(io.StringIO):
     [
         # 5,184 lines of about 860 characters.
         (["enumerate", "B3 s1^3 s2^5", "--slopes", "9713/35369"], "}\n"),
+        # Menus of 2 and 1,000 picks: the second, larger than a block, comes
+        # a slice at a time, and a slice's remainder joins the next pick's.
+        (["enumerate", "B2 s1^5", "--slopes", "1001/3002"], "}\n"),
         # 288 entries and 65 groups, in blocks of 1,024 items at most.
         (["theta", "B2 s1^7", "--slope", "505/1406"], '"entries": '),
         # 201 rows of about 1,600 characters.
         (["surgery", "B2 s1^5", "--slopes", "100"], '"linking_matrix": '),
     ],
-    ids=["enumerate", "theta", "surgery"],
+    ids=["enumerate", "enumerate-sliced", "theta", "surgery"],
 )
 def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
     out = CountingStdout()
@@ -1060,11 +1063,13 @@ def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
         _, streamed = cli.cmd_enumerate(cli.parse_argv(argv))
         blocks = list(streamed)
         assert "".join(lines[1:]) == "".join(blocks)
-        # Each block of lines goes out as one write, at most one line past
-        # the size.
+        # Each block of lines goes out as one write: at least the size but
+        # the last, and fewer than twice the lines of the text every line
+        # shares that it takes to reach the size.
         assert writes[1:] == [len(block) for block in blocks]
-        longest = max(map(len, lines))
-        assert all(size < 65_536 + longest for size in writes)
+        assert all(len(block) >= 65_536 for block in blocks[:-1])
+        most = 2 * -(-65_536 // lines[1].index(',"rot":['))
+        assert all(block.count("\n") < most for block in blocks)
     if argv[0] == "surgery":
         ends = list(itertools.accumulate(writes))
         chunks = [text[a:b] for a, b in zip([0] + ends, ends)]

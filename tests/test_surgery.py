@@ -583,7 +583,8 @@ def sparse_folds(draw):
 def test_integer_fold_matches_the_fraction_fold(case):
     rows, unknots, border = case
     shared = [dict(row) for row in rows]
-    folded = S.SurgeryDiagram._schur(SimpleNamespace(_relations=shared), unknots, border)
+    fold = SimpleNamespace(_relations=shared, _unknots=unknots)
+    folded = S.SurgeryDiagram._schur(fold, border)
     assert folded == schur_by_fractions(rows, unknots, border)
     _, m, scale, _ = folded
     assert all(type(x) is int for row in m for x in [scale, *row])
@@ -597,7 +598,7 @@ def test_integer_fold_of_an_expansion_matches_the_fraction_fold(diagram):
     rot = {i: (-1) ** i * (i % 3) for i in range(len(rows))}
     for border in ((), [rot], [rot, {unknots[-1]: 1}] if unknots else [rot]):
         expected = schur_by_fractions(rows, unknots, border)
-        assert diagram._schur(unknots, border) == expected
+        assert diagram._schur(border) == expected
 
 
 # -- presentation matrix -------------------------------------------------------
