@@ -288,15 +288,18 @@ def test_theta_invariant_under_tuple_negation():
 
 @pytest.mark.parametrize(
     "braid_text,slope,det",
-    [("B2 s1^9", Fraction(62, 489), 30318), ("B3 s1^3 s2^5", Fraction(519, 1445), 749955)],
+    [("B2 s1^9", Fraction(62, 489), -62), ("B3 s1^3 s2^5", Fraction(519, 1445), 519)],
 )
 def test_theta_sweep_lists_the_forms_by_increasing_theta(braid_text, slope, det):
-    # The bench's two sweeps: 24 and 65 distinct forms, c1^2 = form / det.
+    # The bench's two sweeps, det = det(Q): 24 and 65 distinct forms,
+    # c1^2 = form / D with D from the fold of every unknot.
     enum = L.enumerate_weinstein(B.parse_braid(braid_text), SlopeVector((slope,)))
     _, values = enum.theta_sweep(str)
-    assert enum.c1_forms()[0] == det
-    assert list(values) == sorted(values, key=lambda form: Fraction(form, det))
-    assert len(values) == {30318: 24, 749955: 65}[det]
+    assert S.homology(enum.base).det == det
+    d = enum.c1_forms()[0]
+    assert d == {-62: 30318, 519: 749955}[det]
+    assert list(values) == sorted(values, key=lambda form: Fraction(form, d))
+    assert len(values) == {-62: 24, 519: 65}[det]
 
 
 @st.composite
