@@ -4,11 +4,12 @@ Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
 blocks of diagram lines, ``theta`` over all tuples gives its ``entries``
 and ``theta_groups`` as generators of text made from per-tuple templates,
-and ``surgery`` gives its ``linking_matrix`` as a generator of blocks of
-rows made from the diagram's sparse rows).  A builder runs every check
-that can raise before it returns, so a generator only formats, and its
-integers, whose digits the parser caps at ``MAX_DIGITS``, never meet the
-interpreter's limit on printing one.
+and ``surgery`` gives its ``linking_matrix`` as a generator of the text
+of each row, which ``emit`` joins into writes of the fewest whole rows
+that reach 64 KB).  A builder runs every check that can raise before it
+returns, so a generator only formats, and its integers, whose digits the
+parser caps at ``MAX_DIGITS``, never meet the interpreter's limit on
+printing one.
 ``_run`` is the one writer: it parses the argv (``argv.parse_argv``
 walks it through the grammar's table, which is built at import), runs
 the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
@@ -326,7 +327,7 @@ def cmd_surgery(args) -> dict:
         "rational_diagram": _diagram(text, rational),
         "expanded_diagram": _diagram(text, expanded),
         # Checked integral here, before anything is written.
-        "linking_matrix": _matrix_blocks(surgery.linking_rows(expanded), _WRITE_SIZE),
+        "linking_matrix": _matrix_rows(surgery.linking_rows(expanded)),
         "homology": vars(surgery.homology(expanded)),
     }
 
@@ -417,27 +418,20 @@ def _blocks(items):
 _BLOCK = 1024
 
 
-def _matrix_blocks(rows, size: int):
+def _matrix_rows(rows):
     """The indent-2 text of a top-level square matrix from its sparse rows
-    (at least one, as :func:`surgery.linking_rows` gives them), in blocks:
-    each the fewest whole rows that reach ``size`` characters, but the
-    last.  A row's cells start as ``"0"``, its nonzero entries are set by
-    ``repr``, and the row is one ``str.join``."""
+    (at least one, as :func:`surgery.linking_rows` gives them): one text
+    per row, then the closing bracket.  A row's cells start as ``"0"``,
+    its nonzero entries are set by ``repr``, and the row is one
+    ``str.join``."""
     zeros, sep = ["0"] * len(rows), "[\n    [\n      "
-    block, length = [], 0
     for row in rows:
         cells = zeros.copy()
         for j, x in row.items():
             cells[j] = repr(x)
-        text = sep + ",\n      ".join(cells) + "\n    ]"
-        block.append(text)
-        length += len(text)
-        if length >= size:
-            yield "".join(block)
-            block, length = [], 0
+        yield sep + ",\n      ".join(cells) + "\n    ]"
         sep = ",\n    [\n      "
-    block.append("\n  ]")
-    yield "".join(block)
+    yield "\n  ]"
 
 
 def cmd_limits(args) -> dict:

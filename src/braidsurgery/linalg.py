@@ -1,11 +1,11 @@
 """Exact integer matrix routines, fraction-free throughout.
 
-``det`` and ``solve`` share one Bareiss (1968) forward elimination,
-``solve`` and ``solve_exact`` one back substitution, and ``signature``
-is its symmetric counterpart: stored entries stay minors, so every
-division is exact and only ints are used (``solve_exact`` builds
-``Fraction`` values for its result alone).  ``solve`` eliminates
-``[m | b]`` once, so a Gram matrix ``b^T m^-1 b`` is
+``det``, ``solve`` and ``signature`` eliminate by one Bareiss (1968)
+step, :func:`_pivot`: the first two down the first column, ``signature``
+on the diagonal.  Stored entries stay minors, so every division is exact
+and only ints are used (``solve_exact``, :func:`solve` of one column,
+builds ``Fraction`` values for its result alone).
+``solve`` eliminates ``[m | b]`` once, so a Gram matrix ``b^T m^-1 b`` is
 ``b^T (det(m) m^-1 b) / det(m)`` in integers for any number of columns.
 ``smith_normal_form`` uses Euclidean row and column operations, modulo
 ``|det|`` when that is nonzero.  ``surgery`` calls them only on the
@@ -34,6 +34,26 @@ def _current(row: list[int], at: int, prev: int) -> list[int]:
     return row if at == prev else [x * prev // at for x in row]
 
 
+def _pivot(a: Matrix, at: list[int], k: int, c: int, prev: int) -> tuple[int, list[int]]:
+    """One Bareiss step on the live rows ``a``, in place: row ``k`` leaves
+    as the pivot row, brought to the scale of the last pivot ``prev``, and
+    its entry in column ``c`` is the new pivot.  Every other row loses
+    column ``c``; one with a nonzero there is reduced by the pivot row.
+    Returns the pivot and the rest of its row.
+
+    Row i holds its entries as of ``at[i]``, the last pivot to change it:
+    ``prev / at[i]`` times them are current.  So a row is scaled only when
+    a pivot updates it (over ``at[i]``, not ``prev``) or it is chosen.
+    """
+    r = _current(a.pop(k), at.pop(k), prev)
+    piv = r.pop(c)
+    for i, row in enumerate(a):
+        if f := row.pop(c):
+            a[i] = [(x * piv - f * y) // at[i] for x, y in zip(row, r)]
+            at[i] = piv
+    return piv, r
+
+
 def _eliminate(a: Matrix) -> tuple[int, Matrix]:
     """Bareiss forward elimination of an ``n x (n + e)`` matrix, in place.
 
@@ -41,11 +61,7 @@ def _eliminate(a: Matrix) -> tuple[int, Matrix]:
     singular) and the pivot rows ``[D_k, reduced entries right of it]``,
     ``D_k`` the k-th leading principal minor of the row-permuted matrix.
     """
-    sign, prev, rows = 1, 1, []
-    # Row i holds its entries as of ``at[i]``, the last pivot to change it:
-    # ``prev / at[i]`` times them are current.  So a row is scaled only when
-    # a pivot updates it (over ``at[i]``, not ``prev``) or it is chosen.
-    at = [1] * len(a)
+    sign, prev, rows, at = 1, 1, [], [1] * len(a)
     while a:
         for k, r in enumerate(a):
             if r[0]:
@@ -54,17 +70,8 @@ def _eliminate(a: Matrix) -> tuple[int, Matrix]:
             return 0, rows
         if k % 2:
             sign = -sign
-        del a[k]
-        r = _current(r, at.pop(k), prev)
-        rows.append(r)
-        piv, tail = r[0], r[1:]
-        for i, row in enumerate(a):
-            if f := row[0]:
-                a[i] = [(x * piv - f * y) // at[i] for x, y in zip(row[1:], tail)]
-                at[i] = piv
-            else:
-                del row[0]
-        prev = piv
+        prev, r = _pivot(a, at, k, 0, prev)
+        rows.append([prev, *r])
     return sign, rows
 
 
@@ -147,10 +154,7 @@ def signature(m: Matrix) -> int:
     a = _square(m)
     if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    sig, prev = 0, 1
-    # Row i is kept as of ``at[i]``, as in :func:`_eliminate`: a pivot
-    # rescales only the rows it reaches.
-    at = [1] * len(a)
+    sig, prev, at = 0, 1, [1] * len(a)
     while a:
         for k, row in enumerate(a):
             if row[k]:
@@ -167,13 +171,8 @@ def signature(m: Matrix) -> int:
             at[j] = at[k] = prev
             for row in a:
                 row[k] += row[j]
-        r = _current(a.pop(k), at.pop(k), prev)
-        piv = r.pop(k)
+        piv, _ = _pivot(a, at, k, k, prev)
         sig += 1 if (piv > 0) == (prev > 0) else -1
-        for i, row in enumerate(a):
-            if f := row.pop(k):
-                a[i] = [(x * piv - f * y) // at[i] for x, y in zip(row, r)]
-                at[i] = piv
         prev = piv
     return sig
 

@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -339,6 +340,22 @@ def test_theta_table_renders_the_json_output():
     assert table.splitlines() == list(cli._table_lines(json.loads(out), ""))
 
 
+def test_enumerate_table_writes_the_envelope_lines_then_the_diagram_lines():
+    argv = ["enumerate", "B2 s1^5", "--slopes", "2/7"]
+    plain, table = CountingStdout(), CountingStdout()
+    for out, args in ((plain, argv), (table, argv + ["--table"])):
+        with redirect_stdout(out):
+            assert cli.main(args) == cli.EXIT_OK
+    text = plain.getvalue()
+    head, diagrams = text[: plain.writes[0]], text[plain.writes[0] :]
+    assert diagrams.count("\n") == 3
+    # The envelope's table lines in a write of their own, then the same
+    # diagram lines as JSON.
+    envelope = "\n".join(cli._table_lines(json.loads(head), "")) + "\n"
+    assert table.writes == [len(envelope), len(diagrams)]
+    assert table.getvalue() == envelope + diagrams
+
+
 def test_theta_over_all_tuples_builds_base_invariants_once(monkeypatch):
     from braidsurgery import linalg
 
@@ -644,15 +661,32 @@ def test_enumerate_rejects_an_invalid_menu_pick_before_the_envelope(monkeypatch)
     }
 
 
-def _bench_workloads():
-    path = Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name: str):
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _bench_workloads()
+WORKLOADS = _bench_module("workloads")
+
+
+def test_bench_spans_finds_every_timed_name_and_puts_each_back():
+    # The traced bench rebinds each name it times; install raises KeyError
+    # if one is gone from the package.
+    from braidsurgery import linalg
+
+    names = [(linalg, "det"), (linalg, "signature")]
+    names += [(cli, "emit"), (cli, "jsonify"), (cli, "json")]
+    originals = [getattr(owner, attr) for owner, attr in names]
+    recorder = _bench_module("spans").Recorder()
+    try:
+        recorder.install()
+        assert all(getattr(o, a) is not v for (o, a), v in zip(names, originals))
+    finally:
+        recorder.uninstall()
+    assert all(getattr(o, a) is v for (o, a), v in zip(names, originals))
 # Unlike the bench's links, its closure components carry stab_pos != stab_neg
 # and one has rot 1.
 UNBALANCED_LINK = "B4 s2^-1 s3^7 s1^7 s2^5"
@@ -1071,14 +1105,14 @@ def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
         most = 2 * -(-65_536 // lines[1].index(',"rot":['))
         assert all(block.count("\n") < most for block in blocks)
     if argv[0] == "surgery":
-        ends = list(itertools.accumulate(writes))
-        chunks = [text[a:b] for a, b in zip([0] + ends, ends)]
-        blocks = list(cli.cmd_surgery(cli.parse_argv(argv))["linking_matrix"])
-        # Each block of rows but the last goes out as one write, and its
-        # rows but the last stay under the size.
-        assert len(blocks) == 6
-        assert chunks[1:-1] == blocks[:-1]
-        assert all(block.rfind("\n    [\n") - 1 < 65_536 for block in blocks)
+        rows = list(cli.cmd_surgery(cli.parse_argv(argv))["linking_matrix"])
+        streamed = text[writes[0] :]
+        matrix = "".join(rows)
+        assert streamed.startswith(matrix)
+        # Whole rows per write, the fewest that reach the size; the text
+        # after the matrix is the last item.
+        assert len(writes) == 7
+        assert_fewest_whole_items(writes[1:], [*rows, streamed[len(matrix) :]], 65_536)
 
 
 def test_theta_over_65536_tuples_into_a_reader_that_closes_is_a_clean_exit():
@@ -1889,26 +1923,42 @@ def expanded_diagrams(draw):
     return expand(rational)
 
 
-MATRIX_BLOCK_SIZES = st.sampled_from([1, 2, 3, 40, 1000, cli._WRITE_SIZE])
+def assert_fewest_whole_items(writes, items, size):
+    """Each write is whole ``items``, in order; each but the last reaches
+    ``size`` characters, and falls under it without its last item."""
+    items = iter(items)
+    for n, length in enumerate(writes, 1):
+        taken = 0
+        while taken < length:
+            last = len(next(items))
+            taken += last
+        assert taken == length
+        if n < len(writes):
+            assert length >= size > length - last
+    assert next(items, None) is None
 
 
-@given(expanded_diagrams(), MATRIX_BLOCK_SIZES)
+@given(expanded_diagrams())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_matrix_blocks_join_to_the_dense_text(diagram, size):
-    blocks = cli._matrix_blocks(surgery.linking_rows(diagram), size)
-    assert "".join(blocks) == linking_matrix_text(diagram)
+def test_matrix_blocks_join_to_the_dense_text(diagram):
+    rows = list(cli._matrix_rows(surgery.linking_rows(diagram)))
+    assert "".join(rows) == linking_matrix_text(diagram)
+    assert len(rows) == len(diagram.components) + 1
+    assert all(row.endswith("\n    ]") for row in rows[:-1])
 
 
-@given(expanded_diagrams(), MATRIX_BLOCK_SIZES)
+@given(expanded_diagrams())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_matrix_blocks_are_the_fewest_whole_rows_that_reach_the_size(diagram, size):
-    *blocks, last = cli._matrix_blocks(surgery.linking_rows(diagram), size)
-    assert last.endswith("\n  ]")
-    for block in blocks:
-        # Whole rows that reach the size; without the last row, they do not.
-        assert block.endswith("\n    ]")
-        assert len(block) >= size
-        assert block.rfind("\n    [\n") - 1 < size
+def test_matrix_blocks_are_the_fewest_whole_rows_that_reach_the_size(diagram):
+    rows = surgery.linking_rows(diagram)
+    # The closing bracket and brace follow the rows as items of their own.
+    items = [*cli._matrix_rows(rows), "\n}\n"]
+    for size in (1, 2, 3, 40, 1000, 65_536):
+        out = CountingStdout()
+        with mock.patch.object(cli, "_WRITE_SIZE", size), redirect_stdout(out):
+            cli.emit({"linking_matrix": cli._matrix_rows(rows)})
+        assert out.getvalue()[: out.writes[0]] == '{\n  "linking_matrix": '
+        assert_fewest_whole_items(out.writes[1:], items, size)
 
 
 @given(expanded_diagrams())

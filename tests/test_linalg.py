@@ -192,7 +192,26 @@ def banded_matrices(draw):
 @given(symmetric_matrices() | banded_matrices())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_signature_matches_the_rational_oracle(m):
-    assert linalg.signature(m) == signature_rational(m)
+    n, sig = len(m), linalg.signature(m)
+    assert sig == signature_rational(m)
+    # det and solve take the same Bareiss step as signature, pivoting down
+    # the first column instead of the diagonal.
+    d = linalg.det(m)
+    if d:
+        # Sylvester's law of inertia: det has the sign of (-1)^(negative eigenvalues).
+        assert (d > 0) == ((n - sig) // 2 % 2 == 0)
+    if n > 30:
+        return
+    try:
+        solve_rational(m, [1] * n)
+    except ZeroDivisionError:
+        assert d == 0
+        return
+    assert d != 0
+    det, adj = linalg.solve(m, identity(n))
+    assert det == d
+    product = [[sum(m[i][t] * adj[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    assert product == identity(n, d)
 
 
 dense_matrices = st.integers(min_value=1, max_value=5).flatmap(
