@@ -2,20 +2,20 @@
 
 Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
-blocks of diagram lines, ``theta`` over all tuples gives its ``entries``
-and ``theta_groups`` as generators of text made from per-tuple templates,
-and ``surgery`` gives its ``linking_matrix`` as a generator of the text
-of each row, which ``emit`` joins into writes of the fewest whole rows
-that reach 64 KB).  A builder runs every check that can raise before it
-returns, so a generator only formats, and its integers, whose digits the
-parser caps at ``MAX_DIGITS``, never meet the interpreter's limit on
-printing one.
+blocks of diagram lines).  A generator at any depth of a payload is a
+stream of the indent-2 text of the value at its place: ``theta`` over
+all tuples gives its ``entries`` and ``theta_groups`` so, and ``surgery``
+its ``linking_matrix`` (a text per row) and each diagram's
+``components`` (one text).  A builder runs every check that can raise
+before it returns, so a generator only formats, and its integers, whose
+digits the parser caps at ``MAX_DIGITS``, never meet the interpreter's
+limit on printing one.
 ``_run`` is the one writer: it parses the argv (``argv.parse_argv``
 walks it through the grammar's table, which is built at import), runs
 the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
 ``subcommand`` and ``inputs_echo``, the parsed arguments) and passes it
 to :func:`emit`, which writes canonical JSON (sorted keys, rationals as
-``p/q`` strings) or ``--table`` lines.
+``p/q`` strings) or ``--table`` lines, both from one encoder.
 Identical inputs produce byte-identical output.
 ``limits`` and ``families`` each serve one subcommand, and
 ``cmd_limits`` and ``cmd_family`` import them when they run, so a process
@@ -51,7 +51,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from types import GeneratorType
 
 from . import braid as braid_mod
@@ -144,66 +143,53 @@ def frac_str(value: Fraction) -> str:
         raise DigitLimitExceeded from None
 
 
-class _Text:
-    """JSON text made before :func:`emit` runs: :func:`_indented` writes it
-    as it is, and :func:`jsonify` reads it back for ``json.dumps``."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
 def jsonify(value):
-    """The ``json.dumps`` hook: a Fraction as its ``p/q`` string, and a
-    generator of JSON text (see :func:`emit`) or a :class:`_Text` as the
-    data it reads as."""
+    """The ``json.dumps`` hook, and :func:`_indented`'s for a type it does
+    not encode: a Fraction as its ``p/q`` string."""
     if isinstance(value, Fraction):
         return frac_str(value)
-    if isinstance(value, GeneratorType):
-        return json.loads("".join(value))
-    if isinstance(value, _Text):
-        return json.loads(value.text)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def emit(data: dict, table: bool = False, lines=None) -> None:
     """Write ``data`` as ``json.dumps(data, sort_keys=True, indent=2,
     default=jsonify)`` would (see :func:`_indented`), as ``key = value``
-    lines with ``table``, or as a compact line before the streamed
-    ``lines``.  A generator value of ``data`` is the indent-2 text of its
-    top-level key's value, written block by block in its place: the
-    ``entries`` and ``theta_groups`` of ``theta`` over all tuples and the
-    ``linking_matrix`` of ``surgery``.  Nothing is written if an integer of
+    lines with ``table`` (see :func:`_table_lines`), or as a compact line
+    before the streamed ``lines``.  Each stream of ``data`` (a generator at
+    any depth) is written item by item at its place, in table lines on one
+    line (see :func:`_compact`).  Nothing is written if an integer of
     ``data`` is too long to print: that raises :class:`DigitLimitExceeded`.
     A stream cannot meet that limit once the head is out: theta's values
     are texts before ``emit`` runs, and every entry of a linking matrix has
     at most ``MAX_DIGITS`` digits (framings come from parsed slopes, and
     every other entry is a linking number of the braid).
 
-    The text before the first generator or line goes out in one ``write``
+    The text before the first stream or line goes out in one ``write``
     of its own; what follows it is joined into writes of at least
     ``_WRITE_SIZE`` characters (the last may be shorter), each of them at
     most one item past that size.
     """
+    streams = []
     try:
         if table:
-            text = "\n".join(_table_lines(data, ""))
+            text = "\n".join(_table_lines(data, "", streams))
+            streams = [map(_compact, items) for items in streams]
         elif lines is None:
-            text = _indented(data, "\n")
+            text = _indented(data, "\n", streams)
         else:
             text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=jsonify)
     except ValueError:  # over the interpreter's digit limit
         raise DigitLimitExceeded from None
-    # Each generator value is written at its NUL (JSON text holds none,
-    # ``_quote`` escapes it); ``lines`` follow the end.
-    streams = [v for _, v in sorted(data.items()) if type(v) is GeneratorType]
-    head, *texts = f"{text}\n".split("\0")
+    # Each stream is written at its NUL (JSON text holds none, ``_quote``
+    # escapes it); ``lines`` follow the end.  The newline goes on in place
+    # (``text`` is the one reference), so a text with no NUL is not copied.
+    text += "\n"
+    head, *texts = text.split("\0")
     write = sys.stdout.write
     write(head)
     chunk, size = [], 0
-    for blocks, text in zip([*streams, lines or ()], [*texts, ""]):
-        for item in itertools.chain(blocks, [text]):
+    for items, text in zip([*streams, lines or ()], [*texts, ""]):
+        for item in itertools.chain(items, [text]):
             chunk.append(item)
             size += len(item)
             if size >= _WRITE_SIZE:
@@ -218,40 +204,52 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
 _WRITE_SIZE = 65_536
 
 
-# The JSON text of a scalar, by its exact type; a generator's is a NUL
-# that emit replaces with the generator's text, and a ``_Text`` is its text.
+# The JSON text of a scalar, by its exact type.
 _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get}
 _SCALARS[type(None)] = {None: "null"}.get
-_SCALARS[GeneratorType] = "\0".format
-_SCALARS[_Text] = attrgetter("text")
 
 
-def _indented(value, pad: str) -> str:
+def _indented(value, pad: str, streams: list) -> str:
     """``value`` as indent-2 JSON with sorted string keys, its lines
-    continued by ``pad`` (a newline and the indent of ``value``)."""
+    continued by ``pad`` (a newline and the indent of ``value``).  A
+    generator of text is a NUL, appended to ``streams`` in text order."""
     encode = _SCALARS.get(type(value))
     if encode:
         return encode(value)
     inner = pad + "  "
     if isinstance(value, dict):
-        items = [f"{_quote(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())]
+        items = [
+            f"{_quote(k)}: {_indented(v, inner, streams)}"
+            for k, v in sorted(value.items())
+        ]
         body = f",{inner}".join(items)
         return f"{{{inner}{body}{pad}}}" if value else "{}"
     if isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
         encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(encode, value) if encode else [_indented(v, inner) for v in value]
+        items = map(encode, value) if encode else [_indented(v, inner, streams) for v in value]
         body = f",{inner}".join(items)
         return f"[{inner}{body}{pad}]" if value else "[]"
-    return _indented(jsonify(value), pad)
+    if type(value) is GeneratorType:
+        streams.append(value)
+        return "\0"
+    return _indented(jsonify(value), pad, streams)
 
 
-def _table_lines(data, prefix: str):
+def _table_lines(data, prefix: str, streams: list):
     if isinstance(data, dict):
         for key in sorted(data):
-            yield from _table_lines(data[key], f"{prefix}.{key}" if prefix else key)
+            path = f"{prefix}.{key}" if prefix else key
+            yield from _table_lines(data[key], path, streams)
     else:
-        yield f"{prefix} = {json.dumps(data, sort_keys=True, default=jsonify)}"
+        yield f"{prefix} = " + _compact(_indented(data, "\n", streams))
+
+
+def _compact(text: str) -> str:
+    """Indent-2 JSON text on one line, as ``json.dumps`` writes it: a comma
+    keeps one space, and each line break (a JSON string escapes newlines)
+    goes with its indent.  No item of a stream splits one from its comma."""
+    return re.sub("\n *", "", text.replace(",\n", ", \n"))
 
 
 def cmd_analyze(args) -> dict:
@@ -345,8 +343,8 @@ _COMPONENT = """{
 
 def _diagram(braid: str, diagram: surgery.SurgeryDiagram) -> dict:
     """:func:`surgery.diagram_to_dict` of ``diagram``, given the text of its
-    braid, with its ``components`` as their text at their place in the
-    ``surgery`` payload: one :data:`_COMPONENT` per component."""
+    braid, with its ``components`` as a stream of their text at their
+    place in the ``surgery`` payload: one :data:`_COMPONENT` per component."""
     text = ",\n      ".join(
         [
             _COMPONENT
@@ -357,7 +355,7 @@ def _diagram(braid: str, diagram: surgery.SurgeryDiagram) -> dict:
     # A missing index prints as None, and no kind, framing or index has
     # that text otherwise.
     text = f"[\n      {text}\n    ]".replace("None", "null")
-    return {"braid": braid, "components": _Text(text)}
+    return {"braid": braid, "components": (part for part in [text])}
 
 
 def cmd_enumerate(args):
@@ -391,9 +389,9 @@ def cmd_theta(args) -> dict:
     rows, values = enum.theta_sweep(frac_str)
     slots = ["%%d"] * len(enum.menus)
     shape = {"c1_squared": "%s", "rotation_tuple": slots, "theta": "%s", "tuple": slots}
-    entry = _indented(shape, "\n    ").replace('"%%d"', "%%d")
+    entry = _indented(shape, "\n    ", []).replace('"%%d"', "%%d")
     entries = {form: entry % texts[:2] for form, texts in values.items()}
-    picks = _indented(slots, "\n        ").replace('"%%d"', "%d")
+    picks = _indented(slots, "\n        ", []).replace('"%%d"', "%d")
     group = '{\n      "theta": "%s",\n      "tuples": [\n        %s\n      ]\n    }'
     return {
         "count": enum.count,

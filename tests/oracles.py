@@ -29,7 +29,9 @@ values, and ``end_slopes_by_gluing`` keeps one running product of
 inverse gluing matrices.  ``RECORD_TWINS`` maps each record class to a
 frozen ``dataclasses`` class with the same fields and checks.
 ``theta_payload_by_dicts`` builds the all-tuples ``theta`` payload as one
-dict per tuple, from one ``Fraction`` per tuple.  ``build_parser`` is
+dict per tuple, from one ``Fraction`` per tuple, and
+``table_lines_by_json_dumps`` writes the ``--table`` lines of a payload
+with one ``json.dumps`` per leaf.  ``build_parser`` is
 the ``argparse`` parser of the command-line grammar that
 ``braidsurgery.argv`` reads from its own table.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -565,7 +568,7 @@ def presentation_matrix_by_pairs(diagram) -> list[list[int]]:
 def linking_matrix_text(diagram) -> str:
     """The indent-2 text of the ``linking_matrix`` value of ``surgery``,
     from the dense matrix, one encoder call per entry."""
-    return _indented(surgery_mod.linking_matrix(diagram), "\n  ")
+    return _indented(surgery_mod.linking_matrix(diagram), "\n  ", [])
 
 
 def surgery_payload_by_dense(braid_text: str, slopes: str, general: bool) -> dict:
@@ -616,6 +619,25 @@ def theta_payload_by_dicts(enum) -> dict:
             {"theta": value, "tuples": groups[value]} for value in sorted(groups)
         ],
     }
+
+
+def table_lines_by_json_dumps(data, prefix: str = "") -> list[str]:
+    """The ``--table`` lines of ``data``: a ``key.subkey = value`` line per
+    leaf, its value as ``json.dumps`` writes it with sorted keys and each
+    Fraction as its ``p/q`` string."""
+    if not isinstance(data, dict):
+        text = json.dumps(data, sort_keys=True, default=_fraction_text)
+        return [f"{prefix} = {text}"]
+    lines = []
+    for key in sorted(data):
+        lines += table_lines_by_json_dumps(data[key], f"{prefix}.{key}" if prefix else key)
+    return lines
+
+
+def _fraction_text(value):
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def end_slope_from_scratch(coeffs) -> Fraction:

@@ -23,6 +23,7 @@ from oracles import (
     build_parser,
     linking_matrix_text,
     surgery_payload_by_dense,
+    table_lines_by_json_dumps,
     theta_payload_by_dicts,
 )
 
@@ -337,7 +338,7 @@ def test_theta_table_renders_the_json_output():
     _, out = run_cli(argv)
     code, table = run_cli(argv + ["--table"])
     assert code == cli.EXIT_OK
-    assert table.splitlines() == list(cli._table_lines(json.loads(out), ""))
+    assert table.splitlines() == table_lines_by_json_dumps(json.loads(out))
 
 
 def test_enumerate_table_writes_the_envelope_lines_then_the_diagram_lines():
@@ -351,7 +352,7 @@ def test_enumerate_table_writes_the_envelope_lines_then_the_diagram_lines():
     assert diagrams.count("\n") == 3
     # The envelope's table lines in a write of their own, then the same
     # diagram lines as JSON.
-    envelope = "\n".join(cli._table_lines(json.loads(head), "")) + "\n"
+    envelope = "\n".join(table_lines_by_json_dumps(json.loads(head))) + "\n"
     assert table.writes == [len(envelope), len(diagrams)]
     assert table.getvalue() == envelope + diagrams
 
@@ -871,9 +872,17 @@ def test_blocks_join_to_the_lines_of_weinstein_to_dict(case):
     assert_blocks_match(enum, dict_lines(enum))
 
 
-json_texts = st.text(max_size=8) | st.text(
-    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600a'),
-    max_size=8,
+json_texts = (
+    st.text(max_size=8)
+    | st.text(
+        alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600a'),
+        max_size=8,
+    )
+    # Pieces of the indent-2 and table texts, which must stay inside a string.
+    | st.lists(
+        st.sampled_from(["\n", ",\n    ", '": ', " = ", "\0", '"', "\\", "\u00e9", "a"]),
+        max_size=4,
+    ).map("".join)
 )
 json_scalars = (
     st.none()
@@ -898,12 +907,60 @@ json_values = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_indented_writer_matches_json_dumps(value):
     expected = json.dumps(value, sort_keys=True, indent=2, default=cli.jsonify)
-    assert cli._indented(value, "\n") == expected
+    streams = []
+    assert cli._indented(value, "\n", streams) == expected
+    assert streams == []
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_table_lines_match_json_dumps(value):
+    streams = []
+    assert list(cli._table_lines(value, "", streams)) == table_lines_by_json_dumps(value)
+    assert streams == []
+
+
+def stream_of(value, pad):
+    """A stream of the indent-2 text of ``value`` at ``pad``, cut before
+    each comma that ends a line."""
+    return (part for part in re.split(r"(?=,\n)", cli._indented(value, pad, [])))
+
+
+@given(json_values.filter(lambda value: not isinstance(value, dict)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_stream_at_any_depth_writes_as_its_value(value):
+    # Not a dict, so the value is one table line as text or as a stream.
+    data = {"a": value, "b": {"c": [value]}}
+    for table in (False, True):
+        buf = io.StringIO()
+        payload = {"a": stream_of(value, "\n  "), "b": {"c": [stream_of(value, "\n      ")]}}
+        with redirect_stdout(buf):
+            cli.emit(payload, table)
+        if table:
+            expected = "\n".join(table_lines_by_json_dumps(data))
+        else:
+            expected = json.dumps(data, sort_keys=True, indent=2, default=cli.jsonify)
+        assert buf.getvalue() == expected + "\n"
 
 
 def test_indented_writer_rejects_what_json_dumps_rejects():
     with pytest.raises(TypeError):
-        cli._indented({"x": [1, object()]}, "\n")
+        cli._indented({"x": [1, object()]}, "\n", [])
+
+
+def test_jsonify_sees_only_fractions(monkeypatch):
+    seen = []
+    jsonify = cli.jsonify
+
+    def spy(value):
+        seen.append(type(value))
+        return jsonify(value)
+
+    monkeypatch.setattr(cli, "jsonify", spy)
+    for argv in CASES.values():
+        for args in (argv, [*argv, "--table"]):
+            run_cli(args)
+    assert set(seen) == {Fraction}
 
 
 def test_integers_too_long_to_print_are_a_numeric_error():
@@ -1067,52 +1124,78 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
+def streamed_items(argv, streamed):
+    """The items ``emit`` joins into writes after the head, whose text is
+    ``streamed``: each stream's items (one line each in table lines), then
+    the text up to the next stream or the end."""
+    args = cli.parse_argv(argv)
+    result = getattr(cli, "cmd_" + args.subcommand)(args)
+    if args.subcommand == "enumerate":
+        streams = [list(result[1])]
+    elif args.subcommand == "theta":
+        streams = [list(result["entries"]), list(result["theta_groups"])]
+    else:
+        diagrams = [result[key]["components"] for key in ("expanded_diagram", "rational_diagram")]
+        streams = [list(diagrams[0]), list(result["linking_matrix"]), list(diagrams[1])]
+    if args.table and args.subcommand != "enumerate":
+        streams = [list(map(cli._compact, stream)) for stream in streams]
+    items, at = [], 0
+    for n, stream in enumerate(streams):
+        text = "".join(stream)
+        assert streamed.startswith(text, at)
+        at += len(text)
+        following = "".join(streams[n + 1]) if n + 1 < len(streams) else None
+        end = streamed.index(following, at) if following else len(streamed)
+        items += [*stream, streamed[at:end]]
+        at = end
+    return [item for item in items if item]
+
+
 @pytest.mark.parametrize(
-    "argv,head",
+    "argv,heads",
     [
         # 5,184 lines of about 860 characters.
-        (["enumerate", "B3 s1^3 s2^5", "--slopes", "9713/35369"], "}\n"),
+        (["enumerate", "B3 s1^3 s2^5", "--slopes", "9713/35369"], ("}\n", '"enumerate"\n')),
         # Menus of 2 and 1,000 picks: the second, larger than a block, comes
         # a slice at a time, and a slice's remainder joins the next pick's.
-        (["enumerate", "B2 s1^5", "--slopes", "1001/3002"], "}\n"),
+        (["enumerate", "B2 s1^5", "--slopes", "1001/3002"], ("}\n", '"enumerate"\n')),
         # 288 entries and 65 groups, in blocks of 1,024 items at most.
-        (["theta", "B2 s1^7", "--slope", "505/1406"], '"entries": '),
-        # 201 rows of about 1,600 characters.
-        (["surgery", "B2 s1^5", "--slopes", "100"], '"linking_matrix": '),
+        (["theta", "B2 s1^7", "--slope", "505/1406"], ('"entries": ', "entries = ")),
+        # 201 rows of about 1,600 characters, between the two diagrams'
+        # components, each one text.
+        (
+            ["surgery", "B2 s1^5", "--slopes", "100"],
+            ('"components": ', "expanded_diagram.components = "),
+        ),
     ],
     ids=["enumerate", "enumerate-sliced", "theta", "surgery"],
 )
-def test_streamed_output_goes_out_in_writes_of_64k(argv, head):
-    out = CountingStdout()
-    with redirect_stdout(out):
-        assert cli.main(argv) == cli.EXIT_OK
-    text, writes = out.getvalue(), out.writes
-    # The head goes out alone, before the first streamed item.
-    assert text[: writes[0]].endswith(head)
-    assert len(writes) <= len(text.encode()) // 65_536 + 3
-    assert all(size >= 65_536 for size in writes[1:-1])
-    if argv[0] == "enumerate":
-        lines = text.splitlines(keepends=True)
-        assert writes[0] == len(lines[0])
-        _, streamed = cli.cmd_enumerate(cli.parse_argv(argv))
-        blocks = list(streamed)
-        assert "".join(lines[1:]) == "".join(blocks)
-        # Each block of lines goes out as one write: at least the size but
-        # the last, and fewer than twice the lines of the text every line
-        # shares that it takes to reach the size.
-        assert writes[1:] == [len(block) for block in blocks]
-        assert all(len(block) >= 65_536 for block in blocks[:-1])
-        most = 2 * -(-65_536 // lines[1].index(',"rot":['))
-        assert all(block.count("\n") < most for block in blocks)
-    if argv[0] == "surgery":
-        rows = list(cli.cmd_surgery(cli.parse_argv(argv))["linking_matrix"])
-        streamed = text[writes[0] :]
-        matrix = "".join(rows)
-        assert streamed.startswith(matrix)
-        # Whole rows per write, the fewest that reach the size; the text
-        # after the matrix is the last item.
-        assert len(writes) == 7
-        assert_fewest_whole_items(writes[1:], [*rows, streamed[len(matrix) :]], 65_536)
+def test_streamed_output_goes_out_in_writes_of_64k(argv, heads):
+    for table, size in itertools.product((False, True), (1_000, 65_536)):
+        args = argv + ["--table"] * table
+        out = CountingStdout()
+        with mock.patch.object(cli, "_WRITE_SIZE", size):
+            with redirect_stdout(out):
+                assert cli.main(args) == cli.EXIT_OK
+            items = streamed_items(args, out.getvalue()[out.writes[0] :])
+            if argv[0] == "enumerate":
+                blocks = list(cli.cmd_enumerate(cli.parse_argv(args))[1])
+        text, writes = out.getvalue(), out.writes
+        # The head goes out alone, before the first streamed item; then each
+        # write is the fewest whole items that reach the size.
+        assert text[: writes[0]].endswith(heads[table])
+        assert_fewest_whole_items(writes[1:], items, size)
+        if size == 65_536:
+            assert len(writes) <= len(text.encode()) // 65_536 + 3
+        if argv[0] == "enumerate":
+            assert text[writes[0] :] == "".join(blocks)
+            # Each block of lines goes out as one write: at least the size
+            # but the last, and fewer than twice the lines of the text every
+            # line shares that it takes to reach the size.
+            assert writes[1:] == [len(block) for block in blocks]
+            assert all(len(block) >= size for block in blocks[:-1])
+            most = 2 * -(-size // blocks[0].index(',"rot":['))
+            assert all(block.count("\n") < most for block in blocks)
 
 
 def test_theta_over_65536_tuples_into_a_reader_that_closes_is_a_clean_exit():
@@ -1450,7 +1533,10 @@ def test_commands_return_payloads_and_write_nothing():
         head, _, rest = out.partition("\n") if lines else (out, "", "")
         expected = json.loads(head)
         assert {k for k in expected if k not in payload} == envelope
-        assert json.loads(json.dumps(payload, default=cli.jsonify)) == {
+        written = io.StringIO()
+        with redirect_stdout(written):
+            cli.emit(payload)
+        assert json.loads(written.getvalue()) == {
             k: v for k, v in expected.items() if k not in envelope
         }
         assert lines == rest
@@ -1554,10 +1640,17 @@ def test_any_argv_keeps_the_json_contract(argv):
     out = buf.getvalue()
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_NUMERIC)
     if code == cli.EXIT_OK and "--table" in argv:
-        for line in out.splitlines():
-            key, sep, value = line.partition(" = ")
-            json.loads(value if sep else line)
-            assert key != "error"
+        # The table lines of the JSON output of the same argv; after the
+        # envelope, ``enumerate``'s diagram lines as they are.
+        plain_code, plain = run_cli([a for a in argv if a != "--table"])
+        assert plain_code == code
+        try:
+            head, rest = json.loads(plain), []
+        except json.JSONDecodeError:
+            first, *rest = plain.splitlines()
+            head = json.loads(first)
+        assert out.splitlines() == table_lines_by_json_dumps(head) + rest
+        assert out.endswith("\n")
         return
     first = primary_object(out)
     assert ("error" in first) == (code != cli.EXIT_OK)
@@ -1814,19 +1907,20 @@ def test_theta_matches_the_dict_builder(case):
     assert code == cli.EXIT_OK
     expected = json.dumps(payload, sort_keys=True, indent=2, default=cli.jsonify)
     assert out == expected + "\n"
-    assert table == "\n".join(cli._table_lines(payload, "")) + "\n"
+    assert table == "\n".join(table_lines_by_json_dumps(payload)) + "\n"
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
-def test_theta_text_does_not_depend_on_the_block_size(monkeypatch, block):
-    # 288 entries and 65 groups, written in blocks of ``block`` items.
+def test_theta_text_does_not_depend_on_the_block_size(block):
+    # 288 entries and 65 groups, written in blocks of ``block`` items, as
+    # JSON and as table lines.
     argv = ["theta", "B2 s1^7", "--slope", "505/1406"]
-    _, whole = run_cli(argv)
-    monkeypatch.setattr(cli, "_BLOCK", block)
-    code, out = run_cli(argv)
-    assert code == cli.EXIT_OK
-    assert out == whole
-    data = json.loads(out)
+    whole = [run_cli(argv)[1], run_cli(argv + ["--table"])[1]]
+    with mock.patch.object(cli, "_BLOCK", block):
+        outs = [run_cli(argv), run_cli(argv + ["--table"])]
+    assert outs == [(cli.EXIT_OK, text) for text in whole]
+    data = json.loads(whole[0])
+    assert whole[1] == "\n".join(table_lines_by_json_dumps(data)) + "\n"
     assert len(data["entries"]) == 288 and len(data["theta_groups"]) == 65
 
 
@@ -1964,11 +2058,17 @@ def test_matrix_blocks_are_the_fewest_whole_rows_that_reach_the_size(diagram):
 @given(expanded_diagrams())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_surgery_diagram_text_is_the_dict_at_its_place(diagram):
-    payload = {"expanded_diagram": cli._diagram(braid.format_braid(diagram.braid), diagram)}
     expected = {"expanded_diagram": surgery.diagram_to_dict(diagram)}
-    assert cli._indented(payload, "\n") == json.dumps(expected, sort_keys=True, indent=2)
-    assert json.loads(json.dumps(payload, default=cli.jsonify)) == expected
-    assert list(cli._table_lines(payload, "")) == list(cli._table_lines(expected, ""))
+    texts = [
+        json.dumps(expected, sort_keys=True, indent=2),
+        "\n".join(table_lines_by_json_dumps(expected)),
+    ]
+    for table, text in enumerate(texts):
+        braid_text = braid.format_braid(diagram.braid)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.emit({"expanded_diagram": cli._diagram(braid_text, diagram)}, table)
+        assert out.getvalue() == text + "\n"
 
 
 @pytest.mark.parametrize(
@@ -1991,7 +2091,7 @@ def test_surgery_writes_the_dense_payload(argv):
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     code, table = run_cli(argv + ["--table"])
     assert code == cli.EXIT_OK
-    assert table == "\n".join(cli._table_lines(payload, "")) + "\n"
+    assert table == "\n".join(table_lines_by_json_dumps(payload)) + "\n"
 
 
 def test_a_non_integral_linking_matrix_fails_before_anything_is_written(monkeypatch):
