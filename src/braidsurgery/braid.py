@@ -202,7 +202,8 @@ def parse_braid(text: str) -> BraidWord:
     letters come from mapping the tokens through those tables.
     """
     tokens = text.split()
-    if not tokens or not re.fullmatch(r"B(\d+)", tokens[0]):
+    # isdecimal is the regex \d: a Unicode decimal digit, not a superscript.
+    if not tokens or not (tokens[0][:1] == "B" and tokens[0][1:].isdecimal()):
         raise BraidError("missing strand header 'B<m>'")
     strands = _int(tokens[0][1:], 0)
     if strands < 2:

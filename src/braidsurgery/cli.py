@@ -94,7 +94,7 @@ def parse_rational(text: str) -> Fraction:
         _, e, exponent = text.lower().partition("e")
         power = abs(int(exponent)) if e else 0
         if power <= MAX_DIGITS:
-            value = sum(map(Fraction, re.split(r"(?<=\d)\+", text, maxsplit=1)))
+            value = sum(map(Fraction, _split_whole(text)))
     except (ValueError, ZeroDivisionError) as exc:
         raise CFracError(f"cannot parse {text!r}: {exc}") from None
     if power > MAX_DIGITS:
@@ -113,6 +113,16 @@ def parse_rational(text: str) -> Fraction:
             needed=MAX_DIGITS + 1,
         )
     return value
+
+
+def _split_whole(text: str) -> list[str]:
+    """``text`` split at its first ``+`` after a decimal character, as
+    ``re.split(r"(?<=\\d)\\+", text, maxsplit=1)`` splits it: ``n+p/q``
+    into ``n`` and ``p/q``, while an exponent's sign (``1e+5``) stays."""
+    at = text.find("+", 1)
+    while at > 0 and not text[at - 1].isdecimal():
+        at = text.find("+", at + 1)
+    return [text[:at], text[at + 1 :]] if at > 0 else [text]
 
 
 def parse_slope(text: str) -> Fraction:
@@ -383,24 +393,67 @@ def cmd_theta(args) -> dict:
             "rotation_tuple": diagram.rotation_tuple,
             "theta_report": vars(legendrian.theta(diagram)),
         }
-    # The text of every value exists before anything is written.  Entries
-    # and pick lists are indent-2 templates filled by %: the texts of a
-    # value once per form, then the picks and rots of each row.
-    rows, values = enum.theta_sweep(frac_str)
-    slots = ["%%d"] * len(enum.menus)
-    shape = {"c1_squared": "%s", "rotation_tuple": slots, "theta": "%s", "tuple": slots}
-    entry = _indented(shape, "\n    ", []).replace('"%%d"', "%%d")
-    entries = {form: entry % texts[:2] for form, texts in values.items()}
-    picks = _indented(slots, "\n        ", []).replace('"%%d"', "%d")
+    # The text of every value exists before anything is written.  Each form
+    # has an indent-2 entry template with its c1^2 and theta texts, and a
+    # %s slot for each of its two lists.  A list text is one str.join of a
+    # text per menu (see _list_levels), from itertools.product, so a tuple's
+    # entry runs no bytecode of ours.
+    ids, values = enum.theta_sweep(frac_str)
+    shape = {"c1_squared": "%s", "rotation_tuple": "%%s", "theta": "%s", "tuple": "%%s"}
+    entry = _indented(shape, "\n    ", []).replace('"%%s"', "%%s")
+    templates = [entry % texts[:2] for texts in values]
+    rots = [[str(l.rot) for l in menu] for menu in enum.menus]
+    picks = [list(map(str, range(1, len(menu) + 1))) for menu in enum.menus]
+    rot_lists, pick_lists = (
+        map("".join, itertools.product(*_list_levels(texts, "\n      ")))
+        for texts in (rots, picks)
+    )
+    # A group's pick list of the tuple at i in tuples(): the text of the
+    # head menus' picks at i // size, then the tail menus' at i % size.  The
+    # tail is the last menu and those before it while its product squared
+    # is at most count, so each side holds about sqrt(count) texts.
+    levels = _list_levels(picks, "\n        ")
+    cut, size = len(levels) - 1, len(levels[-1])
+    while cut and (size * len(levels[cut - 1])) ** 2 <= enum.count:
+        cut -= 1
+        size *= len(levels[cut])
+    heads, tails = (
+        list(map("".join, itertools.product(*part)))
+        for part in (levels[:cut], levels[cut:])
+    )
+
+    def tuples(indices):
+        lists = map(
+            str.__add__,
+            map(heads.__getitem__, map(size.__rfloordiv__, indices)),
+            map(tails.__getitem__, map(size.__rmod__, indices)),
+        )
+        return ",\n        ".join(lists)
+
     group = '{\n      "theta": "%s",\n      "tuples": [\n        %s\n      ]\n    }'
+    entries = map(
+        str.__mod__, map(templates.__getitem__, ids), zip(rot_lists, pick_lists)
+    )
     return {
         "count": enum.count,
-        "entries": _blocks(entries[form] % (rots + ks) for ks, rots, form in rows),
+        "entries": _blocks(entries),
         "theta_groups": _blocks(
-            group % (theta, ",\n        ".join(map(picks.__mod__, tuples)))
-            for _, theta, tuples in values.values()
+            group % (theta, tuples(indices)) for _, theta, indices in values
         ),
     }
+
+
+def _list_levels(columns, pad: str) -> list[list[str]]:
+    """One list of texts per list of ``columns`` (the texts of one menu's
+    picks; every slope is positive, so there is at least one menu), such
+    that ``"".join`` of one text of each is the indent-2 JSON list of those
+    picks, its lines continued by ``pad``: the first texts open the list,
+    each is led by its separator, and the last close it."""
+    inner = pad + "  "
+    leads = ["[" + inner] + ["," + inner] * (len(columns) - 1)
+    levels = [[lead + text for text in texts] for lead, texts in zip(leads, columns)]
+    levels[-1] = [text + pad + "]" for text in levels[-1]]
+    return levels
 
 
 def _blocks(items):

@@ -14,8 +14,8 @@ with no linear solve per tuple: the surgery fold carries the columns of
 ``k x k`` on ``k`` closures, for one tuple and for a sweep.  The walks
 over all tuples build no diagram: ``c1_forms`` gives the integer forms of
 at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep`` the text of each
-distinct theta value, and ``json_blocks`` the JSON lines of every
-diagram, a block of whole lines at a time.
+distinct theta value and a form id per tuple, and ``json_blocks`` the
+JSON lines of every diagram, a block of whole lines at a time.
 
 Sign convention, fixed once: a positive stabilization drops tb by 1
 and raises rot by 1; a negative stabilization drops tb by 1 and drops
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from fractions import Fraction
 
 from . import braid as braid_mod
@@ -261,9 +262,9 @@ class WeinsteinEnumeration:
             yield self._assemble(ks)
 
     def c1_forms(self):
-        """``D`` and the integer ``form`` of every tuple, in the order of
-        :meth:`tuples`, without building a diagram or a ``Fraction``:
-        ``c1^2 = form / D``.
+        """``D`` and the list of the integer ``form`` of every tuple, in the
+        order of :meth:`tuples`, without building a diagram or a
+        ``Fraction``: ``c1^2 = form / D``.
 
         ``form`` is ``(1, y)^T N (1, y)`` for the rots ``y`` of the menus of
         more than one pick (levels) and ``N / D = B^T Q^-1 B``, ``B = [r_0 |
@@ -299,10 +300,16 @@ class WeinsteinEnumeration:
         ]
         units = [{u: 1} for u, _ in levels]
         det, g = self.base._gram([fixed, *units])
+        if not levels:
+            return det, [g[0][0]]
         states = [(g[0][0], g[0][1:])]
-        for a, (_, rots) in enumerate(levels, 1):
+        for a, (_, rots) in enumerate(levels[:-1], 1):
             states = _pick_level(states, rots, g[a][a], g[a][a + 1 :])
-        return det, (form for form, _ in states)
+        # At the last level each state's ``lin`` is its one entry, ``l``.
+        diag, rots = g[-1][-1], levels[-1][1]
+        return det, [
+            form + y * (2 * head + diag * y) for form, (head,) in states for y in rots
+        ]
 
     def c1_squares(self):
         """``(picks, rotation_tuple, c1^2)`` for every tuple: :meth:`c1_forms`
@@ -384,27 +391,29 @@ class WeinsteinEnumeration:
             yield "".join(block)
 
     def theta_sweep(self, text):
-        """``(rows, values)``: theta over every tuple, with a ``Fraction``
-        and its ``text`` per distinct value, none per tuple.
+        """``(ids, values)``: theta over every tuple, with a ``Fraction``
+        and its ``text`` per distinct value and one small int per tuple.
 
-        ``rows`` yields ``(picks, rotation_tuple, form)`` for every tuple of
-        :meth:`c1_forms`.  ``values`` maps each distinct ``form``, in
-        increasing order of theta, to ``(text(c1^2), text(theta), picks)``,
-        where ``picks`` lists the tuples of that form in the order of
-        :meth:`tuples`.
+        ``values`` lists ``(text(c1^2), text(theta), indices)`` for each
+        distinct form of :meth:`c1_forms`, in increasing order of theta,
+        where ``indices`` are the positions in :meth:`tuples` of the tuples
+        of that form, in increasing order: runs of one stable sort of the
+        positions by form.  ``ids`` gives each tuple, in the order of
+        :meth:`tuples`, the index of its form in ``values``.  Both are
+        arrays of typecode ``"I"``, so no Python object is kept per tuple.
         """
         det, forms = self.c1_forms()
         report = surgery.homology(self.base)
         shift = 2 * report.euler_char + 3 * report.signature
-        forms, picks = list(forms), list(self.tuples())
-        groups: dict[int, list] = {}
-        for ks, form in zip(picks, forms):
-            groups.setdefault(form, []).append(ks)
-        # c1^2 = form / det: increasing in form exactly when det > 0.
-        return zip(picks, self._rotation_tuples(), forms), {
-            form: (text(c1sq := Fraction(form, det)), text(c1sq - shift), groups[form])
-            for form in sorted(groups, reverse=det < 0)
-        }
+        # c1^2 = form / det: increasing in form exactly when det > 0.  A
+        # reversed sort keeps equal forms in their order too.
+        order = sorted(range(len(forms)), key=forms.__getitem__, reverse=det < 0)
+        values, index = [], {}
+        for form, run in itertools.groupby(order, forms.__getitem__):
+            index[form] = len(values)
+            c1sq = Fraction(form, det)
+            values.append((text(c1sq), text(c1sq - shift), array("I", run)))
+        return array("I", map(index.__getitem__, forms)), values
 
 
 def _pick_level(states, rots, diag: int, col: list[int]):

@@ -1451,6 +1451,92 @@ def test_rationals_up_to_the_digit_cap_parse():
     assert json.loads(out)["coeffs"] == [-int(q)]
 
 
+# Strand headers and whole parts, with the regexes the parsers used before
+# as the oracle: \d is a Unicode decimal digit (Arabic-Indic ٣, full-width
+# ３), never a superscript (²).
+@pytest.mark.parametrize(
+    "text",
+    [
+        "B٣ s1",
+        "B３ s1",
+        "B²",
+        "B2²",
+        "B",
+        "B3 s1",
+        "b3",
+        "BB3",
+        "B3x s1",
+        "",
+        "1e+5",
+        "-1e+5",
+        "2+1/3",
+        "٣+1/3",
+        "２+１/３",
+        "+1",
+        "1+",
+        "+",
+        "1e+5+2",
+        "2e+",
+        "1+2+3",
+        "²+1",
+    ],
+)
+def test_parsers_split_as_the_old_regexes(monkeypatch, text):
+    tokens = text.split()
+    header = re.fullmatch(r"B(\d+)", tokens[0]) if tokens else None
+    try:
+        braid.parse_braid(text)
+        accepted = True
+    except errors.BraidError as exc:
+        accepted = "strand header" not in str(exc)
+    assert accepted == (header is not None)
+
+    def old_split(text):
+        return re.split(r"(?<=\d)\+", text, maxsplit=1)
+
+    def outcome(text):
+        try:
+            return cli.parse_rational(text)
+        except errors.CFracError as exc:
+            return str(exc)
+
+    assert cli._split_whole(text) == old_split(text)
+    value = outcome(text)
+    monkeypatch.setattr(cli, "_split_whole", old_split)
+    assert value == outcome(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "B3 s1 s2^-1 s1"],
+        ["surgery", "B2 s1^5", "--slopes", "2+1/3"],
+        ["theta", "B2 s1^5", "--slope", "1+2/7"],
+        ["theta", "B2 s1^5", "--slope", "2/7", "--tuple", "1,1"],
+        ["enumerate", "B2 s1^5", "--slopes", "2/7"],
+        ["enumerate", "B2 s1^5", "--slopes", "2/7", "--count-only"],
+    ],
+)
+def test_no_regex_runs_on_the_command_path(monkeypatch, argv):
+    # A compiled pattern's own methods are fine; the module's functions
+    # compile (or look up) a pattern on every process's first call.
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    names = "compile search match fullmatch split findall finditer sub subn"
+    for name in names.split():
+        monkeypatch.setattr(re, name, spy(name, getattr(re, name)))
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK, out
+    assert calls == []
+
+
 def test_menu_budget(monkeypatch):
     code, out = run_cli(["enumerate", "B2 s1^5", "--slopes", "1e-999", "--count-only"])
     assert code == cli.EXIT_NUMERIC
@@ -1887,6 +1973,9 @@ def theta_cases(draw):
 
 @given(theta_cases())
 @example(NEGATIVE_DET)
+@example(("B2 s1^5", "5"))  # one tuple: ten menus of one pick, no level
+@example(("B2 s1^5", "1/3"))  # one level
+@example(("B2 s1^5", "17711/46368"))  # eleven -3s: 2,048 entries, two blocks
 @settings(max_examples=60, deadline=None)
 def test_theta_matches_the_dict_builder(case):
     braid_text, slope = case

@@ -296,9 +296,10 @@ def test_theta_sweep_lists_the_forms_by_increasing_theta(braid_text, slope, det)
     enum = L.enumerate_weinstein(B.parse_braid(braid_text), SlopeVector((slope,)))
     _, values = enum.theta_sweep(str)
     assert S.homology(enum.base).det == det
-    d = enum.c1_forms()[0]
+    d, forms = enum.c1_forms()
     assert d == {-62: 30318, 519: 749955}[det]
-    assert list(values) == sorted(values, key=lambda form: Fraction(form, d))
+    c1_squares = [Fraction(c1sq) for c1sq, _, _ in values]
+    assert c1_squares == sorted({Fraction(form, d) for form in forms})
     assert len(values) == {-62: 24, 519: 65}[det]
 
 
@@ -354,6 +355,30 @@ def test_c1_squares_match_rational_solve(case):
                 inverse[i] = solve_rational(q, [int(i == j) for j in range(len(q))])
         assert c1sq == sum(r[i] * r[j] * inverse[i][j] for i in support for j in support)
         assert L.theta(diagram).c1_squared == c1sq
+
+
+@given(sweep_cases())
+@example((KNOT, SlopeVector((WORKLOADS.chain_slope((-3, -2, -3)),))))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_theta_sweep_ids_and_indices_rebuild_the_rows(case):
+    # c1_squares' rows are the oracle: the sweep's id of a tuple and the
+    # index lists of its values give the same c1^2 at the same position.
+    enum = L.enumerate_weinstein(*case)
+    report = S.homology(enum.base)
+    if report.det == 0:
+        return
+    shift = 2 * report.euler_char + 3 * report.signature
+    ids, values = enum.theta_sweep(lambda value: value)
+    rows = list(enum.c1_squares())
+    picks = zip(enum.tuples(), enum._rotation_tuples())
+    assert [(*ks, values[k][0]) for ks, k in zip(picks, ids)] == rows
+    by_index = sorted((i, c1sq) for c1sq, _, indices in values for i in indices)
+    assert by_index == [(i, c1sq) for i, (_, _, c1sq) in enumerate(rows)]
+    for c1sq, theta, indices in values:
+        assert theta == c1sq - shift
+        assert list(indices) == sorted(indices)
+    thetas = [theta for _, theta, _ in values]
+    assert thetas == sorted(set(thetas))
 
 
 def _star_of_twos(leaves=5):
