@@ -402,7 +402,7 @@ def cmd_theta(args) -> dict:
     shape = {"c1_squared": "%s", "rotation_tuple": "%%s", "theta": "%s", "tuple": "%%s"}
     entry = _indented(shape, "\n    ", []).replace('"%%s"', "%%s")
     templates = [entry % texts[:2] for texts in values]
-    rots = [[str(l.rot) for l in menu] for menu in enum.menus]
+    rots = [list(map(str, menu)) for menu in enum.menus]
     picks = [list(map(str, range(1, len(menu) + 1))) for menu in enum.menus]
     rot_lists, pick_lists = (
         map("".join, itertools.product(*_list_levels(texts, "\n      ")))

@@ -11,9 +11,10 @@ shares one linking matrix ``Q``, so ``c1^2 = r^T Q^-1 r`` is an integer
 quadratic form in the menus' rots over one Gram matrix ``B^T Q^-1 B``,
 with no linear solve per tuple: the surgery fold carries the columns of
 ``B``, and one :func:`linalg.solve` on what it leaves gives the matrix,
-``k x k`` on ``k`` closures, for one tuple and for a sweep.  The walks
-over all tuples build no diagram: ``c1_forms`` gives the integer forms of
-at most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep`` the text of each
+``k x k`` on ``k`` closures, for one tuple and for a sweep.  A menu is
+a ``range``, the rots its unknot can take.  The walks over all tuples
+build no diagram or record: ``c1_forms`` gives the integer forms of at
+most ``MAX_THETA_TUPLES`` tuples, ``theta_sweep`` the text of each
 distinct theta value and a form id per tuple, and ``json_blocks`` the
 JSON lines of every diagram, a block of whole lines at a time.
 
@@ -45,7 +46,8 @@ from .record import Record
 from .surgery import BRAID, SurgeryDiagram
 
 # Most Legendrian unknots the menus of one enumeration may hold: an unknot
-# framed f has a menu of |f + 1| of them, and a slope 1/n frames it -n.
+# framed f has a menu of |f + 1| of them, and a slope 1/n frames it -n.  A
+# menu is a range, so this bounds no memory: its exit code 4 is CLI contract.
 MAX_MENU_PICKS = 100_000
 
 # Most tuples c1_forms walks; TupleBudgetExceeded beyond it.
@@ -122,6 +124,16 @@ def legendrian_unknot() -> LegendrianComponent:
     return LegendrianComponent(tb=-1, rot=0, cusps=2)
 
 
+def _menu(framing: int) -> range:
+    """The rots of the Legendrian unknots with ``tb = framing + 1``."""
+    f = int(framing)
+    if f > -2:
+        raise LegendrianError(
+            f"no Legendrian unknot has tb = {f + 1}; framing must be <= -2"
+        )
+    return range(f + 2, -f - 1, 2)
+
+
 def unknot_menu(framing: int) -> list[LegendrianComponent]:
     """All Legendrian unknots with ``tb = framing + 1``.
 
@@ -129,15 +141,8 @@ def unknot_menu(framing: int) -> list[LegendrianComponent]:
     ``{f+2, f+4, ..., -f-2}``: exactly ``|f + 1|`` choices, symmetric
     about 0, realized by stabilizing the maximal unknot.
     """
-    f = int(framing)
-    if f > -2:
-        raise LegendrianError(
-            f"no Legendrian unknot has tb = {f + 1}; framing must be <= -2"
-        )
-    return [
-        stabilize_to(legendrian_unknot(), f + 1, rot)
-        for rot in range(f + 2, -f - 1, 2)
-    ]
+    rots = _menu(framing)
+    return [stabilize_to(legendrian_unknot(), -len(rots), rot) for rot in rots]
 
 
 class WeinsteinDiagram(Record):
@@ -185,9 +190,11 @@ def _braid_legendrians(word: BraidWord) -> tuple[LegendrianComponent, ...]:
 class WeinsteinEnumeration:
     """Lazy product of unknot menus over an expanded surgery diagram.
 
-    ``tuples`` is the one product of 1-based menu picks; iterating
-    assembles its diagrams, sorted by rotation tuple, and ``count`` is
-    its exact cardinality without materializing anything.
+    ``menus`` holds the ``range`` of rots of each unknot.  A rot is a whole
+    pick: its tb is ``-len(menu)``, its stabilizations ``(len(menu) - 1 +-
+    rot) / 2``.  ``tuples`` is the one product of 1-based menu picks;
+    iterating assembles its diagrams, sorted by rotation tuple, and
+    ``count`` is its exact cardinality without materializing anything.
     ``braid_legendrian`` holds the closure components' representatives
     in component order, which is their order at the head of ``base``.
     """
@@ -215,15 +222,16 @@ class WeinsteinEnumeration:
                 cap=MAX_MENU_PICKS,
                 needed=total,
             )
-        self.menus = [unknot_menu(int(c.framing)) for c in unknots]
-        # Every diagram draws each component from these picks, so checking
-        # framing = tb - 1 once per pick validates the whole product.
-        picks = [
-            (c, self.braid_legendrian[c.component - 1])
+        self.menus = [_menu(c.framing) for c in unknots]
+        # Every diagram reuses these closure representatives, so checking
+        # framing = tb - 1 once for each validates the whole product; an
+        # unknot's picks have tb = framing + 1 by construction.
+        closures = self.braid_legendrian
+        if not all(
+            c.is_integral and c.framing == closures[c.component - 1].tb - 1
             for c in self.base.components
             if c.kind == BRAID
-        ] + [(c, l) for c, menu in zip(unknots, self.menus) for l in menu]
-        if not all(c.is_integral and c.framing == l.tb - 1 for c, l in picks):
+        ):
             raise LegendrianError("enumeration produced an invalid diagram")
 
     @property
@@ -235,13 +243,14 @@ class WeinsteinEnumeration:
         return itertools.product(*(range(1, len(menu) + 1) for menu in self.menus))
 
     def _assemble(self, ks) -> WeinsteinDiagram:
-        picks = [menu[k - 1] for k, menu in zip(ks, self.menus)]
-        rest = iter(picks)
+        rots = tuple(m[k - 1] for k, m in zip(ks, self.menus))
+        maximal = legendrian_unknot()
+        rest = (stabilize_to(maximal, -len(m), y) for m, y in zip(self.menus, rots))
         legendrian = tuple(
             self.braid_legendrian[c.component - 1] if c.kind == BRAID else next(rest)
             for c in self.base.components
         )
-        return WeinsteinDiagram(self.base, legendrian, tuple(p.rot for p in picks))
+        return WeinsteinDiagram(self.base, legendrian, rots)
 
     def diagram_for(self, ks) -> WeinsteinDiagram:
         """The diagram indexed by 1-based menu picks, one per unknot."""
@@ -273,9 +282,11 @@ class WeinsteinEnumeration:
         ``k x k`` on ``k`` closures (see ``SurgeryDiagram._gram``).  Rot ``y``
         of level ``a`` adds ``y (2 l_a + N_aa y)``, ``l_a`` the entry ``a``
         of ``N`` against the rots fixed so far, and moves every later ``l``
-        by ``y`` times row ``a``.  Raises :class:`TupleBudgetExceeded` before
-        the walk when there are more than ``MAX_THETA_TUPLES`` tuples, and
-        ``SingularityError`` when ``det(Q) == 0``.
+        by ``y`` times row ``a``, for all states at once: one comprehension
+        per flat list of forms or of a later level's ``l``.  Raises
+        :class:`TupleBudgetExceeded` before the walk when there are more
+        than ``MAX_THETA_TUPLES`` tuples, and ``SingularityError`` when
+        ``det(Q) == 0``.
         """
         if self.count > MAX_THETA_TUPLES:
             raise TupleBudgetExceeded(
@@ -293,23 +304,19 @@ class WeinsteinEnumeration:
             if c.kind == BRAID
         }
         unknots = [i for i, c in enumerate(comps) if c.kind != BRAID]
-        levels = [
-            (u, [l.rot for l in menu])
-            for u, menu in zip(unknots, self.menus)
-            if len(menu) > 1
-        ]
-        units = [{u: 1} for u, _ in levels]
-        det, g = self.base._gram([fixed, *units])
-        if not levels:
-            return det, [g[0][0]]
-        states = [(g[0][0], g[0][1:])]
-        for a, (_, rots) in enumerate(levels[:-1], 1):
-            states = _pick_level(states, rots, g[a][a], g[a][a + 1 :])
-        # At the last level each state's ``lin`` is its one entry, ``l``.
-        diag, rots = g[-1][-1], levels[-1][1]
-        return det, [
-            form + y * (2 * head + diag * y) for form, (head,) in states for y in rots
-        ]
+        levels = [(u, rots) for u, rots in zip(unknots, self.menus) if len(rots) > 1]
+        det, g = self.base._gram([fixed, *({u: 1} for u, _ in levels)])
+        # ``forms`` over all states so far; ``lins[b]``, over the same states,
+        # the ``l`` of the ``b``-th level after the last one picked.
+        forms, lins = [g[0][0]], [[l] for l in g[0][1:]]
+        for a, (_, rots) in enumerate(levels, 1):
+            diag = g[a][a]
+            forms = [
+                f + y * (2 * l + diag * y) for f, l in zip(forms, lins[0]) for y in rots
+            ]
+            moves = [[y * c for y in rots] for c in g[a][a + 1 :]]
+            lins = [[x + m for x in xs for m in ms] for xs, ms in zip(lins[1:], moves)]
+        return det, forms
 
     def c1_squares(self):
         """``(picks, rotation_tuple, c1^2)`` for every tuple: :meth:`c1_forms`
@@ -320,7 +327,7 @@ class WeinsteinEnumeration:
 
     def _rotation_tuples(self):
         """The rotation tuple of every diagram, in the order of :meth:`tuples`."""
-        return itertools.product(*([l.rot for l in menu] for menu in self.menus))
+        return itertools.product(*self.menus)
 
     def json_blocks(self, size: int):
         """The compact sorted-key JSON lines of :func:`weinstein_to_dict` for
@@ -338,8 +345,8 @@ class WeinsteinEnumeration:
         texts are made one slice of picks at a time.  A block ends only
         between picks (or slices) once it holds ``lines`` lines, so every
         block but the last reaches ``size`` and holds fewer than ``2 *
-        lines`` lines; each is one ``str.join`` of its pieces.  Every pick
-        of a menu has one tb, as ``__init__`` checked ``tb - 1 == framing``.
+        lines`` lines; each is one ``str.join`` of its pieces.  A pick's tb
+        is ``-len(menu)``, and its stabilizations follow from it and its rot.
         """
         base = surgery.diagram_to_dict(self.base)
         head = json.dumps(base, sort_keys=True, separators=(",", ":"))[:-1]
@@ -348,7 +355,7 @@ class WeinsteinEnumeration:
             ",".join(str(getattr(l, field)) for l in closure)
             for field in ("rot", "stab_neg", "stab_pos")
         )
-        tb = ",".join(str(l.tb) for l in closure + tuple(m[0] for m in menus))
+        tb = ",".join(map(str, [l.tb for l in closure] + [-len(m) for m in menus]))
         end = f'],"tb":[{tb}]}}\n'
 
         # ``tail``: the texts of the product of menus[cut:], at most ``lines``.
@@ -356,15 +363,15 @@ class WeinsteinEnumeration:
         cut, tail = len(menus), [("", "", "")]
         while cut and len(tail) * len(menus[cut - 1]) <= lines:
             cut -= 1
-            tail = _texts(menus[cut], tail)
+            tail = _texts(menus[cut], len(menus[cut]) - 1, tail)
         # A menu of more than ``lines`` picks before them: ``step`` at a time.
         step, sliced, last = lines // len(tail), [], None
         if cut and len(menus[cut - 1]) > lines:
             cut -= 1
-            sliced = menus[cut]
+            sliced, drop = menus[cut], len(menus[cut]) - 1
 
         block = []
-        for picks in itertools.product(*map(_texts, menus[:cut])):
+        for picks in itertools.product(*(_texts(m, len(m) - 1) for m in menus[:cut])):
             rot, neg, pos = map("".join, zip(("", "", ""), *picks))
             prefix = (
                 f'{head},"rot":[{braid_rot}{rot}',
@@ -373,7 +380,7 @@ class WeinsteinEnumeration:
                 f'],"stab_pos":[{braid_pos}{pos}',
             )
             for i in range(0, len(sliced) or 1, step):
-                texts = _texts(sliced[i : i + step], tail) if sliced else tail
+                texts = _texts(sliced[i : i + step], drop, tail) if sliced else tail
                 if texts is not last:
                     last, n, pieces = texts, len(texts), [end] * (9 * len(texts))
                     rots, negs, poss = zip(*texts)
@@ -391,8 +398,8 @@ class WeinsteinEnumeration:
             yield "".join(block)
 
     def theta_sweep(self, text):
-        """``(ids, values)``: theta over every tuple, with a ``Fraction``
-        and its ``text`` per distinct value and one small int per tuple.
+        """``(ids, values)``: theta over every tuple, with the ``text`` of
+        each distinct value and one small int per tuple.
 
         ``values`` lists ``(text(c1^2), text(theta), indices)`` for each
         distinct form of :meth:`c1_forms`, in increasing order of theta,
@@ -416,23 +423,13 @@ class WeinsteinEnumeration:
         return array("I", map(index.__getitem__, forms)), values
 
 
-def _pick_level(states, rots, diag: int, col: list[int]):
-    """Extend each ``(form, lin)`` state by each rot ``y`` of a menu."""
-    for form, lin in states:
-        head, rest = lin[0], lin[1:]
-        for y in rots:
-            yield (
-                form + y * (2 * head + diag * y),
-                [x + y * c for x, c in zip(rest, col)],
-            )
-
-
-def _texts(picks, tail=(("", "", ""),)):
-    """The ``(rot, stab_neg, stab_pos)`` texts of each pick, each followed
+def _texts(rots, drop: int, tail=(("", "", ""),)):
+    """The ``(rot, stab_neg, stab_pos)`` texts of each rot of a menu whose
+    picks are ``drop`` stabilizations of the maximal unknot, each followed
     by each of ``tail``."""
     return [
-        (f",{l.rot}{r}", f",{l.stab_neg}{n}", f",{l.stab_pos}{p}")
-        for l in picks
+        (f",{y}{r}", f",{(drop - y) // 2}{n}", f",{(drop + y) // 2}{p}")
+        for y in rots
         for r, n, p in tail
     ]
 

@@ -642,14 +642,15 @@ def test_the_step_budget_names_its_parameter():
 
 
 def test_enumerate_rejects_an_invalid_menu_pick_before_the_envelope(monkeypatch):
-    unknot_menu = legendrian.unknot_menu
+    # An unknot's picks have tb = framing + 1 by construction, so the pick
+    # skewed here is the closure's.
+    braid_legendrians = legendrian._braid_legendrians
 
-    def skewed(framing):
-        menu = unknot_menu(framing)
-        menu[-1] = replace(menu[-1], tb=menu[-1].tb - 1)
-        return menu
+    def skewed(word):
+        *rest, last = braid_legendrians(word)
+        return (*rest, replace(last, tb=last.tb - 1))
 
-    monkeypatch.setattr(legendrian, "unknot_menu", skewed)
+    monkeypatch.setattr(legendrian, "_braid_legendrians", skewed)
     code, out = run_cli(["enumerate", "B2 s1^5", "--slopes", "2/7"])
     assert code == cli.EXIT_PARSE
     assert json.loads(out) == {
@@ -660,6 +661,28 @@ def test_enumerate_rejects_an_invalid_menu_pick_before_the_envelope(monkeypatch)
             "message": "enumeration produced an invalid diagram",
         },
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "B2 s1^5", "--slopes", "1/1000"],
+        ["theta", "B2 s1^5", "--slope", "1/1000"],
+    ],
+)
+def test_menus_build_records_for_the_closures_only(monkeypatch, argv):
+    # One menu of 999 picks, written or swept whole: the only records are
+    # the closure's front data and its stabilization, none per pick.
+    init, built = legendrian.LegendrianComponent.__init__, []
+
+    def spy(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(legendrian.LegendrianComponent, "__init__", spy)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK, out[:200]
+    assert len(built) == 2, built[:4]
 
 
 def _bench_module(name: str):
