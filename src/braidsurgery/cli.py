@@ -2,14 +2,14 @@
 
 Each ``cmd_*`` is a payload builder: it returns its payload dict and
 writes nothing (streaming ``enumerate`` also returns its iterator of
-blocks of diagram lines).  A generator at any depth of a payload is a
-stream of the indent-2 text of the value at its place: ``theta`` over
-all tuples gives its ``entries`` and ``theta_groups`` so, and ``surgery``
-its ``linking_matrix`` (a text per row) and each diagram's
-``components`` (one text).  A builder runs every check that can raise
-before it returns, so a generator only formats, and its integers, whose
-digits the parser caps at ``MAX_DIGITS``, never meet the interpreter's
-limit on printing one.
+blocks of diagram lines).  A callable at any depth of a payload is a
+stream: called with the pad at its place (see :func:`_layout`), it gives
+the value's texts.  ``theta`` over all tuples gives its ``entries`` and
+``theta_groups`` so, and ``surgery`` its ``linking_matrix`` (a text per
+row) and each diagram's ``components`` (one block).  A builder runs every
+check that can raise before it returns, so a stream only formats, and
+its integers, whose digits the parser caps at ``MAX_DIGITS``, never meet
+the interpreter's limit on printing one.
 ``_run`` is the one writer: it parses the argv (``argv.parse_argv``
 walks it through the grammar's table, which is built at import), runs
 the ``cmd_*`` named by the subcommand, adds the envelope (``schema``,
@@ -43,15 +43,14 @@ flush of the std streams still run.  ``main`` never freezes.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from types import GeneratorType
 
 from . import braid as braid_mod
 from . import cfrac as cfrac_mod
@@ -165,9 +164,9 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
     """Write ``data`` as ``json.dumps(data, sort_keys=True, indent=2,
     default=jsonify)`` would (see :func:`_indented`), as ``key = value``
     lines with ``table`` (see :func:`_table_lines`), or as a compact line
-    before the streamed ``lines``.  Each stream of ``data`` (a generator at
-    any depth) is written item by item at its place, in table lines on one
-    line (see :func:`_compact`).  Nothing is written if an integer of
+    before the streamed ``lines``.  Each stream of ``data`` (a callable at
+    any depth) is called with the pad at its place, and the texts it gives
+    are written item by item there.  Nothing is written if an integer of
     ``data`` is too long to print: that raises :class:`DigitLimitExceeded`.
     A stream cannot meet that limit once the head is out: theta's values
     are texts before ``emit`` runs, and every entry of a linking matrix has
@@ -183,7 +182,6 @@ def emit(data: dict, table: bool = False, lines=None) -> None:
     try:
         if table:
             text = "\n".join(_table_lines(data, "", streams))
-            streams = [map(_compact, items) for items in streams]
         elif lines is None:
             text = _indented(data, "\n", streams)
         else:
@@ -219,29 +217,38 @@ _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}
 _SCALARS[type(None)] = {None: "null"}.get
 
 
+def _layout(pad: str) -> tuple[str, str]:
+    """The text after the opening bracket of a JSON array or object whose
+    closing bracket follows ``pad``, and the text between its items: a
+    line indented 2 more for a ``pad`` of a newline and an indent, and one
+    line as ``json.dumps`` writes it for an empty ``pad``."""
+    if pad:
+        inner = pad + "  "
+        return inner, "," + inner
+    return "", ", "
+
+
 def _indented(value, pad: str, streams: list) -> str:
-    """``value`` as indent-2 JSON with sorted string keys, its lines
-    continued by ``pad`` (a newline and the indent of ``value``).  A
-    generator of text is a NUL, appended to ``streams`` in text order."""
+    """``value`` as JSON with sorted string keys: its lines continued by
+    ``pad`` (a newline and its indent), or one line if ``pad`` is empty.  A
+    stream is a NUL; its texts at ``pad`` join ``streams`` in text order."""
     encode = _SCALARS.get(type(value))
     if encode:
         return encode(value)
-    inner = pad + "  "
+    inner, sep = _layout(pad)
     if isinstance(value, dict):
         items = [
             f"{_quote(k)}: {_indented(v, inner, streams)}"
             for k, v in sorted(value.items())
         ]
-        body = f",{inner}".join(items)
-        return f"{{{inner}{body}{pad}}}" if value else "{}"
+        return f"{{{inner}{sep.join(items)}{pad}}}" if value else "{}"
     if isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
         encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(encode, value) if encode else [_indented(v, inner, streams) for v in value]
-        body = f",{inner}".join(items)
-        return f"[{inner}{body}{pad}]" if value else "[]"
-    if type(value) is GeneratorType:
-        streams.append(value)
+        return f"[{inner}{sep.join(items)}{pad}]" if value else "[]"
+    if callable(value):
+        streams.append(value(pad))
         return "\0"
     return _indented(jsonify(value), pad, streams)
 
@@ -252,14 +259,7 @@ def _table_lines(data, prefix: str, streams: list):
             path = f"{prefix}.{key}" if prefix else key
             yield from _table_lines(data[key], path, streams)
     else:
-        yield f"{prefix} = " + _compact(_indented(data, "\n", streams))
-
-
-def _compact(text: str) -> str:
-    """Indent-2 JSON text on one line, as ``json.dumps`` writes it: a comma
-    keeps one space, and each line break (a JSON string escapes newlines)
-    goes with its indent.  No item of a stream splits one from its comma."""
-    return re.sub("\n *", "", text.replace(",\n", ", \n"))
+        yield f"{prefix} = " + _indented(data, "", streams)
 
 
 def cmd_analyze(args) -> dict:
@@ -335,37 +335,32 @@ def cmd_surgery(args) -> dict:
         "rational_diagram": _diagram(text, rational),
         "expanded_diagram": _diagram(text, expanded),
         # Checked integral here, before anything is written.
-        "linking_matrix": _matrix_rows(surgery.linking_rows(expanded)),
+        "linking_matrix": functools.partial(_matrix_rows, surgery.linking_rows(expanded)),
         "homology": vars(surgery.homology(expanded)),
     }
 
 
-# One component of a diagram of the ``surgery`` payload, as indent-2 JSON
-# at its place: the texts of its values in the order of its sorted keys.
-_COMPONENT = """{
-        "component": %s,
-        "depth": %s,
-        "framing": "%s",
-        "kind": "%s",
-        "parent": %s
-      }"""
+# The keys of a component of a ``surgery`` diagram, each with the slot of
+# its value's text: a quoted ``%s`` for a text, ``%%s`` for an int or None.
+_COMPONENT = {"component": "%%s", "depth": "%%s", "framing": "%s", "kind": "%s", "parent": "%%s"}
 
 
 def _diagram(braid: str, diagram: surgery.SurgeryDiagram) -> dict:
     """:func:`surgery.diagram_to_dict` of ``diagram``, given the text of its
-    braid, with its ``components`` as a stream of their text at their
-    place in the ``surgery`` payload: one :data:`_COMPONENT` per component."""
-    text = ",\n      ".join(
-        [
-            _COMPONENT
-            % (c.component, c.depth, surgery.framing_str(c.framing), c.kind, c.parent)
-            for c in diagram.components
-        ]
-    )
-    # A missing index prints as None, and no kind, framing or index has
-    # that text otherwise.
-    text = f"[\n      {text}\n    ]".replace("None", "null")
-    return {"braid": braid, "components": (part for part in [text])}
+    braid, with its ``components`` as a stream: a template of
+    :data:`_COMPONENT` at its place, filled in per component."""
+    values = [
+        (c.component, c.depth, surgery.framing_str(c.framing), c.kind, c.parent)
+        for c in diagram.components
+    ]
+
+    def components(pad):
+        entry = _indented(_COMPONENT, _layout(pad)[0], []).replace('"%%s"', "%s")
+        # A missing index prints as None, and no kind, framing or index has
+        # that text otherwise.
+        return _blocks([(entry % v).replace("None", "null") for v in values], pad)
+
+    return {"braid": braid, "components": components}
 
 
 def cmd_enumerate(args):
@@ -394,95 +389,99 @@ def cmd_theta(args) -> dict:
             "theta_report": vars(legendrian.theta(diagram)),
         }
     # The text of every value exists before anything is written.  Each form
-    # has an indent-2 entry template with its c1^2 and theta texts, and a
-    # %s slot for each of its two lists.  A list text is one str.join of a
-    # text per menu (see _list_levels), from itertools.product, so a tuple's
-    # entry runs no bytecode of ours.
+    # has an entry template with its c1^2 and theta texts, and a %s slot for
+    # each of its two lists.  A list text is one str.join of a text per menu
+    # (see _list_levels), from itertools.product, so a tuple's entry runs no
+    # bytecode of ours.
     ids, values = enum.theta_sweep(frac_str)
-    shape = {"c1_squared": "%s", "rotation_tuple": "%%s", "theta": "%s", "tuple": "%%s"}
-    entry = _indented(shape, "\n    ", []).replace('"%%s"', "%%s")
-    templates = [entry % texts[:2] for texts in values]
     rots = [list(map(str, menu)) for menu in enum.menus]
     picks = [list(map(str, range(1, len(menu) + 1))) for menu in enum.menus]
-    rot_lists, pick_lists = (
-        map("".join, itertools.product(*_list_levels(texts, "\n      ")))
-        for texts in (rots, picks)
-    )
-    # A group's pick list of the tuple at i in tuples(): the text of the
-    # head menus' picks at i // size, then the tail menus' at i % size.  The
-    # tail is the last menu and those before it while its product squared
-    # is at most count, so each side holds about sqrt(count) texts.
-    levels = _list_levels(picks, "\n        ")
-    cut, size = len(levels) - 1, len(levels[-1])
-    while cut and (size * len(levels[cut - 1])) ** 2 <= enum.count:
-        cut -= 1
-        size *= len(levels[cut])
-    heads, tails = (
-        list(map("".join, itertools.product(*part)))
-        for part in (levels[:cut], levels[cut:])
-    )
 
-    def tuples(indices):
-        lists = map(
-            str.__add__,
-            map(heads.__getitem__, map(size.__rfloordiv__, indices)),
-            map(tails.__getitem__, map(size.__rmod__, indices)),
+    def entries(pad):
+        at = _layout(pad)[0]
+        shape = {"c1_squared": "%s", "rotation_tuple": "%%s", "theta": "%s", "tuple": "%%s"}
+        entry = _indented(shape, at, []).replace('"%%s"', "%%s")
+        templates = [entry % texts[:2] for texts in values]
+        rot_lists, pick_lists = (
+            map("".join, itertools.product(*_list_levels(texts, _layout(at)[0])))
+            for texts in (rots, picks)
         )
-        return ",\n        ".join(lists)
+        items = map(str.__mod__, map(templates.__getitem__, ids), zip(rot_lists, pick_lists))
+        return _blocks(items, pad)
 
-    group = '{\n      "theta": "%s",\n      "tuples": [\n        %s\n      ]\n    }'
-    entries = map(
-        str.__mod__, map(templates.__getitem__, ids), zip(rot_lists, pick_lists)
-    )
-    return {
-        "count": enum.count,
-        "entries": _blocks(entries),
-        "theta_groups": _blocks(
-            group % (theta, tuples(indices)) for _, theta, indices in values
-        ),
-    }
+    def theta_groups(pad):
+        at = _layout(pad)[0]
+        group = _indented({"theta": "%s", "tuples": ["%%s"]}, at, []).replace('"%%s"', "%s")
+        # A group's pick list of the tuple at i in tuples(): the text of the
+        # head menus' picks at i // size, then the tail menus' at i % size.
+        # The tail is the last menu and those before it while its product
+        # squared is at most count, so each side holds about sqrt(count) texts.
+        pick_pad, sep = _layout(_layout(at)[0])
+        levels = _list_levels(picks, pick_pad)
+        cut, size = len(levels) - 1, len(levels[-1])
+        while cut and (size * len(levels[cut - 1])) ** 2 <= enum.count:
+            cut -= 1
+            size *= len(levels[cut])
+        heads, tails = (
+            list(map("".join, itertools.product(*part)))
+            for part in (levels[:cut], levels[cut:])
+        )
+
+        def tuples(indices):
+            lists = map(
+                str.__add__,
+                map(heads.__getitem__, map(size.__rfloordiv__, indices)),
+                map(tails.__getitem__, map(size.__rmod__, indices)),
+            )
+            return sep.join(lists)
+
+        return _blocks((group % (theta, tuples(indices)) for _, theta, indices in values), pad)
+
+    return {"count": enum.count, "entries": entries, "theta_groups": theta_groups}
 
 
 def _list_levels(columns, pad: str) -> list[list[str]]:
     """One list of texts per list of ``columns`` (the texts of one menu's
     picks; every slope is positive, so there is at least one menu), such
-    that ``"".join`` of one text of each is the indent-2 JSON list of those
-    picks, its lines continued by ``pad``: the first texts open the list,
-    each is led by its separator, and the last close it."""
-    inner = pad + "  "
-    leads = ["[" + inner] + ["," + inner] * (len(columns) - 1)
+    that ``"".join`` of one text of each is the JSON list of those picks at
+    ``pad`` (see :func:`_layout`): the first texts open the list, each is
+    led by its separator, and the last close it."""
+    inner, sep = _layout(pad)
+    leads = ["[" + inner] + [sep] * (len(columns) - 1)
     levels = [[lead + text for text in texts] for lead, texts in zip(leads, columns)]
     levels[-1] = [text + pad + "]" for text in levels[-1]]
     return levels
 
 
-def _blocks(items):
-    """The indent-2 text of a top-level JSON array of the texts ``items``
-    (at least one), in blocks of ``_BLOCK`` items."""
-    items, sep = iter(items), "[\n    "
+def _blocks(items, pad: str):
+    """The text of a JSON array at ``pad`` of the texts ``items`` (at least
+    one), in blocks of ``_BLOCK`` items."""
+    inner, sep = _layout(pad)
+    items, lead = iter(items), "[" + inner
     while block := list(itertools.islice(items, _BLOCK)):
-        yield sep + ",\n    ".join(block)
-        sep = ",\n    "
-    yield "\n  ]"
+        yield lead + sep.join(block)
+        lead = sep
+    yield pad + "]"
 
 
 _BLOCK = 1024
 
 
-def _matrix_rows(rows):
-    """The indent-2 text of a top-level square matrix from its sparse rows
-    (at least one, as :func:`surgery.linking_rows` gives them): one text
-    per row, then the closing bracket.  A row's cells start as ``"0"``,
-    its nonzero entries are set by ``repr``, and the row is one
-    ``str.join``."""
-    zeros, sep = ["0"] * len(rows), "[\n    [\n      "
+def _matrix_rows(rows, pad: str):
+    """The text of a square matrix at ``pad`` from its sparse rows (at least
+    one, as :func:`surgery.linking_rows` gives them): one text per row,
+    then the closing bracket.  A row's cells start as ``"0"``, its nonzero
+    entries are set by ``repr``, and the row is one ``str.join``."""
+    inner, sep = _layout(pad)
+    at, comma = _layout(inner)
+    zeros, lead = ["0"] * len(rows), "[" + inner
     for row in rows:
         cells = zeros.copy()
         for j, x in row.items():
             cells[j] = repr(x)
-        yield sep + ",\n      ".join(cells) + "\n    ]"
-        sep = ",\n    [\n      "
-    yield "\n  ]"
+        yield f"{lead}[{at}{comma.join(cells)}{inner}]"
+        lead = sep
+    yield pad + "]"
 
 
 def cmd_limits(args) -> dict:

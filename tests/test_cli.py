@@ -12,7 +12,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from unittest import mock
 
@@ -334,11 +334,16 @@ def test_surgery_computes_the_permutation_once(monkeypatch):
 
 
 def test_theta_table_renders_the_json_output():
-    argv = CASES["theta_groups"]
-    _, out = run_cli(argv)
-    code, table = run_cli(argv + ["--table"])
-    assert code == cli.EXIT_OK
-    assert table.splitlines() == table_lines_by_json_dumps(json.loads(out))
+    for argv in (
+        CASES["theta_groups"],
+        # The chain of eleven -3 unknots: 2,048 entries in two blocks.
+        ["theta", "B2 s1^5", "--slope", "17711/46368"],
+        ["surgery", "B2 s1^5", "--slopes", "100"],
+    ):
+        _, out = run_cli(argv)
+        code, table = run_cli(argv + ["--table"])
+        assert code == cli.EXIT_OK
+        assert table.splitlines() == table_lines_by_json_dumps(json.loads(out))
 
 
 def test_enumerate_table_writes_the_envelope_lines_then_the_diagram_lines():
@@ -943,10 +948,10 @@ def test_table_lines_match_json_dumps(value):
     assert streams == []
 
 
-def stream_of(value, pad):
-    """A stream of the indent-2 text of ``value`` at ``pad``, cut before
-    each comma that ends a line."""
-    return (part for part in re.split(r"(?=,\n)", cli._indented(value, pad, [])))
+def stream_of(value):
+    """A stream of the text of ``value`` at the pad it is called with, cut
+    before each comma that ends a line or, on one line, each comma."""
+    return lambda pad: re.split(r"(?=,\n|, )", cli._indented(value, pad, []))
 
 
 @given(json_values.filter(lambda value: not isinstance(value, dict)))
@@ -956,7 +961,7 @@ def test_a_stream_at_any_depth_writes_as_its_value(value):
     data = {"a": value, "b": {"c": [value]}}
     for table in (False, True):
         buf = io.StringIO()
-        payload = {"a": stream_of(value, "\n  "), "b": {"c": [stream_of(value, "\n      ")]}}
+        payload = {"a": stream_of(value), "b": {"c": [stream_of(value)]}}
         with redirect_stdout(buf):
             cli.emit(payload, table)
         if table:
@@ -1153,15 +1158,22 @@ def streamed_items(argv, streamed):
     the text up to the next stream or the end."""
     args = cli.parse_argv(argv)
     result = getattr(cli, "cmd_" + args.subcommand)(args)
+
+    def items_at(stream, depth):
+        # The pad at a payload key's value of this depth.
+        return list(stream("" if args.table else "\n" + "  " * depth))
+
     if args.subcommand == "enumerate":
         streams = [list(result[1])]
     elif args.subcommand == "theta":
-        streams = [list(result["entries"]), list(result["theta_groups"])]
+        streams = [items_at(result["entries"], 1), items_at(result["theta_groups"], 1)]
     else:
         diagrams = [result[key]["components"] for key in ("expanded_diagram", "rational_diagram")]
-        streams = [list(diagrams[0]), list(result["linking_matrix"]), list(diagrams[1])]
-    if args.table and args.subcommand != "enumerate":
-        streams = [list(map(cli._compact, stream)) for stream in streams]
+        streams = [
+            items_at(diagrams[0], 2),
+            items_at(result["linking_matrix"], 1),
+            items_at(diagrams[1], 2),
+        ]
     items, at = [], 0
     for n, stream in enumerate(streams):
         text = "".join(stream)
@@ -1185,7 +1197,7 @@ def streamed_items(argv, streamed):
         # 288 entries and 65 groups, in blocks of 1,024 items at most.
         (["theta", "B2 s1^7", "--slope", "505/1406"], ('"entries": ', "entries = ")),
         # 201 rows of about 1,600 characters, between the two diagrams'
-        # components, each one text.
+        # components, each one block.
         (
             ["surgery", "B2 s1^5", "--slopes", "100"],
             ('"components": ', "expanded_diagram.components = "),
@@ -1538,6 +1550,10 @@ def test_parsers_split_as_the_old_regexes(monkeypatch, text):
         ["theta", "B2 s1^5", "--slope", "2/7", "--tuple", "1,1"],
         ["enumerate", "B2 s1^5", "--slopes", "2/7"],
         ["enumerate", "B2 s1^5", "--slopes", "2/7", "--count-only"],
+        # Table lines are written at their place, not rewritten from JSON.
+        ["surgery", "B2 s1^5", "--slopes", "2+1/3", "--table"],
+        ["theta", "B2 s1^5", "--slope", "1+2/7", "--table"],
+        ["limits", "--coeffs=-3,-2", "--cycle=-2", "--tail", "ones", "-n", "3", "--table"],
     ],
 )
 def test_no_regex_runs_on_the_command_path(monkeypatch, argv):
@@ -2147,7 +2163,7 @@ def assert_fewest_whole_items(writes, items, size):
 @given(expanded_diagrams())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_matrix_blocks_join_to_the_dense_text(diagram):
-    rows = list(cli._matrix_rows(surgery.linking_rows(diagram)))
+    rows = list(cli._matrix_rows(surgery.linking_rows(diagram), "\n  "))
     assert "".join(rows) == linking_matrix_text(diagram)
     assert len(rows) == len(diagram.components) + 1
     assert all(row.endswith("\n    ]") for row in rows[:-1])
@@ -2158,11 +2174,11 @@ def test_matrix_blocks_join_to_the_dense_text(diagram):
 def test_matrix_blocks_are_the_fewest_whole_rows_that_reach_the_size(diagram):
     rows = surgery.linking_rows(diagram)
     # The closing bracket and brace follow the rows as items of their own.
-    items = [*cli._matrix_rows(rows), "\n}\n"]
+    items = [*cli._matrix_rows(rows, "\n  "), "\n}\n"]
     for size in (1, 2, 3, 40, 1000, 65_536):
         out = CountingStdout()
         with mock.patch.object(cli, "_WRITE_SIZE", size), redirect_stdout(out):
-            cli.emit({"linking_matrix": cli._matrix_rows(rows)})
+            cli.emit({"linking_matrix": partial(cli._matrix_rows, rows)})
         assert out.getvalue()[: out.writes[0]] == '{\n  "linking_matrix": '
         assert_fewest_whole_items(out.writes[1:], items, size)
 
